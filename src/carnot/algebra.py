@@ -82,9 +82,6 @@ class AlgebraSpec:
 
     # -- lookups --------------------------------------------------------
 
-    def layer_of(self, label):
-        return label[0]
-
     def labels_in_layer(self, k):
         return [(k, i) for i in range(1, self.layer_dims[k - 1] + 1)]
 
@@ -323,6 +320,22 @@ def _rational_rank(rows):
     return rank
 
 
+def _stratification_ranks(spec):
+    """``(j, rank, dim V^{j+1})`` per layer j < r, rank of ``[V^1, V^j]``."""
+    for j in range(1, spec.r):
+        next_layer = spec.labels_in_layer(j + 1)
+        pos = {lab: t for t, lab in enumerate(next_layer)}
+        rows = []
+        for x in spec.labels_in_layer(1):
+            for y in spec.labels_in_layer(j):
+                row = [Fraction(0)] * len(next_layer)
+                for lab, c in spec.basis_bracket(x, y).items():
+                    if lab in pos:
+                        row[pos[lab]] = c
+                rows.append(row)
+        yield j, _rational_rank(rows), len(next_layer)
+
+
 def validate_spec(spec: AlgebraSpec):
     """Return the list of invariant violations (empty when the spec is valid)."""
     problems = []
@@ -354,46 +367,19 @@ def validate_spec(spec: AlgebraSpec):
                 if not res.is_zero():
                     problems.append(JacobiViolation((a, b, c), res))
     # stratification: [V^1, V^j] spans V^{j+1}
-    for j in range(1, spec.r):
-        rows = []
-        next_layer = spec.labels_in_layer(j + 1)
-        pos = {lab: t for t, lab in enumerate(next_layer)}
-        for x in spec.labels_in_layer(1):
-            for y in spec.labels_in_layer(j):
-                combo = spec.basis_bracket(x, y)
-                row = [Fraction(0)] * len(next_layer)
-                for lab, c in combo.items():
-                    if lab in pos:
-                        row[pos[lab]] = c
-                rows.append(row)
-        rank = _rational_rank(rows)
-        if rank < len(next_layer):
-            problems.append(StratificationViolation(j, rank, len(next_layer)))
+    for j, rank, required in _stratification_ranks(spec):
+        if rank < required:
+            problems.append(StratificationViolation(j, rank, required))
     return problems
 
 
 def verify_stratification(spec: AlgebraSpec):
     """Per-layer rank report for the generating property of the first layer."""
-    report = {"layers": [], "ok": True}
-    for j in range(1, spec.r):
-        next_layer = spec.labels_in_layer(j + 1)
-        pos = {lab: t for t, lab in enumerate(next_layer)}
-        rows = []
-        for x in spec.labels_in_layer(1):
-            for y in spec.labels_in_layer(j):
-                combo = spec.basis_bracket(x, y)
-                row = [Fraction(0)] * len(next_layer)
-                for lab, c in combo.items():
-                    if lab in pos:
-                        row[pos[lab]] = c
-                rows.append(row)
-        rank = _rational_rank(rows)
-        report["layers"].append(
-            {"layer": j, "rank": rank, "required": len(next_layer), "ok": rank == len(next_layer)}
-        )
-        if rank != len(next_layer):
-            report["ok"] = False
-    return report
+    layers = [
+        {"layer": j, "rank": rank, "required": required, "ok": rank == required}
+        for j, rank, required in _stratification_ranks(spec)
+    ]
+    return {"layers": layers, "ok": all(entry["ok"] for entry in layers)}
 
 
 def build_from_table(layer_dims, table, name=None) -> AlgebraSpec:

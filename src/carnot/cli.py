@@ -482,7 +482,6 @@ def suite_cmd(group_name, n, seed, triples, samples, sweep_total, fmt, out):
         assoc_triples=triples,
         mc_samples=samples,
         sweep_total=sweep_total,
-        report_format=fmt,
     )
     report = run_suite(config)
     if fmt == "text" and not out:

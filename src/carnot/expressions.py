@@ -1,9 +1,11 @@
 """Tiny polynomial expression parser and JSON (de)serialization.
 
-Coordinate variables are written ``p<i><k>`` (single digits) or
-``p<i>_<k>`` for the coordinate with index ``i`` in layer ``k``; they map
-to the internal label ``(k, i)``.  Supported syntax: ``+ - * ^``, integer
-and rational constants (``3``, ``1/2``), parentheses.
+Coordinate variables are written ``p<i><k>`` (one digit each) or
+``p<i>_<k>`` (any number of digits) for the coordinate with index ``i`` in
+layer ``k``; they map to the internal label ``(k, i)``.  A digit directly
+after a variable is an error (``p111`` raises rather than reading as
+``p11 * 1``).  Supported syntax: ``+ - * ^``, integer and rational
+constants (``3``, ``1/2``), parentheses.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from fractions import Fraction
 from .poly import PolyFunction
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<var>p\d_?\d)|(?P<num>\d+(?:/\d+)?)|(?P<op>[-+*^()]))"
+    r"\s*(?:p(?:(?P<index>\d+)_(?P<layer>\d+)|(?P<i>\d)(?P<k>\d))"
+    r"|(?P<num>\d+(?:/\d+)?)|(?P<op>[-+*^()]))"
 )
 
 
@@ -26,14 +29,18 @@ def _tokenize(text):
         if not m or m.end() == pos:
             raise ValueError(f"cannot parse polynomial at: {text[pos:]!r}")
         pos = m.end()
-        if m.group("var"):
-            digits = [c for c in m.group("var")[1:] if c.isdigit()]
-            i, k = int(digits[0]), int(digits[1])
-            out.append(("var", (k, i)))
-        elif m.group("num"):
+        if m.group("num"):
             out.append(("num", Fraction(m.group("num"))))
-        else:
+        elif m.group("op"):
             out.append(("op", m.group("op")))
+        else:
+            if text[pos:pos + 1].isdigit():
+                raise ValueError(
+                    f"digit directly after a variable at: {text[m.start():].strip()!r}"
+                )
+            i = m.group("index") or m.group("i")
+            k = m.group("layer") or m.group("k")
+            out.append(("var", (int(k), int(i))))
     return out
 
 

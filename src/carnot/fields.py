@@ -93,10 +93,6 @@ def field_of_element(spec: AlgebraSpec, elem: AlgebraElement) -> VectorFieldOper
     return out
 
 
-def apply(field: VectorFieldOperator, u: PolyFunction) -> PolyFunction:
-    return field.apply(u)
-
-
 def commutator_check(spec: AlgebraSpec):
     """Check that operator brackets reproduce the structure constants.
 

@@ -411,67 +411,6 @@ def hormander_ratio(u: GridField, direction, epsilon0=None, offset_samples=16):
 # weak-form assembly and solve
 # ---------------------------------------------------------------------------
 
-def _interpolation_matrix(grid: Grid, coords, weight_tol=1e-12, margin=0.55):
-    """Sparse multilinear sampling operator for the given target points.
-
-    Points up to ``margin`` cells outside the box are linearly extrapolated
-    from the last in-box cell (interpolation offsets overshoot the faces by
-    at most half a cell); points farther out, in particular whole-cell
-    face exits of the flow itself, invalidate their row.
-    """
-    size = int(np.prod(grid.shape))
-    d = len(grid.shape)
-    rows_idx = np.arange(size)
-    indices = _fractional_indices(grid, coords)
-    valid = np.ones(grid.shape, dtype=bool)
-    for ax, arr in enumerate(indices):
-        valid &= (arr >= -margin) & (arr <= grid.shape[ax] - 1 + margin)
-    base = [np.clip(np.floor(ix), 0, sh - 2).astype(np.int64)
-            for ix, sh in zip(indices, grid.shape)]
-    frac = [ix - b for ix, b in zip(indices, base)]
-    pieces = []
-    for corner in range(1 << d):
-        w = np.ones(grid.shape)
-        col = np.zeros(grid.shape, dtype=np.int64)
-        stride = 1
-        for ax in reversed(range(d)):
-            bit = (corner >> ax) & 1
-            w = w * (frac[ax] if bit else 1.0 - frac[ax])
-            col += (base[ax] + bit) * stride
-            stride *= grid.shape[ax]
-        wf = w.ravel()
-        keep = np.abs(wf) > weight_tol
-        pieces.append((rows_idx[keep], col.ravel()[keep], wf[keep]))
-    rows = np.concatenate([p[0] for p in pieces])
-    cols = np.concatenate([p[1] for p in pieces])
-    vals = np.concatenate([p[2] for p in pieces])
-    keep = valid.ravel()[rows]
-    mat = sparse.coo_matrix(
-        (vals[keep], (rows[keep], cols[keep])), shape=(size, size)
-    ).tocsr()
-    return mat, valid
-
-
-def flow_difference_matrix(grid: Grid, direction, s):
-    """Sparse one-sided flow quotient ``(u(p e^{sZ}) - u(p)) / s``."""
-    coords = flow_coordinates(grid, direction, s)
-    interp, valid = _interpolation_matrix(grid, coords)
-    size = int(np.prod(grid.shape))
-    eye = sparse.diags(valid.ravel().astype(float))
-    return (interp - eye) / s, valid
-
-
-def derivative_matrix(grid: Grid, direction, s=None):
-    """Sparse centered flow-difference operator and its valid-row mask."""
-    if s is None:
-        s = grid.spacing[grid.axis_of(direction)]
-    fwd, v1 = flow_difference_matrix(grid, direction, s)
-    bwd, v2 = flow_difference_matrix(grid, direction, -s)
-    valid = v1 & v2
-    sel = sparse.diags(valid.ravel().astype(float))
-    return sel @ (fwd + bwd) / 2.0, valid
-
-
 def _axis_shift_difference(grid: Grid, ax, sign):
     """Sparse one-sided coordinate difference along one axis."""
     size = int(np.prod(grid.shape))

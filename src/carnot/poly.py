@@ -66,34 +66,10 @@ class PolyFunction:
             return PolyFunction.constant(1)
         return PolyFunction({((var, exp),): Fraction(1)})
 
-    @staticmethod
-    def from_terms(items):
-        """Build from an iterable of (monomial-dict, coeff) pairs."""
-        out = {}
-        for mono_map, c in items:
-            mono = _sorted_mono((v, e) for v, e in mono_map.items() if e)
-            out[mono] = out.get(mono, Fraction(0)) + _as_coeff(c)
-        return PolyFunction(out)
-
     # -- basic queries -----------------------------------------------
 
     def is_zero(self):
         return not self.terms
-
-    def variables(self):
-        seen = set()
-        for mono in self.terms:
-            for v, _ in mono:
-                seen.add(v)
-        return seen
-
-    def degree(self):
-        if not self.terms:
-            return 0
-        return max((sum(e for _, e in mono) for mono in self.terms), default=0)
-
-    def constant_term(self):
-        return self.terms.get(_ONE_MONO, Fraction(0))
 
     # -- arithmetic ---------------------------------------------------
 

@@ -8,17 +8,20 @@ normalizes words by shifting commutator letters into layer order, and
 certifies that the measure ``W = sum_k (r + 1 - k) h_k`` strictly drops at
 every step until all letter counts reach zero.
 
-Two modes share the same combinatorics: the abstract mode tracks letters
-and layer profiles only (collapsed commutator letters carry just their
-layer), while the exact mode instantiates every letter as an algebra
-element and checks the rewrites as operator identities on polynomials.
+One generator writes the closed-form expansion, and one the recursive
+definition it replaces, for two letter interpretations.  The abstract one
+tracks letters and layer profiles only (collapsed commutator letters carry
+just their layer); its words are the ones the certificate classifies.  The
+exact one (:class:`ExactContext`) instantiates every letter as an algebra
+element, and the soundness check compares both generators' words as
+operator identities on polynomials.  So the certified words are the
+verified words.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import AlgebraElement, bracket
 from .fields import SystemCoefficients, field_of_element
@@ -82,6 +85,7 @@ class SymbolicTerm:
     target: str  # "u" | "f" | "fi"
     kind: str    # "V" | "f-term" | "fi-term" | "commutator-remainder"
     family: str
+    slot: object = None  # index i of Y_i and f_i; None outside any slot
 
     def __repr__(self):
         return f"<{self.family}: {word_str(self.word)} {self.target}>"
@@ -164,80 +168,93 @@ def word_profile(word, r) -> LayerProfile:
 # ---------------------------------------------------------------------------
 # closed-form expansion of the inhomogeneous terms
 # ---------------------------------------------------------------------------
+#
+# The closed form and the recursive definition are written once, over a
+# letter interpretation that answers four questions: which letter sits at
+# (layer, position), what a consumed letter collapses into on the flux side
+# and on the source side, what the extra horizontal letter is, and which
+# slots (the index i of Y_i and f_i) there are.  Positions count from the
+# bottom of a layer's block; words are written top-down.
 
-def _default_assignment(profile):
-    """Distinct positional indices per layer, written top-down in words."""
-    return {
-        k: tuple(range(1, profile.count(k) + 1))
-        for k in range(1, profile.r + 1)
-    }
+class AbstractLetters:
+    """Letters known by layer and position; collapsed letters only by
+    their layer; a single anonymous slot."""
+
+    slots = (None,)
+
+    def letter(self, layer, pos):
+        return Letter(layer, pos)
+
+    def flux(self, layer, pos, slot):
+        return Letter(layer + 1)
+
+    source = flux
+
+    def horizontal(self, slot):
+        return Letter(1)
 
 
-def _block(layer, positions, assignment):
-    """Letters of one layer at the given positions, top position first."""
-    idx = assignment[layer]
-    return tuple(Letter(layer, idx[pos - 1]) for pos in positions)
+ABSTRACT = AbstractLetters()
 
 
-def _block_top(layer, b, q, assignment):
-    # the top q of b positions: b, b-1, ..., b-q+1
-    return _block(layer, range(b, b - q, -1), assignment)
+def _block(letters, layer, top, bottom=0):
+    """Letters of one layer at positions ``top`` down to ``bottom + 1``."""
+    return tuple(letters.letter(layer, pos) for pos in range(top, bottom, -1))
 
 
-def _block_bottom(layer, k, assignment):
-    return _block(layer, range(k, 0, -1), assignment)
-
-
-def _stack(profile, from_layer, to_layer, assignment):
+def _stack(letters, profile, from_layer, to_layer):
+    """The full blocks of layers ``from_layer..to_layer``, in word order."""
     out = ()
     for k in range(from_layer, to_layer + 1):
-        out += _block_bottom(k, profile.count(k), assignment)
+        out += _block(letters, k, profile.count(k))
     return out
 
 
-def expand_fi(l, profile, assignment=None):
+def _prefixed(head, term, family=None):
+    return SymbolicTerm(
+        head + term.word, term.target, term.kind, family or term.family, term.slot
+    )
+
+
+def _collapse_sites(letters, l, profile):
+    """Every letter of layers ``l-1..r-1`` that can collapse one layer up.
+
+    Yields ``(s, k, head, tail)``: the consumed letter sits at position
+    ``k + 1`` of layer ``s - 1``; ``head`` and ``tail`` are the words
+    before and after it.
+    """
+    r = profile.r
+    for s in range(l, r + 1):
+        h = profile.count(s - 1)
+        prefix = _stack(letters, profile, l - 1, s - 2)
+        for k in range(h - 1, -1, -1):
+            head = prefix + _block(letters, s - 1, h, k + 1)
+            tail = _block(letters, s - 1, k) + _stack(letters, profile, s, r)
+            yield s, k, head, tail
+
+
+def _closed_fi(letters, l, profile, slot):
+    """Closed form of the flux-side term for one slot: the lowest-layer
+    collapse family, one insertion family per higher layer that still
+    carries letters, and a single pure-data word."""
+    terms = []
+    for s, k, head, tail in _collapse_sites(letters, l, profile):
+        word = head + (letters.flux(s - 1, k + 1, slot),) + tail
+        family = "fi-V" if s == l else "fi-T"
+        terms.append(SymbolicTerm(word, "u", "V", family, slot))
+    data = _stack(letters, profile, l - 1, profile.r)
+    terms.append(SymbolicTerm(data, "fi", "fi-term", "fi-data", slot))
+    return terms
+
+
+def expand_fi(l, profile, letters=ABSTRACT):
     """Closed-form expansion of the flux-side inhomogeneous term.
 
     ``profile`` carries the letter counts, with ``profile.count(l-1)`` the
-    number of lowest-layer derivatives already applied.  Families:
-    the lowest-layer commutator family, one insertion family per higher
-    layer that still carries letters, and a single pure-data word.
+    number of lowest-layer derivatives already applied.  Returns the terms
+    of every slot of the interpretation, slot by slot.
     """
-    if assignment is None:
-        assignment = _default_assignment(profile)
-    r = profile.r
-    b = profile.count(l - 1)
-    terms = []
-    # lowest-layer family: one letter of layer l-1 collapses into layer l
-    for k in range(b - 1, -1, -1):
-        q = b - 1 - k
-        word = (
-            _block_top(l - 1, b, q, assignment)
-            + (Letter(l),)
-            + _block_bottom(l - 1, k, assignment)
-            + _stack(profile, l, r, assignment)
-        )
-        terms.append(SymbolicTerm(word, "u", "V", "fi-V"))
-    # insertion families: a letter of layer s-1 collapses into layer s
-    for s in range(l + 1, r + 1):
-        hs = profile.count(s - 1)
-        prefix_low = _block_bottom(l - 1, b, assignment) + _stack(
-            profile, l, s - 2, assignment
-        )
-        for k in range(hs - 1, -1, -1):
-            q = hs - 1 - k
-            word = (
-                prefix_low
-                + _block_top(s - 1, hs, q, assignment)
-                + (Letter(s),)
-                + _block_bottom(s - 1, k, assignment)
-                + _stack(profile, s, r, assignment)
-            )
-            terms.append(SymbolicTerm(word, "u", "V", "fi-T"))
-    # pure data word
-    data_word = _block_bottom(l - 1, b, assignment) + _stack(profile, l, r, assignment)
-    terms.append(SymbolicTerm(data_word, "fi", "fi-term", "fi-data"))
-    return terms
+    return [t for slot in letters.slots for t in _closed_fi(letters, l, profile, slot)]
 
 
 _INNER_FAMILY = {
@@ -248,69 +265,77 @@ _INNER_FAMILY = {
 }
 
 
-def expand_f(l, profile, assignment=None):
+def expand_f(l, profile, letters=ABSTRACT):
     """Closed-form expansion of the source-side inhomogeneous term.
 
     Substitutes the flux-side expansion into its own recursion, producing
-    the six structural families P1..P6 plus the data words.
+    the data word and the six structural families P1..P6: a collapse with
+    the extra horizontal letter (P1 at the lowest layer, P2 above), then
+    the flux-side terms behind each collapse (P5/P6 above, P3/P4 last).
     """
-    if assignment is None:
-        assignment = _default_assignment(profile)
+    data = _stack(letters, profile, l - 1, profile.r)
+    terms = [SymbolicTerm(data, "f", "f-term", "f-data")]
+    lowest = []
+    for slot in letters.slots:
+        for s, k, head, tail in _collapse_sites(letters, l, profile):
+            head += (letters.source(s - 1, k + 1, slot),)
+            word = head + (letters.horizontal(slot),) + tail
+            terms.append(SymbolicTerm(word, "u", "V", "P1" if s == l else "P2", slot))
+            side = "l" if s == l else "s"
+            (lowest if s == l else terms).extend(
+                _prefixed(head, t, _INNER_FAMILY[t.family][side])
+                for t in _closed_fi(letters, s, profile.with_count(s - 1, k), slot)
+            )
+    return terms + lowest
+
+
+def _recursive_fi(letters, l, profile, slot):
+    """The recursive definition of the flux-side term, unrolled for one
+    slot: at count b, the collapse of the b-th letter over the one-shorter
+    word plus that letter applied to the term at count b - 1; at count
+    zero, the term rebased one layer up, ending in a word on the data."""
     r = profile.r
-    b = profile.count(l - 1)
-    terms = []
-    full_word = _block_bottom(l - 1, b, assignment) + _stack(profile, l, r, assignment)
-    terms.append(SymbolicTerm(full_word, "f", "f-term", "f-data"))
-    # P1: lowest-layer collapse with one extra horizontal derivative
-    for k in range(b - 1, -1, -1):
-        q = b - 1 - k
-        word = (
-            _block_top(l - 1, b, q, assignment)
-            + (Letter(l), Letter(1))
-            + _block_bottom(l - 1, k, assignment)
-            + _stack(profile, l, r, assignment)
-        )
-        terms.append(SymbolicTerm(word, "u", "V", "P1"))
-    for s in range(l + 1, r + 1):
-        hs = profile.count(s - 1)
-        prefix_low = _block_bottom(l - 1, b, assignment) + _stack(
-            profile, l, s - 2, assignment
-        )
-        for k in range(hs - 1, -1, -1):
-            q = hs - 1 - k
-            head = prefix_low + _block_top(s - 1, hs, q, assignment) + (Letter(s),)
-            # P2: collapse at layer s with the extra horizontal derivative
-            word = (
-                head
-                + (Letter(1),)
-                + _block_bottom(s - 1, k, assignment)
-                + _stack(profile, s, r, assignment)
-            )
-            terms.append(SymbolicTerm(word, "u", "V", "P2"))
-            # flux-side terms at the insertion point
-            for inner in expand_fi(s, profile.with_count(s - 1, k), assignment):
-                terms.append(
-                    SymbolicTerm(
-                        head + inner.word,
-                        inner.target,
-                        inner.kind,
-                        _INNER_FAMILY[inner.family]["s"],
-                    )
-                )
-    # flux-side terms below the lowest layer
-    for k in range(b - 1, -1, -1):
-        q = b - 1 - k
-        head = _block_top(l - 1, b, q, assignment) + (Letter(l),)
-        for inner in expand_fi(l, profile.with_count(l - 1, k), assignment):
-            terms.append(
-                SymbolicTerm(
-                    head + inner.word,
-                    inner.target,
-                    inner.kind,
-                    _INNER_FAMILY[inner.family]["l"],
-                )
-            )
-    return terms
+
+    def rec(level, b):
+        if b == 0:
+            if level == r:
+                data = _stack(letters, profile, r, r)
+                return [SymbolicTerm(data, "fi", "fi-term", "recursion", slot)]
+            return rec(level + 1, profile.count(level))
+        rest = _block(letters, level - 1, b - 1) + _stack(letters, profile, level, r)
+        collapsed = (letters.flux(level - 1, b, slot),) + rest
+        terms = [SymbolicTerm(collapsed, "u", "V", "recursion", slot)]
+        letter = (letters.letter(level - 1, b),)
+        return terms + [_prefixed(letter, t) for t in rec(level, b - 1)]
+
+    return rec(l, profile.count(l - 1))
+
+
+def _recursive_f(letters, l, profile):
+    """The recursive definition of the source-side term, unrolled."""
+    r = profile.r
+
+    def rec(level, b):
+        if b == 0:
+            if level == r:
+                data = _stack(letters, profile, r, r)
+                return [SymbolicTerm(data, "f", "f-term", "recursion")]
+            return rec(level + 1, profile.count(level))
+        letter = (letters.letter(level - 1, b),)
+        terms = [_prefixed(letter, t) for t in rec(level, b - 1)]
+        rest = _block(letters, level - 1, b - 1) + _stack(letters, profile, level, r)
+        shorter = profile.with_count(level - 1, b - 1)
+        for slot in letters.slots:
+            collapsed = (letters.source(level - 1, b, slot),)
+            word = collapsed + (letters.horizontal(slot),) + rest
+            terms.append(SymbolicTerm(word, "u", "V", "recursion", slot))
+            terms += [
+                _prefixed(collapsed, t)
+                for t in _recursive_fi(letters, level, shorter, slot)
+            ]
+        return terms
+
+    return rec(l, profile.count(l - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -759,45 +784,13 @@ def naive_order_obstruction():
 # exact mode: rewrites as operator identities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExactTerm:
-    """Rational multiple of a composition of left-invariant operators
-    applied to one target; ``ops[0]`` acts last."""
-
-    coeff: Fraction
-    ops: tuple          # tuple[AlgebraElement, ...]
-    target: object      # "u" | "f" | ("fi", i)
-
-
-def _exact_apply(spec, terms, u, f, f_i):
-    total = PolyFunction.zero()
-    for term in terms:
-        if term.target == "u":
-            poly = u
-        elif term.target == "f":
-            poly = f
-        else:
-            poly = f_i[term.target[1] - 1]
-        for op in reversed(term.ops):
-            if op.is_zero():
-                poly = PolyFunction.zero()
-                break
-            poly = field_of_element(spec, op).apply(poly)
-            if poly.is_zero():
-                break
-        total = total + poly.scale(term.coeff)
-    return total
-
-
-def _basis_elem(spec, layer, index):
-    return AlgebraElement.basis(spec, (layer, index))
-
-
 class ExactContext:
-    """Concrete letters for an exact rewrite check.
+    """The exact interpretation: letters are algebra elements, words act as
+    compositions of left-invariant operators on polynomials.
 
-    Letter indices above the layer dimension wrap around, so abstract
-    positional assignments map onto any spec.
+    Letter positions above the layer dimension wrap around, so every
+    profile maps onto any spec.  Slot ``i`` carries ``Y_i = sum_j A_ij X_j``
+    and the data ``f_i``.
     """
 
     def __init__(self, spec, A: SystemCoefficients):
@@ -806,194 +799,49 @@ class ExactContext:
         if A.m != spec.m:
             raise ValueError("coefficient block does not match the spec")
         self.spec = spec
-        self.A = A
-        # Y_i = sum_j A_ij X_j
+        self.slots = tuple(range(1, spec.m + 1))
         self.Y = [
-            AlgebraElement(
-                spec,
-                {
-                    (1, j): A.entry(0, 0, i - 1, j - 1)
-                    for j in range(1, spec.m + 1)
-                },
-            )
-            for i in range(1, spec.m + 1)
+            AlgebraElement(spec, {(1, j): A.entry(0, 0, i - 1, j - 1) for j in self.slots})
+            for i in self.slots
         ]
+        self._fields = {}
 
-    def basis(self, layer, position):
-        dim = self.spec.layer_dims[layer - 1]
-        index = (position - 1) % dim + 1
-        return _basis_elem(self.spec, layer, index)
+    def letter(self, layer, pos):
+        index = (pos - 1) % self.spec.layer_dims[layer - 1] + 1
+        return AlgebraElement.basis(self.spec, (layer, index))
 
-    def block_ops(self, layer, positions):
-        return tuple(self.basis(layer, pos) for pos in positions)
+    def flux(self, layer, pos, slot):
+        return bracket(self.letter(layer, pos), self.Y[slot - 1])
 
-    def stack_ops(self, profile, from_layer, to_layer):
-        out = ()
-        for k in range(from_layer, to_layer + 1):
-            out += self.block_ops(k, range(profile.count(k), 0, -1))
-        return out
+    def source(self, layer, pos, slot):
+        return bracket(self.letter(1, slot), self.letter(layer, pos))
 
+    def horizontal(self, slot):
+        return self.Y[slot - 1]
 
-def exact_fi_recursive(ctx, l, profile):
-    """Unroll the recursive definition of the flux-side data, per slot i."""
-    spec, A = ctx.spec, ctx.A
-    r = profile.r
-    m = spec.m
+    def apply(self, word, poly):
+        """Apply a word to a polynomial; ``word[0]`` acts last."""
+        for elem in reversed(word):
+            if elem.is_zero():
+                return PolyFunction.zero()
+            field = self._fields.get(elem)
+            if field is None:
+                field = self._fields[elem] = field_of_element(self.spec, elem)
+            poly = field.apply(poly)
+            if poly.is_zero():
+                break
+        return poly
 
-    def rec(level, b):
-        if b == 0:
-            if level == r:
-                stack = ctx.stack_ops(profile, r, r)
-                return [
-                    [ExactTerm(Fraction(1), stack, ("fi", i))]
-                    for i in range(1, m + 1)
-                ]
-            return rec(level + 1, profile.count(level))
-        prev = rec(level, b - 1)
-        letter = ctx.basis(level - 1, b)
-        v_ops = ctx.block_ops(level - 1, range(b - 1, 0, -1)) + ctx.stack_ops(
-            profile, level, r
-        )
-        out = []
-        for i in range(1, m + 1):
-            commutator = bracket(letter, ctx.Y[i - 1])
-            terms = [ExactTerm(Fraction(1), (commutator,) + v_ops, "u")]
-            terms += [
-                ExactTerm(t.coeff, (letter,) + t.ops, t.target) for t in prev[i - 1]
-            ]
-            out.append(terms)
-        return out
-
-    return rec(l, profile.count(l - 1))
-
-
-def exact_f_recursive(ctx, l, profile):
-    """Unroll the recursive definition of the source-side data."""
-    spec = ctx.spec
-    r = profile.r
-    m = spec.m
-
-    def rec(level, b):
-        if b == 0:
-            if level == r:
-                return [ExactTerm(Fraction(1), ctx.stack_ops(profile, r, r), "f")]
-            return rec(level + 1, profile.count(level))
-        prev = rec(level, b - 1)
-        prev_fi = _exact_fi_at(ctx, level, b - 1, profile)
-        letter = ctx.basis(level - 1, b)
-        v_ops = ctx.block_ops(level - 1, range(b - 1, 0, -1)) + ctx.stack_ops(
-            profile, level, r
-        )
-        out = [ExactTerm(t.coeff, (letter,) + t.ops, t.target) for t in prev]
-        for i in range(1, m + 1):
-            commutator = bracket(_basis_elem(spec, 1, i), letter)
-            out.append(
-                ExactTerm(Fraction(1), (commutator, ctx.Y[i - 1]) + v_ops, "u")
-            )
-            out += [
-                ExactTerm(t.coeff, (commutator,) + t.ops, t.target)
-                for t in prev_fi[i - 1]
-            ]
-        return out
-
-    return rec(l, profile.count(l - 1))
-
-
-def _exact_fi_at(ctx, level, b, profile):
-    """Flux-side recursion rebased at ``level`` with ``b`` lowest letters."""
-    return exact_fi_recursive(ctx, level, profile.with_count(level - 1, b))
-
-
-def exact_fi_closed(ctx, l, profile):
-    """Closed-form flux-side expansion with exact letters, per slot i."""
-    spec = ctx.spec
-    r = profile.r
-    b = profile.count(l - 1)
-    out = [[] for _ in range(spec.m)]
-    for i in range(1, spec.m + 1):
-        for k in range(b - 1, -1, -1):
-            q = b - 1 - k
-            top = ctx.block_ops(l - 1, range(b, b - q, -1))
-            commutator = bracket(ctx.basis(l - 1, k + 1), ctx.Y[i - 1])
-            tail = ctx.block_ops(l - 1, range(k, 0, -1)) + ctx.stack_ops(
-                profile, l, r
-            )
-            out[i - 1].append(
-                ExactTerm(Fraction(1), top + (commutator,) + tail, "u")
-            )
-        for s in range(l + 1, r + 1):
-            hs = profile.count(s - 1)
-            prefix = ctx.block_ops(l - 1, range(b, 0, -1)) + ctx.stack_ops(
-                profile, l, s - 2
-            )
-            for k in range(hs - 1, -1, -1):
-                q = hs - 1 - k
-                top = ctx.block_ops(s - 1, range(hs, hs - q, -1))
-                commutator = bracket(ctx.basis(s - 1, k + 1), ctx.Y[i - 1])
-                tail = ctx.block_ops(s - 1, range(k, 0, -1)) + ctx.stack_ops(
-                    profile, s, r
-                )
-                out[i - 1].append(
-                    ExactTerm(Fraction(1), prefix + top + (commutator,) + tail, "u")
-                )
-        data_ops = ctx.block_ops(l - 1, range(b, 0, -1)) + ctx.stack_ops(profile, l, r)
-        out[i - 1].append(ExactTerm(Fraction(1), data_ops, ("fi", i)))
-    return out
-
-
-def exact_f_closed(ctx, l, profile):
-    """Closed-form source-side expansion with exact letters."""
-    spec = ctx.spec
-    r = profile.r
-    m = spec.m
-    b = profile.count(l - 1)
-    out = [
-        ExactTerm(
-            Fraction(1),
-            ctx.block_ops(l - 1, range(b, 0, -1)) + ctx.stack_ops(profile, l, r),
-            "f",
-        )
-    ]
-    for k in range(b - 1, -1, -1):
-        q = b - 1 - k
-        top = ctx.block_ops(l - 1, range(b, b - q, -1))
-        consumed = ctx.basis(l - 1, k + 1)
-        tail = ctx.block_ops(l - 1, range(k, 0, -1)) + ctx.stack_ops(profile, l, r)
-        inner_fi = exact_fi_closed(ctx, l, profile.with_count(l - 1, k))
-        for i in range(1, m + 1):
-            commutator = bracket(_basis_elem(spec, 1, i), consumed)
-            out.append(
-                ExactTerm(Fraction(1), top + (commutator, ctx.Y[i - 1]) + tail, "u")
-            )
-            out += [
-                ExactTerm(t.coeff, top + (commutator,) + t.ops, t.target)
-                for t in inner_fi[i - 1]
-            ]
-    for s in range(l + 1, r + 1):
-        hs = profile.count(s - 1)
-        prefix = ctx.block_ops(l - 1, range(b, 0, -1)) + ctx.stack_ops(
-            profile, l, s - 2
-        )
-        for k in range(hs - 1, -1, -1):
-            q = hs - 1 - k
-            top = ctx.block_ops(s - 1, range(hs, hs - q, -1))
-            consumed = ctx.basis(s - 1, k + 1)
-            tail = ctx.block_ops(s - 1, range(k, 0, -1)) + ctx.stack_ops(
-                profile, s, r
-            )
-            inner_fi = exact_fi_closed(ctx, s, profile.with_count(s - 1, k))
-            for i in range(1, m + 1):
-                commutator = bracket(_basis_elem(spec, 1, i), consumed)
-                out.append(
-                    ExactTerm(
-                        Fraction(1), prefix + top + (commutator, ctx.Y[i - 1]) + tail, "u"
-                    )
-                )
-                out += [
-                    ExactTerm(t.coeff, prefix + top + (commutator,) + t.ops, t.target)
-                    for t in inner_fi[i - 1]
-                ]
-    return out
+    def evaluate(self, terms, u, f, f_i):
+        """Sum of the terms applied to their targets."""
+        total = PolyFunction.zero()
+        for term in terms:
+            if term.target == "fi":
+                data = f_i[term.slot - 1]
+            else:
+                data = u if term.target == "u" else f
+            total = total + self.apply(term.word, data)
+        return total
 
 
 def verify_rewrite_identity(
@@ -1011,6 +859,8 @@ def verify_rewrite_identity(
 
     ``rule`` is one of ``"shift"`` (the commutator shift), ``"expand_fi"``
     or ``"expand_f"`` (closed form against the raw recursive definition).
+    The closed form is the one :func:`expand_fi` / :func:`expand_f` hand to
+    the termination certificate, read in the exact interpretation.
     Returns a report dict with an ``ok`` flag and both sides' fingerprints.
     """
     if A is None:
@@ -1025,37 +875,27 @@ def verify_rewrite_identity(
         if l_shift < 2 or l_shift > spec.r:
             raise ValueError("shift layer out of range")
         lower = l_shift - 1
-        mover = bracket(ctx.basis(lower, k + 1), ctx.Y[0])
-        left = ctx.block_ops(lower, range(q + k, k, -1))
-        right = ctx.block_ops(lower, range(k, 0, -1))
-        lhs_terms = [ExactTerm(Fraction(1), left + (mover,) + right, "u")]
-        rhs_terms = [ExactTerm(Fraction(1), left + right + (mover,), "u")]
+        mover = ctx.flux(lower, k + 1, 1)
+        left = _block(ctx, lower, q + k, k)
+        right = _block(ctx, lower, k)
+        lhs = ctx.apply(left + (mover,) + right, u)
+        rhs = ctx.apply(left + right + (mover,), u)
         for j in range(k):
-            rhs_terms.append(
-                ExactTerm(
-                    Fraction(1),
-                    left + right[:j] + (bracket(mover, right[j]),) + right[j + 1:],
-                    "u",
-                )
-            )
-        lhs = _exact_apply(spec, lhs_terms, u, f, f_i)
-        rhs = _exact_apply(spec, rhs_terms, u, f, f_i)
+            word = left + right[:j] + (bracket(mover, right[j]),) + right[j + 1:]
+            rhs = rhs + ctx.apply(word, u)
     elif rule in ("expand_fi", "expand_f"):
         if profile is None or l is None:
             raise ValueError("expansion checks need a profile and a level")
         if rule == "expand_fi":
-            closed = exact_fi_closed(ctx, l, profile)
-            recursive = exact_fi_recursive(ctx, l, profile)
-            lhs = PolyFunction.zero()
-            rhs = PolyFunction.zero()
-            for i in range(spec.m):
-                lhs = lhs + _exact_apply(spec, closed[i], u, f, f_i)
-                rhs = rhs + _exact_apply(spec, recursive[i], u, f, f_i)
+            closed = expand_fi(l, profile, ctx)
+            recursive = [
+                t for slot in ctx.slots for t in _recursive_fi(ctx, l, profile, slot)
+            ]
         else:
-            closed = exact_f_closed(ctx, l, profile)
-            recursive = exact_f_recursive(ctx, l, profile)
-            lhs = _exact_apply(spec, closed, u, f, f_i)
-            rhs = _exact_apply(spec, recursive, u, f, f_i)
+            closed = expand_f(l, profile, ctx)
+            recursive = _recursive_f(ctx, l, profile)
+        lhs = ctx.evaluate(closed, u, f, f_i)
+        rhs = ctx.evaluate(recursive, u, f, f_i)
     else:
         raise ValueError(f"unknown rewrite rule {rule!r}")
     return {

@@ -24,14 +24,11 @@ class RunConfig:
     group: str = "heisenberg"
     n: int = 32
     seed: int = 12345
-    precision: str = "float"
     assoc_triples: int = 200
     mc_samples: int = 200_000
     soundness_cases: int = 24
     sweep_total: int = 5
     decay_threshold: float = 5.4
-    out_path: str | None = None
-    report_format: str = "json"
 
     def rng(self, salt=0):
         return random.Random(self.seed * 1_000_003 + salt)

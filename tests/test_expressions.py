@@ -1,0 +1,44 @@
+from fractions import Fraction
+
+import pytest
+
+from carnot.expressions import parse_poly
+from carnot.poly import PolyFunction
+
+
+def var(layer, index):
+    return PolyFunction.variable((layer, index))
+
+
+@pytest.mark.parametrize(
+    "text,label",
+    [
+        ("p11", (1, 1)),
+        ("p21", (1, 2)),
+        ("p12", (2, 1)),
+        ("p1_1", (1, 1)),
+        ("p1_10", (10, 1)),
+        ("p10_1", (1, 10)),
+        ("p18_4", (4, 18)),
+    ],
+)
+def test_variable_forms(text, label):
+    assert parse_poly(text) == PolyFunction.variable(label)
+
+
+@pytest.mark.parametrize("text", ["p111", "p1_10 + p113", "3*p12^2*p213"])
+def test_digit_after_variable_rejected(text):
+    with pytest.raises(ValueError, match="digit directly after a variable"):
+        parse_poly(text)
+
+
+def test_whitespace_separates_a_constant_factor():
+    assert parse_poly("p1_2 0") == PolyFunction.zero()
+    assert parse_poly("p11 2") == var(1, 1).scale(2)
+
+
+def test_products_powers_and_constants():
+    got = parse_poly("poly: 3p11^2 - 1/2 (p21 + p1_3)")
+    want = var(1, 1) ** 2 * 3 - (var(1, 2) + var(3, 1)).scale(Fraction(1, 2))
+    assert got == want
+

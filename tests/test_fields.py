@@ -4,7 +4,6 @@ import pytest
 
 from carnot.fields import (
     SystemCoefficients,
-    apply,
     commutator_check,
     coordinate,
     field_of_element,
@@ -48,11 +47,11 @@ def test_top_layer_field_is_plain_derivative(heis, free24):
 
 def test_apply_examples(heis):
     x1 = left_invariant_field(heis, (1, 1))
-    assert apply(x1, PolyFunction.constant(5)).is_zero()
-    assert apply(x1, coordinate((1, 1))) == PolyFunction.constant(1)
+    assert x1.apply(PolyFunction.constant(5)).is_zero()
+    assert x1.apply(coordinate((1, 1))) == PolyFunction.constant(1)
     u = coordinate((1, 1)) * coordinate((2, 1))
     v = coordinate((1, 2)) ** 2
-    assert apply(x1, u + v) == apply(x1, u) + apply(x1, v)
+    assert x1.apply(u + v) == x1.apply(u) + x1.apply(v)
 
 
 @pytest.mark.parametrize("name", ["heis", "engel_spec", "free23", "abelian2"])

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import random
 from collections import Counter
@@ -9,7 +11,9 @@ from carnot.algebra import build_free_nilpotent
 from carnot.fields import SystemCoefficients
 from carnot.poly import PolyFunction
 from carnot.rewrite import (
+    ABSTRACT,
     ClassificationFailure,
+    ExactContext,
     LayerProfile,
     Letter,
     NoShiftableLetter,
@@ -25,6 +29,8 @@ from carnot.rewrite import (
     t2_step,
     termination_sweep,
     verify_rewrite_identity,
+    _recursive_f,
+    _recursive_fi,
 )
 
 
@@ -122,6 +128,21 @@ def test_expand_f_matches_recursive_definition(r, counts):
     low = profile.lowest_layer() or r
     l = min(low + 1, r)
     assert as_multiset(expand_f(l, profile)) == as_multiset(oracle_f(profile, l))
+
+
+@pytest.mark.parametrize("r,counts", PROFILES)
+def test_recursions_match_the_oracles(r, counts):
+    # the recursion the exact soundness check compares against, read
+    # abstractly, is the oracle's recursion
+    profile = LayerProfile(r, counts)
+    low = profile.lowest_layer() or r
+    l = min(low + 1, r)
+    assert as_multiset(_recursive_fi(ABSTRACT, l, profile, None)) == as_multiset(
+        oracle_fi(profile, l)
+    )
+    assert as_multiset(_recursive_f(ABSTRACT, l, profile)) == as_multiset(
+        oracle_f(profile, l)
+    )
 
 
 def test_expand_fi_single_layer_example():
@@ -315,6 +336,24 @@ def test_termination_sweep_small(r):
     assert report["profiles"] > 0
 
 
+# sha256 of the JSON traces of every profile swept at r = 2, 3, 4 and
+# total <= 6 (116 profiles), rule labels included
+SWEEP_TRACES_SHA256 = "59860b361a7eb38dd8d31024d091bf295781eb9666c03aeee9f84e2c4721d21d"
+
+
+def test_sweep_traces_pinned():
+    traces = []
+    for r in (2, 3, 4):
+        for counts in itertools.product(range(7), repeat=r - 1):
+            if 0 < sum(counts) <= 6:
+                traces.append(reduce_to_base(LayerProfile(r, (0,) + counts)).to_json())
+    assert len(traces) == 116
+    rules = {step["rule"] for trace in traces for step in trace["steps"]}
+    assert any(rule.startswith("T1-") for rule in rules)
+    blob = json.dumps(traces, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == SWEEP_TRACES_SHA256
+
+
 def test_w_measure_values():
     assert LayerProfile(4, (0, 1, 1, 1)).w_measure() == 3 + 2 + 1
     assert LayerProfile(2, (0, 5)).w_measure() == 5
@@ -438,3 +477,47 @@ def test_lowest_at_top_minus_one_routes_through_two_layer_step():
     out = {s.profile.counts for s in successors}
     assert (0, 0, 1, 0) in out           # peeled word
     assert all(p[2] <= 1 for p in out)   # lowest-layer count dropped
+
+
+# ---------------------------------------------------------------------------
+# the certified words are the verified words
+# ---------------------------------------------------------------------------
+
+def _reading(term):
+    """A term read as its layer sequence; collapsed exact letters are
+    homogeneous, so they read as their one layer."""
+    layers = []
+    for letter in term.word:
+        if isinstance(letter, Letter):
+            layers.append(letter.layer)
+        else:
+            (layer,) = letter.layers()
+            layers.append(layer)
+    return tuple(layers), term.target, term.family
+
+
+@pytest.mark.parametrize(
+    "m,r,counts,l",
+    [
+        (2, 3, (0, 2, 1), 3),
+        (2, 3, (0, 1, 2), 3),
+        (2, 4, (0, 1, 1, 1), 3),
+        (2, 4, (0, 2, 0, 1), 3),
+        (2, 4, (0, 0, 2, 1), 4),
+    ],
+)
+def test_exact_words_read_as_the_abstract_words(m, r, counts, l):
+    spec = build_free_nilpotent(m, r)
+    general = SystemCoefficients([[[[2, Fraction(1, 2)], [Fraction(1, 3), 1]]]])
+    profile = LayerProfile(r, counts)
+    for A in (SystemCoefficients.identity(1, m), general):
+        ctx = ExactContext(spec, A)
+        for expand in (expand_fi, expand_f):
+            abstract = [_reading(t) for t in expand(l, profile)]
+            exact = expand(l, profile, ctx)
+            # the source-side data word belongs to no slot and comes once
+            shared = [a for a in abstract if a[1] == "f"]
+            assert [_reading(t) for t in exact if t.slot is None] == shared
+            for slot in ctx.slots:
+                words = [_reading(t) for t in exact if t.slot == slot]
+                assert words == [a for a in abstract if a[1] != "f"]
