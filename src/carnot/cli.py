@@ -1,13 +1,14 @@
 """Command-line entry point wiring all modules.
 
-Exit codes: 0 success, 1 failed check, 2 usage error.  Numeric output is
-deterministic for a fixed seed; the ``CARNOT_SEED`` environment variable
-overrides any seed option.
+Exit codes: 0 success, 1 failed check, 2 usage or domain error (one line
+on stderr, no traceback).  Numeric output is deterministic for a fixed
+seed; the ``CARNOT_SEED`` environment variable overrides any seed option.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -95,7 +96,23 @@ group_option = click.option("--group", "group_name", default="heisenberg",
                             help="builtin name (heisenberg|engel|free:m,r|abelian:n) or spec JSON path")
 
 
-@click.group()
+class DomainError(click.ClickException):
+    """Input a command cannot work with; shown as one line, exit code 2."""
+
+    exit_code = 2
+
+
+class _Commands(click.Group):
+    def invoke(self, ctx):
+        # a numerics domain error (a stencil leaving the box, a ball with no
+        # grid nodes) or a malformed value is the caller's input, not a crash
+        try:
+            return super().invoke(ctx)
+        except (numerics.NumericsError, ValueError) as exc:
+            raise DomainError(str(exc)) from None
+
+
+@click.group(cls=_Commands)
 def main():
     """Exact Carnot-group computation and desk-scale estimate checks."""
 
@@ -359,6 +376,14 @@ def _solve_for_check(group_name, n, bc_text):
     return spec, numerics.assemble_and_solve(spec, ident, bc, n=n)
 
 
+def _emit_verdict(rep, constant):
+    """Emit the report; exit 1 unless the constant is finite and positive."""
+    rep["stable"] = math.isfinite(constant) and constant > 0
+    _emit(rep)
+    if not rep["stable"]:
+        sys.exit(1)
+
+
 @verify_group.command("caccioppoli")
 @group_option
 @click.option("--n", type=int, default=32, show_default=True)
@@ -367,8 +392,7 @@ def _solve_for_check(group_name, n, bc_text):
 def verify_caccioppoli(group_name, n, bc_text, radius):
     _, sol = _solve_for_check(group_name, n, bc_text)
     rep = numerics.caccioppoli_check(sol, radius=radius)
-    rep["stable"] = rep["empirical_constant"] < float("inf")
-    _emit(rep)
+    _emit_verdict(rep, rep["empirical_constant"])
 
 
 @verify_group.command("peetre")
@@ -432,8 +456,12 @@ def verify_decay(group_name, n, bc_text, tau, radii):
     rep = regularity.excess_decay_check(sol, center, tau, max(radii_list),
                                         radii=radii_list)
     rep["resolutions"] = [n]
-    rep["stable"] = rep["fitted_exponent"] > 0
+    # the acceptance gate on the decay exponent
+    rep["threshold"] = rep["Q"] + 2 - 0.3
+    rep["stable"] = rep["fitted_exponent"] >= rep["threshold"]
     _emit(rep)
+    if not rep["stable"]:
+        sys.exit(1)
 
 
 @verify_group.command("supbound")
@@ -445,8 +473,7 @@ def verify_supbound(group_name, n, bc_text, radius):
     spec, sol = _solve_for_check(group_name, n, bc_text)
     center = [0.0] * len(spec.basis)
     rep = regularity.sup_estimate_check(sol, center, radius)
-    rep["stable"] = rep["ratio"] < float("inf")
-    _emit(rep)
+    _emit_verdict(rep, rep["ratio"])
 
 
 @verify_group.command("estimate")
@@ -457,14 +484,12 @@ def verify_supbound(group_name, n, bc_text, radius):
 def verify_estimate(group_name, n, bc_text, radius):
     spec, sol = _solve_for_check(group_name, n, bc_text)
     rep = regularity.higher_order_estimate_check(sol, radius=radius)
-    rep["stable"] = rep["empirical_constant"] < float("inf")
-    _emit(rep)
+    _emit_verdict(rep, rep["empirical_constant"])
 
 
 # ---------------------------------------------------------------- suite
 
 @main.command("suite")
-@group_option
 @click.option("--n", type=int, default=32, show_default=True)
 @click.option("--seed", type=int, default=12345, show_default=True)
 @click.option("--triples", type=int, default=200, show_default=True)
@@ -473,10 +498,9 @@ def verify_estimate(group_name, n, bc_text, radius):
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
               default="json", show_default=True)
 @click.option("--json", "out", type=click.Path(), default=None)
-def suite_cmd(group_name, n, seed, triples, samples, sweep_total, fmt, out):
+def suite_cmd(n, seed, triples, samples, sweep_total, fmt, out):
     """Aggregated verification report over every module."""
     config = RunConfig(
-        group=group_name,
         n=n,
         seed=_seed(seed),
         assoc_triples=triples,

@@ -3,13 +3,15 @@
 The product is the truncated Baker-Campbell-Hausdorff series evaluated
 through the structure constants.  For each spec the coordinate polynomials
 of the product ``z(p, q)`` are computed once (Dynkin's formula, exact
-rational coefficients) and then evaluated per point pair, exactly in
-rational mode and in floating point for grid work.
+rational coefficients) and compiled into a flat index-based program, which
+each product evaluates: in integers over common denominators for exact
+points, in floating point when any coordinate is a float.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -167,15 +169,76 @@ def group_law(spec: AlgebraSpec):
                 continue
             z[lab] = z[lab] + poly.scale(coeff)
     spec._cache["law"] = z
+    spec._cache["law_program"] = _compile_law(spec, z)
     return z
 
 
-def _law_assignment(spec, p: Point, q: Point):
-    values = {}
+def _compile_law(spec, law):
+    """The law as the flat program :func:`bch_product` runs.
+
+    Input ``j`` is ``p`` at ``spec.basis[j]`` and input ``d + j`` is ``q``
+    there.  Per coordinate the exact program is ``(L, groups)``: ``L`` is
+    the common denominator of the coefficients and ``groups`` lists
+    ``(degree, [(numerator over L, input indices repeated by exponent)])``
+    by increasing degree.  The float program keeps the polynomial's own
+    term order as ``(float coefficient, ((input, exponent), ...))``.
+    """
+    d = len(spec.basis)
+    index = {}
+    for j, lab in enumerate(spec.basis):
+        index[("p",) + lab] = j
+        index[("q",) + lab] = d + j
+    exact, floating = [], []
     for lab in spec.basis:
-        values[("p",) + lab] = p.coords[lab]
-        values[("q",) + lab] = q.coords[lab]
-    return values
+        terms = law[lab].terms
+        common = math.lcm(*(c.denominator for c in terms.values()))
+        by_degree = {}
+        for mono, c in terms.items():
+            inputs = tuple(index[v] for v, e in mono for _ in range(e))
+            by_degree.setdefault(len(inputs), []).append(
+                (c.numerator * (common // c.denominator), inputs)
+            )
+        exact.append((common, sorted(by_degree.items())))
+        floating.append([
+            (float(c), tuple((index[v], e) for v, e in mono))
+            for mono, c in terms.items()
+        ])
+    return exact, floating
+
+
+def _run_exact(program, values):
+    # inputs as integer numerators over their common denominator D; the
+    # degree groups are summed by Horner's rule in D, so each coordinate is
+    # one integer over L * D**(top degree) and one Fraction normalisation
+    scale = math.lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (scale // v.denominator) for v in values]
+    out = []
+    for common, groups in program:
+        acc = top = 0
+        for degree, terms in groups:
+            part = 0
+            for c, inputs in terms:
+                for i in inputs:
+                    c *= nums[i]
+                part += c
+            acc = acc * scale ** (degree - top) + part
+            top = degree
+        out.append(Fraction(acc, common * scale ** top))
+    return out
+
+
+def _run_float(program, values):
+    xs = [float(v) for v in values]
+    out = []
+    for terms in program:
+        total = 0.0
+        for c, factors in terms:
+            term = c
+            for i, e in factors:
+                term *= xs[i] ** e
+            total += term
+        out.append(total)
+    return out
 
 
 def bch_product(p: Point, q: Point) -> Point:
@@ -183,14 +246,15 @@ def bch_product(p: Point, q: Point) -> Point:
     spec = p.spec
     if q.spec is not spec and q.spec.basis != spec.basis:
         raise ValueError("points live over different specs")
-    law = group_law(spec)
-    values = _law_assignment(spec, p, q)
-    exact = not any(isinstance(v, float) for v in values.values())
-    out = {}
-    for lab in spec.basis:
-        poly = law[lab]
-        out[lab] = poly.evaluate(values) if exact else poly.evaluate_float(values)
-    return Point(spec, out)
+    if "law_program" not in spec._cache:
+        group_law(spec)
+    exact, floating = spec._cache["law_program"]
+    values = p.sequence() + q.sequence()
+    if any(isinstance(v, float) for v in values):
+        out = _run_float(floating, values)
+    else:
+        out = _run_exact(exact, values)
+    return Point(spec, dict(zip(spec.basis, out)))
 
 
 def inverse(p: Point) -> Point:
@@ -219,10 +283,35 @@ def gauge_norm_power(p: Point):
 
 
 def gauge_norm(p: Point) -> float:
+    """``|p|``, the ``2 r!``-th root of :func:`gauge_norm_power`.
+
+    Where the power is a finite, positive, normal float this is that
+    float's root.  Otherwise (from step 5 on, small and large points leave
+    the float range) the root is taken from the power computed exactly,
+    split by the integer logs of its numerator and denominator, so it
+    neither underflows nor overflows.
+    """
     spec = p.spec
-    power = gauge_norm_power(p)
-    rfact = math.factorial(spec.r)
-    return float(power) ** (1.0 / (2 * rfact))
+    order = 2 * math.factorial(spec.r)
+    try:
+        approx = float(gauge_norm_power(p))
+    except OverflowError:           # a power beyond the float range
+        approx = math.inf
+    if sys.float_info.min <= approx < math.inf:
+        return approx ** (1.0 / order)
+    # float coordinates are exact rationals too (a non-finite one raises)
+    power = gauge_norm_power(
+        Point(spec, {lab: Fraction(v) for lab, v in p.coords.items()})
+    )
+    if power == 0:
+        return 0.0
+    # power = m * 2**e with m in (1/2, 2), e from the integer logs (bit
+    # lengths) of numerator and denominator; |p| = 2**(e / order) * m**(1 / order)
+    num, den = power.numerator, power.denominator
+    e = num.bit_length() - den.bit_length()
+    m = num / (den << e) if e >= 0 else (num << -e) / den
+    whole, part = divmod(e, order)
+    return math.ldexp(2.0 ** (part / order) * m ** (1.0 / order), whole)
 
 
 def gauge_distance(p: Point, q: Point) -> float:

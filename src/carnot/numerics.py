@@ -11,6 +11,7 @@ step equal to the grid spacing.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -44,6 +45,11 @@ class ZeroExcess(NumericsError):
     pass
 
 
+# the node meshes of a grid (one float64 array per axis) may take at most
+# this many bytes; a grid that would exceed it is refused before allocating
+GRID_BYTE_LIMIT = 4 << 30
+
+
 class Grid:
     """Box-shaped lattice in exponential coordinates, inclusive endpoints."""
 
@@ -54,6 +60,13 @@ class Grid:
         if isinstance(n, int):
             n = (n,) * d
         self.shape = tuple(int(x) for x in n)
+        needed = math.prod(self.shape) * d * 8
+        if needed > GRID_BYTE_LIMIT:
+            raise NumericsError(
+                f"grid {'x'.join(map(str, self.shape))} needs about "
+                f"{Decimal(needed):.3e} bytes of node arrays, over the "
+                f"{GRID_BYTE_LIMIT:.3e}-byte limit"
+            )
         if isinstance(half_widths, (int, float, Fraction)):
             widths = [float(half_widths)] * d
         elif isinstance(half_widths, dict):

@@ -206,15 +206,6 @@ class PolyFunction:
             return Fraction(0)
         return total
 
-    def evaluate_float(self, values):
-        total = 0.0
-        for mono, c in self.terms.items():
-            term = float(c)
-            for v, e in mono:
-                term *= float(values[v]) ** e
-            total += term
-        return total
-
     def evaluate_arrays(self, arrays):
         """Vectorized evaluation with numpy arrays (or scalars) per variable."""
         total = None

@@ -215,3 +215,44 @@ def test_fields_residual_with_flux_data(runner):
     data = json.loads(result.output)
     assert data["is_zero"] is False
     assert data["residual"][0] == [{"mono": [], "num": 2, "den": 1}]
+
+
+def test_verify_decay_below_the_exponent_gate_exits_1(runner):
+    # constant data: the excess is solver noise and decays far slower than
+    # tau**(Q+2)
+    result = runner.invoke(main, ["verify", "decay", "--n", "12", "--bc", "poly:1",
+                                  "--radii", "0.5,1"])
+    assert result.exit_code == 1
+    data = json.loads(result.stdout)
+    assert data["threshold"] == pytest.approx(5.7)
+    assert data["fitted_exponent"] < data["threshold"]
+    assert data["stable"] is False
+
+
+def test_verify_constant_not_positive_exits_1(runner):
+    # a ball without grid nodes gives the constant 0, which bounds nothing
+    result = runner.invoke(main, ["verify", "caccioppoli", "--n", "12",
+                                  "--radius", "0.05"])
+    assert result.exit_code == 1
+    data = json.loads(result.stdout)
+    assert data["empirical_constant"] == 0.0 and data["stable"] is False
+
+
+@pytest.mark.parametrize("args,message", [
+    (["verify", "estimate", "--n", "12", "--radius", "0.95"], "stencil leaves"),
+    (["verify", "decay", "--n", "12", "--radii", "0.01,1"], "no grid nodes"),
+    (["group", "mul", "--p", "1,2", "--q", "1,2,3"], "needs 3 coordinates"),
+])
+def test_domain_errors_exit_2_with_one_line(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and message in lines[0]
+    assert "Traceback" not in result.output
+
+
+def test_suite_rejects_group_option(runner):
+    result = runner.invoke(main, ["suite", "--group", "engel"])
+    assert result.exit_code == 2
+    assert "No such option" in result.stderr

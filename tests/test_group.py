@@ -1,11 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from carnot.algebra import build_free_nilpotent
+from carnot.catalog import resolve_group
 from carnot.group import (
     Point,
     ball_volume_estimate,
@@ -125,6 +127,17 @@ def test_gauge_norm_examples(heis):
     assert gauge_norm(Point.from_sequence(heis, [1, 0, 0])) == 1.0
 
 
+@pytest.mark.parametrize("value", [Fraction(1, 1000), Fraction(30), 1e-3, 30.0])
+def test_gauge_norm_step5_leaves_float_range(value):
+    # |p|**(2 * 5!) = value**240 underflows (1e-720) or overflows (1e354)
+    free25 = build_free_nilpotent(2, 5)
+    norm = gauge_norm(Point(free25, {(1, 1): value}))
+    assert norm == pytest.approx(float(value), rel=1e-12)
+    assert gauge_norm(Point(free25, {(5, 1): value ** 5})) == pytest.approx(
+        float(value), rel=1e-12
+    )
+
+
 def test_gauge_homogeneity_exact(free23):
     rng = random.Random(9)
     two_rfact = 2 * math.factorial(free23.r)
@@ -175,3 +188,76 @@ def test_quasi_triangle_constant_reported(heis):
         heis, samples=50, seed=2
     )
     assert 0.0 < worst < 10.0
+
+
+# -- the compiled group law against the plain polynomial evaluation ----------
+
+LAW_SPECS = ["heisenberg", "engel", "free:2,2", "free:2,3", "free:2,4",
+             "free:3,2", "free:3,3", "free:2,5"]
+_law_spec = lru_cache(maxsize=None)(resolve_group)
+
+
+def _oracle_product(p, q):
+    law = group_law(p.spec)
+    values = {}
+    for lab in p.spec.basis:
+        values[("p",) + lab] = p.coords[lab]
+        values[("q",) + lab] = q.coords[lab]
+    return {lab: law[lab].evaluate(values) for lab in p.spec.basis}
+
+
+def _replica_float_product(p, q):
+    # the per-term operation order of the float evaluator the compiled
+    # program replaced
+    law = group_law(p.spec)
+    out = {}
+    for lab in p.spec.basis:
+        total = 0.0
+        for mono, c in law[lab].terms.items():
+            term = float(c)
+            for (tag, *label), e in mono:
+                point = p if tag == "p" else q
+                term *= float(point.coords[tuple(label)]) ** e
+            total += term
+        out[lab] = total
+    return out
+
+
+small_rationals = st.fractions(min_value=Fraction(-3), max_value=Fraction(3),
+                               max_denominator=7)
+large_denominators = st.builds(
+    Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 12)
+)
+exact_coords = st.one_of(st.integers(-5, 5), small_rationals, large_denominators)
+float_coords = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+
+
+def _draw_point(data, spec, coords):
+    return Point(spec, {lab: data.draw(coords) for lab in spec.basis})
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(LAW_SPECS), data=st.data())
+def test_compiled_law_matches_polynomial_evaluation(name, data):
+    spec = _law_spec(name)
+    p, q, w = (_draw_point(data, spec, exact_coords) for _ in range(3))
+    pq = bch_product(p, q)
+    assert pq.coords == _oracle_product(p, q)
+    assert all(type(v) is Fraction for v in pq.coords.values())
+    # chained products carry the large denominators of the first one
+    assert bch_product(pq, w).coords == _oracle_product(pq, w)
+    assert bch_product(w, pq).coords == _oracle_product(w, pq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(LAW_SPECS), data=st.data())
+def test_compiled_law_float_path_is_bitwise_unchanged(name, data):
+    spec = _law_spec(name)
+    p = _draw_point(data, spec, st.one_of(float_coords, exact_coords))
+    q = _draw_point(data, spec, float_coords)
+    for a, b in ((p, q), (q, p)):
+        got = bch_product(a, b).coords
+        want = _replica_float_product(a, b)
+        assert {lab: v.hex() for lab, v in got.items()} == {
+            lab: v.hex() for lab, v in want.items()
+        }

@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from carnot.algebra import build_free_nilpotent
 from carnot.fields import SystemCoefficients, left_invariant_field
 from carnot.numerics import (
+    GRID_BYTE_LIMIT,
     Grid,
     GridField,
     MarginTooSmall,
+    NumericsError,
     SeminormParams,
     SolverDiverged,
     StepTooLarge,
@@ -290,6 +294,27 @@ def test_ball_mask_and_gauge_distance(heis):
     assert mask.sum() > 0
     # the center node itself lies inside
     assert mask[10, 8, 8] or mask[9, 8, 8]
+
+
+def test_grid_refuses_oversized_node_arrays_before_allocating():
+    free34 = build_free_nilpotent(3, 4)
+    assert len(free34.basis) == 32
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericsError, match=r"8\.711e\+40 bytes"):
+            Grid(free34, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_gated_grids_far_below_the_byte_limit(heis, engel_spec):
+    for spec, n in ((heis, 64), (engel_spec, 24)):
+        grid = Grid(spec, n)
+        meshes = sum(arr.nbytes for arr in grid.node_arrays().values())
+        assert meshes == n ** len(spec.basis) * len(spec.basis) * 8
+        assert meshes < GRID_BYTE_LIMIT / 100
 
 
 def test_grid_field_rejects_nonfinite(heis):
