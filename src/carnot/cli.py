@@ -430,7 +430,7 @@ def verify_hormander(group_name, n, direction):
     u = _bump_field(spec, n)
     d = tuple(int(x) for x in direction.split(","))
     ratio = numerics.hormander_ratio(u, d)
-    _emit({"direction": list(d), "ratio": ratio, "finite": ratio < float("inf")})
+    _emit_verdict({"direction": list(d), "ratio": ratio}, ratio)
 
 
 def _bump_field(spec, n, support=0.8):

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraSpec
-from .group import group_law
+from .group import left_invariant_coefficients
 from .poly import PolyFunction
 
 
@@ -68,19 +68,7 @@ def left_invariant_field(spec: AlgebraSpec, label) -> VectorFieldOperator:
         return cache[label]
     if label not in spec.index:
         raise KeyError(f"{label} is not a basis label")
-    law = group_law(spec)
-    coeffs = {}
-    qvar = ("q",) + label
-    q_zero = {("q",) + lab: Fraction(0) for lab in spec.basis}
-    for lab in spec.basis:
-        d = law[lab].derivative(qvar)
-        if d.is_zero():
-            continue
-        at_zero = d.substitute(q_zero)
-        poly = at_zero.rename({("p",) + b: b for b in spec.basis})
-        if not poly.is_zero():
-            coeffs[lab] = poly
-    op = VectorFieldOperator(spec, coeffs)
+    op = VectorFieldOperator(spec, left_invariant_coefficients(spec, label))
     cache[label] = op
     return op
 

@@ -10,6 +10,7 @@ points, in floating point when any coordinate is a float.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -46,9 +47,6 @@ class Point:
 
     def sequence(self):
         return [self.coords[lab] for lab in self.spec.basis]
-
-    def is_identity(self):
-        return all(v == 0 for v in self.coords.values())
 
     def __eq__(self, other):
         return isinstance(other, Point) and all(
@@ -228,17 +226,27 @@ def _run_exact(program, values):
 
 
 def _run_float(program, values):
-    xs = [float(v) for v in values]
+    # floats or numpy arrays of one shape; a term with a scalar 0 factor is
+    # skipped (sums start at +0.0: no bit changes); x**1 would copy an array
+    zero = [np.ndim(v) == 0 and v == 0 for v in values]
     out = []
     for terms in program:
         total = 0.0
         for c, factors in terms:
+            if any(zero[i] for i, _ in factors):
+                continue
             term = c
             for i, e in factors:
-                term *= xs[i] ** e
+                term *= values[i] if e == 1 else values[i] ** e
             total += term
         out.append(total)
     return out
+
+
+def _law_program(spec):
+    if "law_program" not in spec._cache:
+        group_law(spec)
+    return spec._cache["law_program"]
 
 
 def bch_product(p: Point, q: Point) -> Point:
@@ -246,15 +254,36 @@ def bch_product(p: Point, q: Point) -> Point:
     spec = p.spec
     if q.spec is not spec and q.spec.basis != spec.basis:
         raise ValueError("points live over different specs")
-    if "law_program" not in spec._cache:
-        group_law(spec)
-    exact, floating = spec._cache["law_program"]
+    exact, floating = _law_program(spec)
     values = p.sequence() + q.sequence()
     if any(isinstance(v, float) for v in values):
-        out = _run_float(floating, values)
+        out = _run_float(floating, [float(v) for v in values])
     else:
         out = _run_exact(exact, values)
     return Point(spec, dict(zip(spec.basis, out)))
+
+
+def product_arrays(spec, p_values, q_values):
+    """Float coordinates of ``p * q`` in basis order, from coordinates in
+    basis order that are numbers or numpy arrays (broadcast together)."""
+    values = list(p_values) + list(q_values)
+    shape = np.broadcast_shapes(*map(np.shape, values))
+    # full-shape arrays, so the running products and sums work in place
+    values = [np.broadcast_to(v, shape) if isinstance(v, np.ndarray) else float(v)
+              for v in values]
+    out = _run_float(_law_program(spec)[1], values)
+    return [v if np.shape(v) == shape else np.full(shape, v) for v in out]
+
+
+def left_invariant_coefficients(spec, label):
+    """``{lab: d z_lab / d q_label at q = 0}``, polynomials in the plain
+    coordinates ``(k, i)``: the coefficients of the left-invariant field."""
+    law = group_law(spec)
+    qvar = ("q",) + tuple(label)
+    q_zero = {("q",) + lab: 0 for lab in spec.basis}
+    plain = {("p",) + lab: lab for lab in spec.basis}
+    return {lab: law[lab].derivative(qvar).substitute(q_zero).rename(plain)
+            for lab in spec.basis}
 
 
 def inverse(p: Point) -> Point:
@@ -345,15 +374,35 @@ def quasi_triangle_constant(spec, samples=200, radius=1.0, seed=0):
 # ---------------------------------------------------------------------------
 
 def gauge_norm_arrays(spec, coords):
-    """Vectorized gauge norm; ``coords`` maps labels to numpy arrays."""
+    """Vectorized gauge norm; ``coords`` maps labels to numpy arrays.
+
+    Where the power ``|p|**(2 r!)`` leaves the normal float range at a
+    nonzero point (from step 5 on), the norm is ``M (sum_k (a_k /
+    M)**(2 r!))**(1 / 2 r!)`` with ``a_k`` the Euclidean norm of layer ``k``
+    to the power ``1/k`` and ``M`` the largest ``a_k``.
+    """
     rfact = math.factorial(spec.r)
-    total = 0.0
-    for k in range(1, spec.r + 1):
-        sq = 0.0
-        for lab in spec.labels_in_layer(k):
-            sq = sq + coords[lab] ** 2
-        total = total + sq ** (rfact // k)
-    return total ** (1.0 / (2 * rfact))
+    order = 2 * rfact
+    layers = [[coords[lab] for lab in spec.labels_in_layer(k)]
+              for k in range(1, spec.r + 1)]
+    with np.errstate(under="ignore", over="ignore"):
+        total = sum(sum(x ** 2 for x in layer) ** (rfact // k)
+                    for k, layer in enumerate(layers, 1))
+    norm = total ** (1.0 / order)
+    redo = ~((total >= sys.float_info.min) & (total < math.inf))
+    if not np.any(redo):
+        return norm
+    norm = np.array(norm, dtype=float)
+    roots = [functools.reduce(np.hypot, (np.broadcast_to(x, norm.shape)[redo]
+                                         for x in layer), 0.0) ** (1.0 / k)
+             for k, layer in enumerate(layers, 1)]
+    top = np.max(roots, axis=0)
+    live = top > 0
+    scaled = sum((a[live] / top[live]) ** order for a in roots)
+    fixed = norm[redo]
+    fixed[live] = top[live] * scaled ** (1.0 / order)
+    norm[redo] = fixed
+    return norm
 
 
 def ball_volume_estimate(spec, radius, samples, seed=0, shard=1 << 16):

@@ -21,7 +21,7 @@ from scipy.sparse.linalg import cg as _cg
 
 from .algebra import AlgebraSpec
 from .fields import SystemCoefficients
-from .group import group_law
+from .group import gauge_norm_arrays, product_arrays
 from .poly import PolyFunction
 
 
@@ -166,33 +166,12 @@ class GridField:
 # group flows on the grid
 # ---------------------------------------------------------------------------
 
-def _flow_polys(spec, label):
-    """Product polynomials specialized to ``q = s * e_label``; cached."""
-    label = tuple(label)
-    cache = spec._cache.setdefault("flow_polys", {})
-    if label in cache:
-        return cache[label]
-    law = group_law(spec)
-    kill = {("q",) + lab: Fraction(0) for lab in spec.basis if lab != label}
-    out = {}
-    for lab in spec.basis:
-        poly = law[lab].substitute(kill)
-        poly = poly.rename({("q",) + label: "s"})
-        poly = poly.rename({("p",) + b: b for b in spec.basis})
-        out[lab] = poly
-    cache[label] = out
-    return out
-
-
 def flow_coordinates(grid: Grid, direction, s):
     """Coordinates of ``p * exp(s X_direction)`` for every node."""
-    polys = _flow_polys(grid.spec, direction)
-    arrays = dict(grid.node_arrays())
-    arrays["s"] = float(s)
-    return [
-        np.broadcast_to(polys[lab].evaluate_arrays(arrays), grid.shape).astype(float)
-        for lab in grid.axes
-    ]
+    direction = tuple(direction)
+    nodes = grid.node_arrays()
+    step = [float(s) if lab == direction else 0.0 for lab in grid.axes]
+    return product_arrays(grid.spec, [nodes[lab] for lab in grid.axes], step)
 
 
 def _fractional_indices(grid, coords):
@@ -292,30 +271,25 @@ def horizontal_gradient(u: GridField, s=None):
 def gauge_distance_arrays(grid: Grid, center=None):
     """Gauge distance from every node to ``center`` (a coordinate sequence)."""
     spec = grid.spec
-    rfact = math.factorial(spec.r)
+    nodes = grid.node_arrays()
     if center is None or not any(center):
-        coords = {lab: arr for lab, arr in grid.node_arrays().items()}
-    else:
-        law = group_law(spec)
-        center = [float(c) for c in center]
-        inv = {("p",) + lab: -c for lab, c in zip(spec.basis, center)}
-        arrays = {("q",) + lab: arr for lab, arr in grid.node_arrays().items()}
-        arrays.update(inv)
-        coords = {
-            lab: np.broadcast_to(law[lab].evaluate_arrays(arrays), grid.shape)
-            for lab in spec.basis
-        }
-    total = 0.0
-    for k in range(1, spec.r + 1):
-        sq = 0.0
-        for lab in spec.labels_in_layer(k):
-            sq = sq + coords[lab] ** 2
-        total = total + sq ** (rfact // k)
-    return total ** (1.0 / (2 * rfact))
+        return gauge_norm_arrays(spec, nodes)
+    coords = product_arrays(
+        spec, [-float(c) for c in center], [nodes[lab] for lab in spec.basis]
+    )
+    return gauge_norm_arrays(spec, dict(zip(spec.basis, coords)))
 
 
 def ball_mask(grid: Grid, center, radius):
     return gauge_distance_arrays(grid, center) < radius
+
+
+def occupied_ball_mask(grid: Grid, center, radius):
+    """:func:`ball_mask`, raising ``ValueError`` when no node is inside."""
+    mask = ball_mask(grid, center, radius)
+    if not mask.any():
+        raise ValueError(f"no grid nodes inside the ball of radius {radius}")
+    return mask
 
 
 def integrate(field_values, grid: Grid, mask=None):
@@ -639,7 +613,7 @@ def caccioppoli_check(u: GridField, f=None, f_i=None, center=None, radius=0.5):
     """
     grid = u.grid
     center = center or [0.0] * len(grid.axes)
-    inner = ball_mask(grid, center, radius)
+    inner = occupied_ball_mask(grid, center, radius)
     outer = ball_mask(grid, center, 2.0 * radius)
     grads = horizontal_gradient(u)
     for g in grads:

@@ -1,7 +1,7 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Variables are opaque hashable keys (coordinate labels like ``(k, i)`` or
-tagged labels like ``("q", k, i)``).  A monomial is a sorted tuple of
+Variables are opaque hashable keys (coordinate labels like ``(k, i)``, or
+the group law's tagged labels).  A monomial is a sorted tuple of
 ``(var, exponent)`` pairs with positive exponents; the zero polynomial has
 no terms.  Everything is immutable by convention.
 """
@@ -187,18 +187,15 @@ class PolyFunction:
             out[new] = out.get(new, Fraction(0)) + c
         return PolyFunction({m: v for m, v in out.items() if v})
 
-    def evaluate(self, values, default=None):
+    def evaluate(self, values):
         """Exact evaluation; ``values`` maps every needed variable to a scalar."""
         total = None
         for mono, c in self.terms.items():
             term = c
             for v, e in mono:
-                if v in values:
-                    x = values[v]
-                elif default is not None:
-                    x = default
-                else:
+                if v not in values:
                     raise KeyError(f"no value for variable {v!r}")
+                x = values[v]
                 for _ in range(e):
                     term = term * x
             total = term if total is None else total + term

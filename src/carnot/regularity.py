@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .group import group_law
+from .group import product_arrays
 from .numerics import (
     Grid,
     GridField,
@@ -21,16 +21,15 @@ from .numerics import (
     derivative_word,
     horizontal_gradient,
     l2_norm_sq,
+    occupied_ball_mask,
     sample_at,
     sobolev_norm,
 )
 
 
 def ball_mean(u: GridField, center, radius):
-    mask = ball_mask(u.grid, center, radius)
+    mask = occupied_ball_mask(u.grid, center, radius)
     count = int(mask.sum())
-    if count == 0:
-        raise ValueError(f"no grid nodes inside the ball of radius {radius}")
     return u.values[mask].mean(axis=0), mask, count
 
 
@@ -144,15 +143,11 @@ def blowup_rescale(u: GridField, center, radius, n=None) -> BlowupSequence:
     if n is None:
         n = max(grid.shape)
     out_grid = Grid(spec, n, 1.0)
-    # p = center * dilate(radius, q), via the product polynomials
-    law = group_law(spec)
-    arrays = {("p",) + lab: float(c) for lab, c in zip(spec.basis, center)}
-    for lab, arr in out_grid.node_arrays().items():
-        arrays[("q",) + lab] = arr * radius ** lab[0]
-    coords = [
-        np.broadcast_to(law[lab].evaluate_arrays(arrays), out_grid.shape).astype(float)
-        for lab in spec.basis
-    ]
+    # p = center * dilate(radius, q) at the nodes q of the unit box
+    nodes = out_grid.node_arrays()
+    coords = product_arrays(
+        spec, center, [nodes[lab] * radius ** lab[0] for lab in spec.basis]
+    )
     moved, mask = sample_at(u, coords)
     vals = (moved - mean) / eps
     vals = np.where(mask[..., None], vals, 0.0)

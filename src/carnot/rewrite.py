@@ -105,10 +105,6 @@ class LayerProfile:
         self.r = r
         self.counts = counts
 
-    @staticmethod
-    def from_mapping(r, mapping):
-        return LayerProfile(r, [mapping.get(k, 0) for k in range(1, r + 1)])
-
     def count(self, layer):
         return self.counts[layer - 1]
 

@@ -150,7 +150,16 @@ def test_verify_peetre_and_hormander(runner):
     assert result.exit_code == 0
     assert json.loads(result.output)["ok"] is True
     result = runner.invoke(main, ["verify", "hormander", "--n", "13"])
-    assert json.loads(result.output)["finite"] is True
+    assert result.exit_code == 0
+    assert json.loads(result.output)["stable"] is True
+
+
+def test_verify_hormander_zero_ratio_exits_1(runner, monkeypatch):
+    monkeypatch.setattr("carnot.numerics.hormander_ratio", lambda u, d: 0.0)
+    result = runner.invoke(main, ["verify", "hormander", "--n", "9"])
+    assert result.exit_code == 1
+    data = json.loads(result.stdout)
+    assert data["ratio"] == 0.0 and data["stable"] is False
 
 
 def test_unknown_subcommand_exits_2(runner):
@@ -230,9 +239,10 @@ def test_verify_decay_below_the_exponent_gate_exits_1(runner):
 
 
 def test_verify_constant_not_positive_exits_1(runner):
-    # a ball without grid nodes gives the constant 0, which bounds nothing
+    # zero boundary data: the solution vanishes and the constant 0 bounds
+    # nothing
     result = runner.invoke(main, ["verify", "caccioppoli", "--n", "12",
-                                  "--radius", "0.05"])
+                                  "--bc", "0"])
     assert result.exit_code == 1
     data = json.loads(result.stdout)
     assert data["empirical_constant"] == 0.0 and data["stable"] is False
@@ -242,6 +252,7 @@ def test_verify_constant_not_positive_exits_1(runner):
     (["verify", "estimate", "--n", "12", "--radius", "0.95"], "stencil leaves"),
     (["verify", "decay", "--n", "12", "--radii", "0.01,1"], "no grid nodes"),
     (["group", "mul", "--p", "1,2", "--q", "1,2,3"], "needs 3 coordinates"),
+    (["verify", "caccioppoli", "--n", "12", "--radius", "0.05"], "no grid nodes"),
 ])
 def test_domain_errors_exit_2_with_one_line(runner, args, message):
     result = runner.invoke(main, args)

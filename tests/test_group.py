@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,9 +17,11 @@ from carnot.group import (
     dynkin_terms,
     gauge_distance,
     gauge_norm,
+    gauge_norm_arrays,
     gauge_norm_power,
     group_law,
     inverse,
+    product_arrays,
 )
 from carnot.poly import PolyFunction
 
@@ -136,6 +139,40 @@ def test_gauge_norm_step5_leaves_float_range(value):
     assert gauge_norm(Point(free25, {(5, 1): value ** 5})) == pytest.approx(
         float(value), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("value", [1e-3, 30.0])
+def test_gauge_norm_arrays_step5_leaves_float_range(value):
+    free25 = build_free_nilpotent(2, 5)
+    zero = np.zeros(2)
+    for lab, x in (((1, 1), value), ((5, 1), value ** 5)):
+        coords = {b: zero for b in free25.basis}
+        coords[lab] = np.array([x, -x])
+        norms = gauge_norm_arrays(free25, coords)
+        assert norms == pytest.approx([value, value], rel=1e-12)
+
+
+def test_gauge_norm_arrays_step4_small_points_and_the_origin(free24):
+    # |p11|**48 underflows at p11 = 1e-8 on free:2,4; the origin stays 0
+    zero = np.zeros(3)
+    coords = {lab: zero for lab in free24.basis}
+    coords[(1, 1)] = np.array([0.0, 1e-8, 0.5])
+    coords[(4, 1)] = np.array([0.0, 0.0, 0.25])
+    norms = gauge_norm_arrays(free24, coords)
+    assert norms[0] == 0.0
+    for j in (1, 2):
+        point = Point(free24, {lab: float(arr[j]) for lab, arr in coords.items()})
+        assert norms[j] == pytest.approx(gauge_norm(point), rel=1e-12)
+
+
+def test_ball_volume_hit_fraction_is_dilation_invariant_at_step5():
+    # the sampling box scales with the dilations, so every radius draws the
+    # same points up to scale; the parent gave 1.0 at R=0.01 and 0.0 at R=30
+    free25 = build_free_nilpotent(2, 5)
+    hits = [ball_volume_estimate(free25, radius, 20_000, seed=3)["hit_fraction"]
+            for radius in (0.01, 1.0, 30.0)]
+    assert hits[0] == hits[1] == hits[2]
+    assert 0.0 < hits[1] < 1.0
 
 
 def test_gauge_homogeneity_exact(free23):
@@ -261,3 +298,23 @@ def test_compiled_law_float_path_is_bitwise_unchanged(name, data):
         assert {lab: v.hex() for lab, v in got.items()} == {
             lab: v.hex() for lab, v in want.items()
         }
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(LAW_SPECS), data=st.data())
+def test_product_arrays_matches_the_float_product_bitwise(name, data):
+    # the draws of the float-path test above, as one-element arrays
+    spec = _law_spec(name)
+    p = _draw_point(data, spec, st.one_of(float_coords, exact_coords))
+    q = _draw_point(data, spec, float_coords)
+    for a, b in ((p, q), (q, p)):
+        got = product_arrays(
+            spec,
+            [np.array([float(v)]) for v in a.sequence()],
+            [np.array([float(v)]) for v in b.sequence()],
+        )
+        want = _replica_float_product(a, b)
+        assert [v.shape for v in got] == [(1,)] * len(spec.basis)
+        assert [float(v[0]).hex() for v in got] == [
+            want[lab].hex() for lab in spec.basis
+        ]

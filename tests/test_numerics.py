@@ -1,11 +1,15 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from carnot import regularity
 from carnot.algebra import build_free_nilpotent
+from carnot.catalog import resolve_group
 from carnot.fields import SystemCoefficients, left_invariant_field
+from carnot.group import group_law
 from carnot.numerics import (
     GRID_BYTE_LIMIT,
     Grid,
@@ -20,6 +24,7 @@ from carnot.numerics import (
     caccioppoli_check,
     centered_derivative,
     convergence_study,
+    flow_coordinates,
     flow_difference,
     gauge_distance_arrays,
     hormander_ratio,
@@ -250,6 +255,12 @@ def test_caccioppoli_constant_trivial_for_constants(heis):
     assert rep["lhs"] <= 1e-20
 
 
+def test_caccioppoli_empty_ball_is_a_domain_error(heis):
+    u = GridField.from_polys(Grid(heis, 12, 1.0), [P11])
+    with pytest.raises(ValueError, match="no grid nodes inside the ball"):
+        caccioppoli_check(u, radius=0.05)
+
+
 def test_caccioppoli_scaling_invariance(heis):
     sol = _harmonic(heis, 17)
     rep1 = caccioppoli_check(sol, radius=0.45)
@@ -294,6 +305,82 @@ def test_ball_mask_and_gauge_distance(heis):
     assert mask.sum() > 0
     # the center node itself lies inside
     assert mask[10, 8, 8] or mask[9, 8, 8]
+
+
+# -- replicas of the substituted-polynomial paths the compiled law replaced
+
+def _replica_flow(grid, direction, s):
+    spec = grid.spec
+    kill = {("q",) + lab: Fraction(0) for lab in spec.basis if lab != direction}
+    arrays = dict(grid.node_arrays())
+    arrays["s"] = float(s)
+    out = []
+    for lab in spec.basis:
+        poly = group_law(spec)[lab].substitute(kill)
+        poly = poly.rename({("q",) + direction: "s"})
+        poly = poly.rename({("p",) + b: b for b in spec.basis})
+        out.append(np.broadcast_to(poly.evaluate_arrays(arrays), grid.shape))
+    return out
+
+
+def _replica_product(spec, left, right, shape):
+    arrays = {("p",) + lab: float(c) for lab, c in zip(spec.basis, left)}
+    arrays.update({("q",) + lab: arr for lab, arr in zip(spec.basis, right)})
+    return [np.broadcast_to(group_law(spec)[lab].evaluate_arrays(arrays), shape)
+            for lab in spec.basis]
+
+
+def _replica_gauge(spec, coords):
+    rfact = math.factorial(spec.r)
+    total = 0.0
+    for k in range(1, spec.r + 1):
+        sq = 0.0
+        for lab in spec.labels_in_layer(k):
+            sq = sq + coords[spec.basis.index(lab)] ** 2
+        total = total + sq ** (rfact // k)
+    return total ** (1.0 / (2 * rfact))
+
+
+@pytest.mark.parametrize("name,n", [
+    ("heisenberg", 17), ("engel", 9), ("free:2,3", 7), ("free:3,2", 6),
+])
+def test_array_law_paths_match_the_substituted_polynomials(name, n, monkeypatch):
+    # bitwise on Heisenberg (coefficients 1 and 1/2 make every factor order
+    # exact); elsewhere the factors multiply in another order, within 1e-15
+    spec = resolve_group(name)
+    grid = Grid(spec, n, 1.0)
+    nodes = [grid.node_arrays()[lab] for lab in spec.basis]
+    rng = np.random.default_rng(5)
+    pairs = []
+    for lab in spec.basis:
+        for s in (0.1, -0.0625):
+            pairs.append((flow_coordinates(grid, lab, s), _replica_flow(grid, lab, s)))
+    for _ in range(2):
+        centre = list(rng.uniform(-0.3, 0.3, len(spec.basis)))
+        coords = _replica_product(spec, [-c for c in centre], nodes, grid.shape)
+        pairs.append(([gauge_distance_arrays(grid, centre)],
+                      [_replica_gauge(spec, coords)]))
+
+    seen = []
+
+    def sample_at(u, coords, outside_zero=False):
+        seen.append(coords)
+        return sample_original(u, coords, outside_zero)
+
+    sample_original = regularity.sample_at
+    monkeypatch.setattr(regularity, "sample_at", sample_at)
+    field = GridField.from_polys(grid, [P11 * P12 + P21.scale(3) + P11])
+    centre = list(rng.uniform(-0.1, 0.1, len(spec.basis)))
+    regularity.blowup_rescale(field, centre, 0.9)
+    dilated = [arr * 0.9 ** lab[0] for lab, arr in zip(spec.basis, nodes)]
+    pairs.append((seen[0], _replica_product(spec, centre, dilated, grid.shape)))
+
+    for got, want in pairs:
+        for g, w in zip(got, want):
+            if name == "heisenberg":
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+            else:
+                np.testing.assert_allclose(g, w, rtol=1e-15, atol=0.0)
 
 
 def test_grid_refuses_oversized_node_arrays_before_allocating():
