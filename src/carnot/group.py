@@ -225,6 +225,15 @@ def _run_exact(program, values):
     return out
 
 
+def _float_power(x, e):
+    # an array power goes through Python floats: numpy's float64 power (even
+    # its x*x for e == 2) is off by an ulp from the C pow behind x ** e at
+    # some points, and the array path must match the scalar one bitwise
+    if np.ndim(x) == 0:
+        return x ** e
+    return (x.astype(object) ** e).astype(np.float64)
+
+
 def _run_float(program, values):
     # floats or numpy arrays of one shape; a term with a scalar 0 factor is
     # skipped (sums start at +0.0: no bit changes); x**1 would copy an array
@@ -237,7 +246,7 @@ def _run_float(program, values):
                 continue
             term = c
             for i, e in factors:
-                term *= values[i] if e == 1 else values[i] ** e
+                term *= values[i] if e == 1 else _float_power(values[i], e)
             total += term
         out.append(total)
     return out
