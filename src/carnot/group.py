@@ -225,28 +225,22 @@ def _run_exact(program, values):
     return out
 
 
-def _float_power(x, e):
-    # an array power goes through Python floats: numpy's float64 power (even
-    # its x*x for e == 2) is off by an ulp from the C pow behind x ** e at
-    # some points, and the array path must match the scalar one bitwise
-    if np.ndim(x) == 0:
-        return x ** e
-    return (x.astype(object) ** e).astype(np.float64)
-
-
-def _run_float(program, values):
-    # floats or numpy arrays of one shape; a term with a scalar 0 factor is
-    # skipped (sums start at +0.0: no bit changes); x**1 would copy an array
-    zero = [np.ndim(v) == 0 and v == 0 for v in values]
+def _run_float(program, values, power=pow, skip=()):
+    # floats, or numpy arrays of one shape with power=np.float_power (the C
+    # pow of the scalar x ** e; numpy's ** and np.power, even x*x for
+    # e == 2, are an ulp off it at some points).  A term with an input in
+    # ``skip`` is left out: for scalar zeros and finite inputs no bit
+    # changes (sums start at +0.0), but a 0*inf term is dropped.  x**1
+    # would copy an array.
     out = []
     for terms in program:
         total = 0.0
         for c, factors in terms:
-            if any(zero[i] for i, _ in factors):
+            if any(i in skip for i, _ in factors):
                 continue
             term = c
             for i, e in factors:
-                term *= values[i] if e == 1 else _float_power(values[i], e)
+                term *= values[i] if e == 1 else power(values[i], e)
             total += term
         out.append(total)
     return out
@@ -280,7 +274,8 @@ def product_arrays(spec, p_values, q_values):
     # full-shape arrays, so the running products and sums work in place
     values = [np.broadcast_to(v, shape) if isinstance(v, np.ndarray) else float(v)
               for v in values]
-    out = _run_float(_law_program(spec)[1], values)
+    skip = {i for i, v in enumerate(values) if isinstance(v, float) and v == 0}
+    out = _run_float(_law_program(spec)[1], values, np.float_power, skip)
     return [v if np.shape(v) == shape else np.full(shape, v) for v in out]
 
 
@@ -406,11 +401,9 @@ def gauge_norm_arrays(spec, coords):
                                          for x in layer), 0.0) ** (1.0 / k)
              for k, layer in enumerate(layers, 1)]
     top = np.max(roots, axis=0)
-    live = top > 0
-    scaled = sum((a[live] / top[live]) ** order for a in roots)
-    fixed = norm[redo]
-    fixed[live] = top[live] * scaled ** (1.0 / order)
-    norm[redo] = fixed
+    with np.errstate(invalid="ignore"):
+        scaled = sum((a / top) ** order for a in roots)
+    norm[redo] = np.where(top == 0, 0.0, top * scaled ** (1.0 / order))
     return norm
 
 

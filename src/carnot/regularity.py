@@ -27,17 +27,18 @@ from .numerics import (
 )
 
 
-def ball_mean(u: GridField, center, radius):
-    mask = occupied_ball_mask(u.grid, center, radius)
-    count = int(mask.sum())
-    return u.values[mask].mean(axis=0), mask, count
+def ball_oscillation(u: GridField, center, radius):
+    """Squared deviations from the mean summed over a gauge ball, the mean
+    and the node count."""
+    vals = u.values[occupied_ball_mask(u.grid, center, radius)]
+    mean = vals.mean(axis=0)
+    return float(((vals - mean) ** 2).sum()), mean, len(vals)
 
 
 def excess(u: GridField, center, radius) -> float:
     """Mean-square oscillation of the field over a gauge ball."""
-    mean, mask, count = ball_mean(u, center, radius)
-    dev = u.values[mask] - mean
-    return float((dev ** 2).sum() / count)
+    total, _, count = ball_oscillation(u, center, radius)
+    return total / count
 
 
 @dataclass
@@ -59,12 +60,10 @@ def excess_profile(u: GridField, center, radii) -> ExcessReport:
     grid = u.grid
     values, means, integrals = [], [], []
     for rad in radii:
-        mean, mask, count = ball_mean(u, center, rad)
-        dev = u.values[mask] - mean
-        val = float((dev ** 2).sum() / count)
-        values.append(val)
+        total, mean, count = ball_oscillation(u, center, rad)
+        values.append(total / count)
         means.append([float(x) for x in mean])
-        integrals.append(float((dev ** 2).sum()) * grid.cell_volume)
+        integrals.append(total * grid.cell_volume)
     logs_r = np.log(np.asarray(radii, dtype=float))
     logs_i = np.log(np.maximum(np.asarray(integrals), 1e-300))
     slope = float(np.polyfit(logs_r, logs_i, 1)[0]) if len(radii) > 1 else float("nan")
@@ -88,11 +87,10 @@ def excess_decay_check(u: GridField, center, tau, radius, radii=None):
         raise ValueError("shrink factor must lie in (0, 1)")
     spec = u.grid.spec
     q_hom = spec.homogeneous_dimension()
-    u_small = excess(u, center, tau * radius)
-    u_large = excess(u, center, radius)
+    total_s, _, count_s = ball_oscillation(u, center, tau * radius)
+    total_l, _, count_l = ball_oscillation(u, center, radius)
+    u_small, u_large = total_s / count_s, total_l / count_l
     mean_ratio = u_small / u_large if u_large > 0 else 0.0
-    _, mask_s, count_s = ball_mean(u, center, tau * radius)
-    _, mask_l, count_l = ball_mean(u, center, radius)
     integral_small = u_small * count_s * u.grid.cell_volume
     integral_large = u_large * count_l * u.grid.cell_volume
     integral_ratio = integral_small / integral_large if integral_large > 0 else 0.0
@@ -134,8 +132,8 @@ def blowup_rescale(u: GridField, center, radius, n=None) -> BlowupSequence:
     """
     grid = u.grid
     spec = grid.spec
-    mean, _, _ = ball_mean(u, center, radius)
-    u_exc = excess(u, center, radius)
+    total, mean, count = ball_oscillation(u, center, radius)
+    u_exc = total / count
     scale_sq = float((u.values ** 2).mean())
     if u_exc <= 1e-14 * max(scale_sq, 1.0):
         raise ZeroExcess(f"excess {u_exc:.3e} too small to normalize")

@@ -318,3 +318,31 @@ def test_product_arrays_matches_the_float_product_bitwise(name, data):
         assert [float(v[0]).hex() for v in got] == [
             want[lab].hex() for lab in spec.basis
         ]
+
+
+@pytest.mark.parametrize("name", ["engel", "free:2,3", "free:2,5"])
+def test_product_arrays_matches_bch_product_on_a_seeded_cloud(name):
+    # squares and cubes of many points: numpy's own float64 power is off by
+    # an ulp from the scalar x ** e at some of them
+    spec = _law_spec(name)
+    rng = np.random.default_rng(7)
+    p_arrays = list(rng.uniform(-3.0, 3.0, (len(spec.basis), 400)))
+    q_arrays = list(rng.uniform(-3.0, 3.0, (len(spec.basis), 400)))
+    got = product_arrays(spec, p_arrays, q_arrays)
+    for j in range(400):
+        p = Point(spec, {lab: float(a[j]) for lab, a in zip(spec.basis, p_arrays)})
+        q = Point(spec, {lab: float(a[j]) for lab, a in zip(spec.basis, q_arrays)})
+        want = bch_product(p, q).coords
+        assert [float(v[j]).hex() for v in got] == [
+            want[lab].hex() for lab in spec.basis
+        ]
+
+
+def test_float_product_keeps_zero_times_inf_as_nan(heis):
+    # the float product multiplies out every term, as the old evaluator did
+    zero = {lab: 0.0 for lab in heis.basis}
+    p = Point(heis, zero)
+    q = Point(heis, {**zero, (1, 2): math.inf})
+    got = bch_product(p, q).coords
+    assert math.isnan(got[(2, 1)])
+    assert math.isnan(_replica_float_product(p, q)[(2, 1)])
