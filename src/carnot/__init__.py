@@ -38,7 +38,6 @@ from .group import (
 from .poly import PolyFunction
 from .rewrite import (
     ClassificationFailure,
-    DerivativeWord,
     LayerProfile,
     Letter,
     ReductionTrace,
@@ -48,7 +47,6 @@ from .rewrite import (
     expand_fi,
     naive_order_obstruction,
     reduce_to_base,
-    shift_commutator,
     t2_step,
     termination_sweep,
     verify_rewrite_identity,

@@ -217,10 +217,6 @@ def _hall_trees(m, r, cap):
     return by_degree, idx
 
 
-def _tree_degree(t):
-    return 1 if isinstance(t, int) else _tree_degree(t[0]) + _tree_degree(t[1])
-
-
 def build_free_nilpotent(m: int, r: int, cap: int = BASIS_CAP) -> AlgebraSpec:
     """Free nilpotent algebra on ``m`` generators of step ``r``."""
     if m < 1 or r < 1:

@@ -163,7 +163,7 @@ def sup_estimate_check(u: GridField, center, radius):
     double ball, for homogeneous constant-coefficient solutions."""
     grid = u.grid
     spec = grid.spec
-    inner = ball_mask(grid, center, radius)
+    inner = occupied_ball_mask(grid, center, radius)
     outer = ball_mask(grid, center, 2.0 * radius)
     grads = horizontal_gradient(u)
     second = []
@@ -205,7 +205,7 @@ def higher_order_estimate_check(
     center = center or [0.0] * len(grid.axes)
     if word is None:
         word = [(k, 1) for k in range(2, spec.r + 1)]
-    inner = ball_mask(grid, center, radius)
+    inner = occupied_ball_mask(grid, center, radius)
     outer = ball_mask(grid, center, 2.0 * radius)
     derived = derivative_word(u, word)
     if not bool(np.all(derived.mask | ~inner)):

@@ -8,14 +8,15 @@ normalizes words by shifting commutator letters into layer order, and
 certifies that the measure ``W = sum_k (r + 1 - k) h_k`` strictly drops at
 every step until all letter counts reach zero.
 
-One generator writes the closed-form expansion, and one the recursive
-definition it replaces, for two letter interpretations.  The abstract one
-tracks letters and layer profiles only (collapsed commutator letters carry
-just their layer); its words are the ones the certificate classifies.  The
-exact one (:class:`ExactContext`) instantiates every letter as an algebra
-element, and the soundness check compares both generators' words as
-operator identities on polynomials.  So the certified words are the
-verified words.
+One generator writes the closed-form expansion, one the recursive
+definition it replaces, and :func:`normalize_word` the commutator swap
+``ab = ba + [a, b]``, each once, for two letter interpretations.  The
+abstract one tracks letters and layer profiles only (collapsed commutator
+letters carry just their layer); its words are the ones the certificate
+classifies.  The exact one (:class:`ExactContext`) instantiates every
+letter as an algebra element; the soundness check compares both
+generators' words, and a word against its normalized form, as operator
+identities on polynomials.  So the certified words are the verified words.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ from .poly import PolyFunction
 
 
 class RewriteError(Exception):
-    pass
-
-
-class NoShiftableLetter(RewriteError):
     pass
 
 
@@ -61,10 +58,6 @@ class Letter:
     layer: int
     index: int = 0
 
-    @property
-    def is_anonymous(self):
-        return self.index == 0
-
     def __repr__(self):
         if self.index == 0:
             return f"X^{self.layer}"
@@ -72,7 +65,6 @@ class Letter:
 
 
 Word = tuple  # tuple[Letter, ...]; leftmost letter is applied last
-DerivativeWord = Word
 
 
 def word_str(word) -> str:
@@ -165,12 +157,13 @@ def word_profile(word, r) -> LayerProfile:
 # closed-form expansion of the inhomogeneous terms
 # ---------------------------------------------------------------------------
 #
-# The closed form and the recursive definition are written once, over a
-# letter interpretation that answers four questions: which letter sits at
-# (layer, position), what a consumed letter collapses into on the flux side
-# and on the source side, what the extra horizontal letter is, and which
-# slots (the index i of Y_i and f_i) there are.  Positions count from the
-# bottom of a layer's block; words are written top-down.
+# The closed form, the recursive definition and the word normalization are
+# written once, over a letter interpretation that answers six questions:
+# which letter sits at (layer, position), what a consumed letter collapses
+# into on the flux side and on the source side, what the extra horizontal
+# letter is, which slots (the index i of Y_i and f_i) there are, which layer
+# a letter lies in, and what two swapped letters merge into.  Positions
+# count from the bottom of a layer's block; words are written top-down.
 
 class AbstractLetters:
     """Letters known by layer and position; collapsed letters only by
@@ -188,6 +181,12 @@ class AbstractLetters:
 
     def horizontal(self, slot):
         return Letter(1)
+
+    def layer(self, letter):
+        return letter.layer
+
+    def merge(self, a, b):
+        return Letter(a.layer + b.layer)
 
 
 ABSTRACT = AbstractLetters()
@@ -335,103 +334,45 @@ def _recursive_f(letters, l, profile):
 
 
 # ---------------------------------------------------------------------------
-# commutator shifting and word normalization
+# word normalization: the one commutator swap
 # ---------------------------------------------------------------------------
 
-def shift_commutator(word, position=None):
-    """Shift a collapsed commutator letter right past a lower-layer block.
-
-    Returns the principal term (letter moved past the block) followed by
-    the remainder terms of the displayed sum bounds, each carrying one
-    collapsed letter of the merged layer in place of the pair.
-    """
-    word = tuple(word)
-    if position is None:
-        position = next(
-            (
-                z
-                for z, let in enumerate(word)
-                if let.is_anonymous
-                and z + 1 < len(word)
-                and word[z + 1].layer == let.layer - 1
-            ),
-            None,
-        )
-        if position is None:
-            raise NoShiftableLetter(f"no shiftable letter in {word_str(word)}")
-    mover = word[position]
-    lower = mover.layer - 1
-    if not (mover.is_anonymous and position + 1 < len(word)
-            and word[position + 1].layer == lower):
-        raise NoShiftableLetter(
-            f"letter at {position} does not head a lower-layer block"
-        )
-    q = 0
-    z = position - 1
-    while z >= 0 and word[z].layer == lower:
-        q += 1
-        z -= 1
-    k = 0
-    z = position + 1
-    while z < len(word) and word[z].layer == lower:
-        k += 1
-        z += 1
-    block_end = position + 1 + k
-    principal = (
-        word[:position]
-        + word[position + 1: block_end]
-        + (mover,)
-        + word[block_end:]
-    )
-    terms = [SymbolicTerm(principal, "u", "V", "L4-principal")]
-    merged = Letter(mover.layer + lower)
-    left_block = word[position - q: position]
-    right_block = word[position + 1: block_end]
-    both = left_block + right_block
-    for s in range(q + k):
-        rem = (
-            word[: position - q]
-            + both[:s]
-            + (merged,)
-            + both[s + 1:]
-            + word[block_end:]
-        )
-        terms.append(SymbolicTerm(rem, "u", "commutator-remainder", "L4-shift"))
-    return terms
-
-
-def normalize_word(word, r):
+def normalize_word(word, r, letters=ABSTRACT):
     """Sort a word into layer order, collecting commutator remainders.
 
     Returns ``(principal, remainders)``: the principal word has
-    non-decreasing layers; every swap of an out-of-order pair spawns a
-    remainder with the pair collapsed one layer up, recursively normalized.
-    Words containing a letter beyond layer ``r`` vanish; a vanished
-    principal comes back as ``None``.
+    non-decreasing layers; every swap of an out-of-order pair ``a b`` into
+    ``b a`` spawns a remainder with ``letters.merge(a, b)`` in place of the
+    pair (``ab = ba + [a, b]``), recursively normalized.  Words with a zero
+    letter (layer ``None``) or a letter beyond layer ``r`` vanish; a
+    vanished principal comes back as ``None``.
     """
+    word = tuple(word)
+    layers = tuple(letters.layer(let) for let in word)
+    if any(k is None or k > r for k in layers):
+        return None, []
     principal = None
     remainders = []
-    stack = [(tuple(word), True)]
+    # a swap permutes two layers and a merge writes one, so each word's
+    # layers ride beside it instead of being read again
+    stack = [(word, layers, True)]
     while stack:
-        w, is_principal = stack.pop()
-        if any(let.layer > r for let in w):
-            continue
-        swap_at = None
-        for z in range(len(w) - 1):
-            if w[z].layer > w[z + 1].layer:
-                swap_at = z
-                break
-        if swap_at is None:
+        w, layers, is_principal = stack.pop()
+        z = next((z for z in range(len(w) - 1) if layers[z] > layers[z + 1]), None)
+        if z is None:
             if is_principal:
                 principal = w
             else:
                 remainders.append(w)
             continue
-        a, b = w[swap_at], w[swap_at + 1]
-        swapped = w[:swap_at] + (b, a) + w[swap_at + 2:]
-        merged = w[:swap_at] + (Letter(a.layer + b.layer),) + w[swap_at + 2:]
-        stack.append((swapped, is_principal))
-        stack.append((merged, False))
+        a, b = w[z], w[z + 1]
+        swapped = layers[:z] + (layers[z + 1], layers[z]) + layers[z + 2:]
+        stack.append((w[:z] + (b, a) + w[z + 2:], swapped, is_principal))
+        merged = letters.merge(a, b)
+        k = letters.layer(merged)
+        if k is not None and k <= r:
+            merged_layers = layers[:z] + (k,) + layers[z + 2:]
+            stack.append((w[:z] + (merged,) + w[z + 2:], merged_layers, False))
     return principal, remainders
 
 
@@ -492,11 +433,9 @@ _RULE_OF_FAMILY = {
 class Successor:
     profile: LayerProfile
     rule: str
-    case: str
-    family: str
 
 
-def _expansion_successors(profile, rule_of_family):
+def _expansion_successors(profile):
     """All successor profiles of one differentiation step on ``profile``.
 
     The step peels one lowest-layer derivative: the remaining word is one
@@ -508,9 +447,7 @@ def _expansion_successors(profile, rule_of_family):
     low = profile.lowest_layer()
     c = profile.count(low)
     data_profile = profile.with_count(low, c - 1)
-    succ = [
-        Successor(data_profile, "energy", "total-decrease", "energy")
-    ]
+    succ = [Successor(data_profile, "energy")]
     l = low + 1
     raw = expand_f(l, data_profile) + expand_fi(l, data_profile)
     prefixes = [None] + [Letter(j) for j in range(low, r + 1)]
@@ -522,14 +459,12 @@ def _expansion_successors(profile, rule_of_family):
             principal, remainders = normalize_word(word, r)
             if principal is not None:
                 p_term = SymbolicTerm(principal, "u", term.kind, term.family)
-                prof, case = classify_successor(profile, p_term)
-                succ.append(
-                    Successor(prof, rule_of_family.get(term.family, "T2"), case, term.family)
-                )
+                prof, _ = classify_successor(profile, p_term)
+                succ.append(Successor(prof, _RULE_OF_FAMILY[term.family]))
             for rem in remainders:
                 r_term = SymbolicTerm(rem, "u", "commutator-remainder", "L4-shift")
-                prof, case = classify_successor(profile, r_term)
-                succ.append(Successor(prof, "L4-shift", case, "L4-shift"))
+                prof, _ = classify_successor(profile, r_term)
+                succ.append(Successor(prof, "L4-shift"))
     return succ
 
 
@@ -548,7 +483,7 @@ def t2_step(profile):
         raise ValueError("t2 step needs an empty middle range")
     if low == r:
         raise ValueError("top-layer-only profiles reduce by the top-layer iteration")
-    succ = _expansion_successors(profile, rule_of_family={})
+    succ = _expansion_successors(profile)
     checks = []
     for s in succ:
         ok = (
@@ -648,12 +583,10 @@ def _step_successors(profile):
     r = profile.r
     if profile.only_top_layer():
         nxt = profile.with_count(r, profile.count(r) - 1)
-        return "A", [Successor(nxt, "A", "total-decrease", "A")]
+        return "A", [Successor(nxt, "A")]
     if profile.middle_is_empty():
-        succ, _ = t2_step(profile)
-        succ = [Successor(s.profile, "T2", s.case, s.family) for s in succ]
-        return "T2", succ
-    return "T1", _expansion_successors(profile, _RULE_OF_FAMILY)
+        return "T2", t2_step(profile)[0]
+    return "T1", _expansion_successors(profile)
 
 
 def reduce_to_base(initial: LayerProfile) -> ReductionTrace:
@@ -815,6 +748,15 @@ class ExactContext:
     def horizontal(self, slot):
         return self.Y[slot - 1]
 
+    def layer(self, elem):
+        """The layer of a homogeneous element; ``None`` for zero."""
+        if elem.is_zero():
+            return None
+        (layer,) = elem.layers()
+        return layer
+
+    merge = staticmethod(bracket)
+
     def apply(self, word, poly):
         """Apply a word to a polynomial; ``word[0]`` acts last."""
         for elem in reversed(word):
@@ -853,10 +795,11 @@ def verify_rewrite_identity(
 ):
     """Exact check that a rewrite is an operator identity on polynomials.
 
-    ``rule`` is one of ``"shift"`` (the commutator shift), ``"expand_fi"``
-    or ``"expand_f"`` (closed form against the raw recursive definition).
-    The closed form is the one :func:`expand_fi` / :func:`expand_f` hand to
-    the termination certificate, read in the exact interpretation.
+    ``rule`` is one of ``"shift"`` (a commutator letter over a lower-layer
+    block against its :func:`normalize_word` form), ``"expand_fi"`` or
+    ``"expand_f"`` (closed form against the raw recursive definition).  The
+    normalization and the closed form are the ones the termination
+    certificate runs, read in the exact interpretation.
     Returns a report dict with an ``ok`` flag and both sides' fingerprints.
     """
     if A is None:
@@ -872,13 +815,12 @@ def verify_rewrite_identity(
             raise ValueError("shift layer out of range")
         lower = l_shift - 1
         mover = ctx.flux(lower, k + 1, 1)
-        left = _block(ctx, lower, q + k, k)
-        right = _block(ctx, lower, k)
-        lhs = ctx.apply(left + (mover,) + right, u)
-        rhs = ctx.apply(left + right + (mover,), u)
-        for j in range(k):
-            word = left + right[:j] + (bracket(mover, right[j]),) + right[j + 1:]
-            rhs = rhs + ctx.apply(word, u)
+        word = _block(ctx, lower, q + k, k) + (mover,) + _block(ctx, lower, k)
+        lhs = ctx.apply(word, u)
+        principal, remainders = normalize_word(word, spec.r, ctx)
+        rhs = PolyFunction.zero()
+        for w in ([] if principal is None else [principal]) + remainders:
+            rhs = rhs + ctx.apply(w, u)
     elif rule in ("expand_fi", "expand_f"):
         if profile is None or l is None:
             raise ValueError("expansion checks need a profile and a level")

@@ -17,6 +17,8 @@ from .fields import SystemCoefficients, commutator_check, system_residual
 from .poly import PolyFunction
 
 FREE_GROUPS = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]
+SOUNDNESS_CASES = 24
+DECAY_THRESHOLD = 5.4
 
 
 @dataclass
@@ -25,9 +27,7 @@ class RunConfig:
     seed: int = 12345
     assoc_triples: int = 200
     mc_samples: int = 200_000
-    soundness_cases: int = 24
     sweep_total: int = 5
-    decay_threshold: float = 5.4
 
     def rng(self, salt=0):
         return random.Random(self.seed * 1_000_003 + salt)
@@ -166,7 +166,7 @@ def check_rewrite_soundness(config: RunConfig):
     rules = ["shift", "expand_fi", "expand_f"]
     failures = 0
     trivial = 0
-    for case in range(config.soundness_cases):
+    for case in range(SOUNDNESS_CASES):
         spec = specs[case % len(specs)]
         rule = rules[case % len(rules)]
         u = _rand_poly(spec, rng, degree=6, terms=7)
@@ -194,7 +194,7 @@ def check_rewrite_soundness(config: RunConfig):
         "id": 5,
         "name": "rewrite_soundness",
         "pass": failures == 0,
-        "cases": config.soundness_cases,
+        "cases": SOUNDNESS_CASES,
         "failures": failures,
         "trivial_cases": trivial,
     }
@@ -227,13 +227,13 @@ def _harmonic_solution(spec, coefficients, n, boundary_poly):
     return numerics.assemble_and_solve(spec, coefficients, [boundary_poly], n=n)
 
 
-def check_solver(config: RunConfig, sizes=None):
+def check_solver(config: RunConfig):
     spec = heisenberg()
     ident = SystemCoefficients.identity(1, spec.m)
     u_star = (
         PolyFunction.variable((1, 1)) ** 4 + PolyFunction.variable((1, 2)) ** 4
     )
-    sizes = tuple(sorted(set(sizes or (8, 16, min(32, config.n)))))
+    sizes = tuple(sorted({8, 16, min(32, config.n)}))
     study = numerics.convergence_study(spec, ident, [u_star], sizes=sizes)
     ok = study["order"] >= 1.8
     return {
@@ -246,11 +246,11 @@ def check_solver(config: RunConfig, sizes=None):
     }
 
 
-def check_caccioppoli(config: RunConfig, sizes=None):
+def check_caccioppoli(config: RunConfig):
     spec = heisenberg()
     ident = SystemCoefficients.identity(1, spec.m)
     bc = PolyFunction.variable((1, 1)) * PolyFunction.variable((1, 2))
-    sizes = tuple(sorted(set(sizes or (16, max(24, min(32, config.n))))))
+    sizes = tuple(sorted({16, max(24, min(32, config.n))}))
     constants = []
     for n in sizes:
         sol = _harmonic_solution(spec, ident, n, bc)
@@ -267,25 +267,24 @@ def check_caccioppoli(config: RunConfig, sizes=None):
     }
 
 
-def check_excess_decay(config: RunConfig, n=None, threshold=None):
+def check_excess_decay(config: RunConfig):
     spec = heisenberg()
     ident = SystemCoefficients.identity(1, spec.m)
     # the smallest fitted ball needs a few lattice planes
-    n = max(n or config.n, 24)
+    n = max(config.n, 24)
     sol = _harmonic_solution(spec, ident, n, PolyFunction.variable((1, 1)))
     center = [0.0] * len(spec.basis)
     rep = regularity.excess_decay_check(
         sol, center, 0.5, 1.0, radii=[0.25, 0.5, 1.0]
     )
-    threshold = threshold if threshold is not None else config.decay_threshold
-    ok = rep["fitted_exponent"] >= threshold
+    ok = rep["fitted_exponent"] >= DECAY_THRESHOLD
     return {
         "id": 10,
         "name": "excess_decay",
         "pass": ok,
         "n": n,
         "fitted_exponent": rep["fitted_exponent"],
-        "threshold": threshold,
+        "threshold": DECAY_THRESHOLD,
         "Q": rep["Q"],
         "integral_constant": rep["integral_constant"],
         "mean_ratio": rep["mean_ratio"],
@@ -355,7 +354,7 @@ def run_suite(config: RunConfig | None = None):
             "seed": config.seed,
             "assoc_triples": config.assoc_triples,
             "mc_samples": config.mc_samples,
-            "soundness_cases": config.soundness_cases,
+            "soundness_cases": SOUNDNESS_CASES,
             "sweep_total": config.sweep_total,
         },
         "checks": entries,

@@ -253,6 +253,8 @@ def test_verify_constant_not_positive_exits_1(runner):
     (["verify", "decay", "--n", "12", "--radii", "0.01,1"], "no grid nodes"),
     (["group", "mul", "--p", "1,2", "--q", "1,2,3"], "needs 3 coordinates"),
     (["verify", "caccioppoli", "--n", "12", "--radius", "0.05"], "no grid nodes"),
+    (["verify", "estimate", "--n", "12", "--radius", "0.05"], "no grid nodes"),
+    (["verify", "supbound", "--n", "12", "--radius", "0.05"], "no grid nodes"),
 ])
 def test_domain_errors_exit_2_with_one_line(runner, args, message):
     result = runner.invoke(main, args)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from carnot.algebra import build_free_nilpotent
+from carnot.catalog import resolve_group
 from carnot.fields import SystemCoefficients
 from carnot.poly import PolyFunction
 from carnot.rewrite import (
@@ -16,7 +17,6 @@ from carnot.rewrite import (
     ExactContext,
     LayerProfile,
     Letter,
-    NoShiftableLetter,
     ReductionTrace,
     SymbolicTerm,
     classify_successor,
@@ -25,7 +25,6 @@ from carnot.rewrite import (
     naive_order_obstruction,
     normalize_word,
     reduce_to_base,
-    shift_commutator,
     t2_step,
     termination_sweep,
     verify_rewrite_identity,
@@ -177,49 +176,58 @@ def test_expand_f_term_count_step4():
 
 
 # ---------------------------------------------------------------------------
-# commutator shift
+# word normalization
 # ---------------------------------------------------------------------------
 
-def test_shift_commutator_simple():
-    word = (Letter(3), Letter(2, 1))
-    terms = shift_commutator(word)
-    assert terms[0].word == (Letter(2, 1), Letter(3))
-    assert [t.word for t in terms[1:]] == [(Letter(5),)]
-
-
-def test_shift_commutator_counts():
-    # q = 1, k = 2: principal plus q + k remainders with a merged letter
-    word = (Letter(2, 3), Letter(3), Letter(2, 2), Letter(2, 1), Letter(3, 9))
-    terms = shift_commutator(word, position=1)
-    principal, remainders = terms[0], terms[1:]
-    assert principal.word == (
-        Letter(2, 3), Letter(2, 2), Letter(2, 1), Letter(3), Letter(3, 9)
-    )
-    assert len(remainders) == 3
-    for t in remainders:
-        assert len(t.word) == len(word) - 1
-        assert sum(1 for let in t.word if let.layer == 5) == 1
-
-
-def test_shift_commutator_no_pattern():
-    with pytest.raises(NoShiftableLetter):
-        shift_commutator((Letter(2, 1), Letter(3)))
-
-
-def test_shift_remainders_annihilate_on_step4():
-    # layer-3 letter over layer-2 block: remainders carry layer 5 > 4
-    word = (Letter(2, 2), Letter(3), Letter(2, 1), Letter(3, 1))
-    terms = shift_commutator(word, position=1)
-    for t in terms[1:]:
-        principal, remainders = normalize_word(t.word, 4)
-        assert principal is None and remainders == []
-
-
 def test_normalize_word_sorts_and_collects():
-    word = (Letter(3), Letter(2, 1), Letter(4, 1))
-    principal, remainders = normalize_word(word, 4)
-    assert principal == (Letter(2, 1), Letter(3), Letter(4, 1))
-    assert remainders == [(Letter(5), Letter(4, 1))] or remainders == []
+    cases = [
+        # the layer-5 remainder vanishes at step 4 and survives at step 5
+        ((Letter(3), Letter(2, 1), Letter(4, 1)), 4,
+         (Letter(2, 1), Letter(3), Letter(4, 1)), []),
+        ((Letter(3), Letter(2, 1), Letter(4, 1)), 5,
+         (Letter(2, 1), Letter(3), Letter(4, 1)), [(Letter(4, 1), Letter(5))]),
+        # a layer-3 letter over a layer-2 block: layer-5 remainders at step 4
+        ((Letter(2, 2), Letter(3), Letter(2, 1), Letter(3, 1)), 4,
+         (Letter(2, 2), Letter(2, 1), Letter(3), Letter(3, 1)), []),
+        # a surviving remainder is normalized in turn
+        ((Letter(2, 2), Letter(3), Letter(2, 1), Letter(3, 1)), 8,
+         (Letter(2, 2), Letter(2, 1), Letter(3), Letter(3, 1)),
+         [(Letter(2, 2), Letter(8)), (Letter(2, 2), Letter(3, 1), Letter(5))]),
+        ((Letter(5, 1), Letter(2, 1)), 4, None, []),
+    ]
+    for word, r, principal, remainders in cases:
+        assert normalize_word(word, r) == (principal, remainders)
+
+
+def _is_sublist(short, long):
+    rest = iter(long)
+    return all(any(x == y for y in rest) for x in short)
+
+
+@pytest.mark.parametrize("name", ["free:2,3", "free:2,4", "free:3,3", "engel"])
+def test_exact_normalization_is_an_identity_on_the_abstract_words(name):
+    spec = resolve_group(name)
+    ctx = ExactContext(spec, SystemCoefficients.identity(1, spec.m))
+    rng = random.Random(f"normalize:{name}")
+    for _ in range(60):
+        u = _rand_poly(spec, rng, degree=5, terms=6)
+        sites = [(rng.randint(1, spec.r), rng.randint(1, 3))
+                 for _ in range(rng.randint(2, 5))]
+        word = tuple(ctx.letter(layer, pos) for layer, pos in sites)
+        principal, remainders = normalize_word(word, spec.r, ctx)
+        normalized = ([] if principal is None else [principal]) + remainders
+        total = PolyFunction.zero()
+        for w in normalized:
+            total = total + ctx.apply(w, u)
+        assert total == ctx.apply(word, u)
+
+        principal, remainders = normalize_word([Letter(*s) for s in sites], spec.r)
+        abstract = [[let.layer for let in w] for w in [principal] + remainders]
+        exact = [[ctx.layer(e) for e in w] for w in normalized]
+        if name == "engel":  # some brackets vanish there
+            assert _is_sublist(exact, abstract)
+        else:
+            assert exact == abstract
 
 
 # ---------------------------------------------------------------------------
