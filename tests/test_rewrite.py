@@ -186,9 +186,6 @@ def test_normalize_word_sorts_and_collects():
          (Letter(2, 1), Letter(3), Letter(4, 1)), []),
         ((Letter(3), Letter(2, 1), Letter(4, 1)), 5,
          (Letter(2, 1), Letter(3), Letter(4, 1)), [(Letter(4, 1), Letter(5))]),
-        # a layer-3 letter over a layer-2 block: layer-5 remainders at step 4
-        ((Letter(2, 2), Letter(3), Letter(2, 1), Letter(3, 1)), 4,
-         (Letter(2, 2), Letter(2, 1), Letter(3), Letter(3, 1)), []),
         # a surviving remainder is normalized in turn
         ((Letter(2, 2), Letter(3), Letter(2, 1), Letter(3, 1)), 8,
          (Letter(2, 2), Letter(2, 1), Letter(3), Letter(3, 1)),
@@ -197,6 +194,16 @@ def test_normalize_word_sorts_and_collects():
     ]
     for word, r, principal, remainders in cases:
         assert normalize_word(word, r) == (principal, remainders)
+
+
+def test_shift_remainders_annihilate_on_step4():
+    # layer-3 letter over layer-2 block: remainders carry layer 5 > 4
+    word = (Letter(2, 2), Letter(3), Letter(2, 1), Letter(3, 1))
+    principal = (Letter(2, 2), Letter(2, 1), Letter(3), Letter(3, 1))
+    assert normalize_word(word, 4) == (principal, [])
+    # one layer more and the same swap leaves its layer-5 remainder
+    assert normalize_word(word, 5) == (
+        principal, [(Letter(2, 2), Letter(3, 1), Letter(5))])
 
 
 def _is_sublist(short, long):
