@@ -24,7 +24,7 @@ from .fields import (
     left_invariant_field,
     system_residual,
 )
-from .suite import RunConfig, run_suite
+from .suite import RunConfig, decay_threshold, run_suite
 
 
 def _seed(value):
@@ -104,11 +104,13 @@ class DomainError(click.ClickException):
 
 class _Commands(click.Group):
     def invoke(self, ctx):
-        # a numerics domain error (a stencil leaving the box, a ball with no
-        # grid nodes) or a malformed value is the caller's input, not a crash
+        # a domain error (a stencil leaving the box, a ball with no grid
+        # nodes, a basis over the cap, a profile the certificate cannot
+        # classify) or a malformed value is the caller's input, not a crash
         try:
             return super().invoke(ctx)
-        except (numerics.NumericsError, ValueError) as exc:
+        except (numerics.NumericsError, rewrite.RewriteError,
+                algebra.AlgebraError, ValueError) as exc:
             raise DomainError(str(exc)) from None
 
 
@@ -136,7 +138,12 @@ def algebra_new(m, r, out):
 @algebra_group.command("check")
 @group_option
 def algebra_check(group_name):
-    spec = resolve_group(group_name)
+    try:
+        spec = resolve_group(group_name)
+    except algebra.AlgebraError as exc:
+        # a table that cannot be built fails the check on its first violation
+        _emit({"group": group_name, "violations": [str(exc)], "ok": False})
+        sys.exit(1)
     problems = algebra.validate_spec(spec)
     strat = algebra.verify_stratification(spec)
     report = {
@@ -456,8 +463,7 @@ def verify_decay(group_name, n, bc_text, tau, radii):
     rep = regularity.excess_decay_check(sol, center, tau, max(radii_list),
                                         radii=radii_list)
     rep["resolutions"] = [n]
-    # the acceptance gate on the decay exponent
-    rep["threshold"] = rep["Q"] + 2 - 0.3
+    rep["threshold"] = decay_threshold(rep["Q"])
     rep["stable"] = rep["fitted_exponent"] >= rep["threshold"]
     _emit(rep)
     if not rep["stable"]:

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from carnot import suite
 from carnot.cli import main
 
 
@@ -37,6 +38,8 @@ def test_algebra_check_rejects_broken_table(runner, tmp_path):
     }))
     result = runner.invoke(main, ["algebra", "check", "--group", str(bad)])
     assert result.exit_code == 1
+    data = json.loads(result.stdout)
+    assert data["ok"] is False and "span rank 0" in data["violations"][0]
 
 
 def test_group_gauge_example(runner):
@@ -255,6 +258,14 @@ def test_verify_constant_not_positive_exits_1(runner):
     (["verify", "caccioppoli", "--n", "12", "--radius", "0.05"], "no grid nodes"),
     (["verify", "estimate", "--n", "12", "--radius", "0.05"], "no grid nodes"),
     (["verify", "supbound", "--n", "12", "--radius", "0.05"], "no grid nodes"),
+    (["rewrite", "sweep", "--step", "5", "--max-total", "4"], "no admissible case"),
+    (["algebra", "new", "--m", "6", "--r", "6"], "exceeds cap"),
+    (["suite", "--triples", "0"], "assoc_triples must be positive"),
+    (["suite", "--sweep-total", "0"], "sweep_total must be positive"),
+    (["suite", "--samples", "-5"], "mc_samples must be positive"),
+    (["suite", "--n", "1"], "n must exceed 8"),
+    (["suite", "--n", "8"], "n must exceed 8"),
+    (["suite", "--seed", "-1"], "seed must be non-negative"),
 ])
 def test_domain_errors_exit_2_with_one_line(runner, args, message):
     result = runner.invoke(main, args)
@@ -269,3 +280,19 @@ def test_suite_rejects_group_option(runner):
     result = runner.invoke(main, ["suite", "--group", "engel"])
     assert result.exit_code == 2
     assert "No such option" in result.stderr
+
+
+def test_suite_and_verify_decay_share_one_threshold(runner):
+    # criterion 10 of the default suite and `verify decay` gate on one bound
+    result = runner.invoke(main, ["verify", "decay", "--group", "heisenberg",
+                                  "--n", "16", "--radii", "0.5,1"])
+    cli_threshold = json.loads(result.stdout)["threshold"]
+    suite_threshold = suite.check_excess_decay(suite.RunConfig())["threshold"]
+    assert cli_threshold == suite_threshold
+    assert suite_threshold == pytest.approx(5.7)
+
+
+def test_run_config_rejects_non_positive_soundness_cases():
+    # the one count the suite command has no option for
+    with pytest.raises(ValueError, match="soundness_cases must be positive"):
+        suite.RunConfig(soundness_cases=0)
