@@ -52,4 +52,4 @@ from .rewrite import (
     verify_rewrite_identity,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

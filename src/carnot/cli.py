@@ -82,13 +82,16 @@ def _parse_polys(text):
     text = text.strip()
     if text.startswith("@"):
         with open(text[1:]) as fh:
-            return [poly_from_json(t) for t in json.load(fh)]
-    if text.startswith("[") or text.startswith("{"):
+            data = json.load(fh)
+    elif text.startswith(("[", "{")):
         data = json.loads(text)
-        if data and isinstance(data[0], dict):
-            data = [data]
-        return [poly_from_json(t) for t in data]
-    return [parse_poly(piece) for piece in text.split(";")]
+    else:
+        return [parse_poly(piece) for piece in text.split(";")]
+    if not isinstance(data, list):
+        raise ValueError("JSON polynomial input is a list of terms or of term lists")
+    if data and isinstance(data[0], dict):
+        data = [data]
+    return [poly_from_json(t) for t in data]
 
 
 group_option = click.option("--group", "group_name", default="heisenberg",

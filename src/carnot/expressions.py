@@ -131,10 +131,14 @@ def poly_to_json(poly: PolyFunction):
 
 
 def poly_from_json(data) -> PolyFunction:
+    """Inverse of :func:`poly_to_json`; ``ValueError`` on a malformed term."""
     out = PolyFunction.zero()
     for term in data:
-        piece = PolyFunction.constant(Fraction(term["num"], term.get("den", 1)))
-        for var, exp in term["mono"]:
-            piece = piece * PolyFunction.variable(tuple(var), exp)
+        try:
+            piece = PolyFunction.constant(Fraction(term["num"], term.get("den", 1)))
+            for var, exp in term["mono"]:
+                piece = piece * PolyFunction.variable(tuple(var), exp)
+        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError):
+            raise ValueError(f"malformed polynomial term {term!r}") from None
         out = out + piece
     return out

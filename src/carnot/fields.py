@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, AlgebraSpec
 from .group import left_invariant_coefficients
-from .poly import PolyFunction
+from .poly import PolyFunction, check_variables
 
 
 def coordinate(label) -> PolyFunction:
@@ -67,7 +67,7 @@ def left_invariant_field(spec: AlgebraSpec, label) -> VectorFieldOperator:
     if label in cache:
         return cache[label]
     if label not in spec.index:
-        raise KeyError(f"{label} is not a basis label")
+        raise ValueError(f"{label} is not a basis label")
     op = VectorFieldOperator(spec, left_invariant_coefficients(spec, label))
     cache[label] = op
     return op
@@ -183,6 +183,7 @@ def system_residual(spec, A: SystemCoefficients, u, f_i=None, f=None):
         f_i = [[PolyFunction.zero() for _ in range(n)] for _ in range(m)]
     if f is None:
         f = [PolyFunction.zero() for _ in range(n)]
+    check_variables([*u, *f, *(p for row in f_i for p in row)], spec.basis)
     fields_h = [left_invariant_field(spec, (1, i)) for i in range(1, m + 1)]
     grads = [[fields_h[j].apply(u[beta]) for beta in range(n)] for j in range(m)]
     residual = []

@@ -3,9 +3,9 @@
 The product is the truncated Baker-Campbell-Hausdorff series evaluated
 through the structure constants.  For each spec the coordinate polynomials
 of the product ``z(p, q)`` are computed once (Dynkin's formula, exact
-rational coefficients) and compiled into a flat index-based program, which
-each product evaluates: in integers over common denominators for exact
-points, in floating point when any coordinate is a float.
+rational coefficients) and compiled by :func:`carnot.poly.compile_polys`,
+whose program each product runs: in integers over common denominators for
+exact points, in floating point when any coordinate is a float.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import AlgebraSpec
-from .poly import PolyFunction
+from .poly import PolyFunction, compile_polys, run_arrays, run_exact, run_float
 
 
 class Point:
@@ -167,83 +167,11 @@ def group_law(spec: AlgebraSpec):
                 continue
             z[lab] = z[lab] + poly.scale(coeff)
     spec._cache["law"] = z
-    spec._cache["law_program"] = _compile_law(spec, z)
+    spec._cache["law_program"] = compile_polys(
+        [z[lab] for lab in spec.basis],
+        [(tag,) + lab for tag in ("p", "q") for lab in spec.basis],
+    )
     return z
-
-
-def _compile_law(spec, law):
-    """The law as the flat program :func:`bch_product` runs.
-
-    Input ``j`` is ``p`` at ``spec.basis[j]`` and input ``d + j`` is ``q``
-    there.  Per coordinate the exact program is ``(L, groups)``: ``L`` is
-    the common denominator of the coefficients and ``groups`` lists
-    ``(degree, [(numerator over L, input indices repeated by exponent)])``
-    by increasing degree.  The float program keeps the polynomial's own
-    term order as ``(float coefficient, ((input, exponent), ...))``.
-    """
-    d = len(spec.basis)
-    index = {}
-    for j, lab in enumerate(spec.basis):
-        index[("p",) + lab] = j
-        index[("q",) + lab] = d + j
-    exact, floating = [], []
-    for lab in spec.basis:
-        terms = law[lab].terms
-        common = math.lcm(*(c.denominator for c in terms.values()))
-        by_degree = {}
-        for mono, c in terms.items():
-            inputs = tuple(index[v] for v, e in mono for _ in range(e))
-            by_degree.setdefault(len(inputs), []).append(
-                (c.numerator * (common // c.denominator), inputs)
-            )
-        exact.append((common, sorted(by_degree.items())))
-        floating.append([
-            (float(c), tuple((index[v], e) for v, e in mono))
-            for mono, c in terms.items()
-        ])
-    return exact, floating
-
-
-def _run_exact(program, values):
-    # inputs as integer numerators over their common denominator D; the
-    # degree groups are summed by Horner's rule in D, so each coordinate is
-    # one integer over L * D**(top degree) and one Fraction normalisation
-    scale = math.lcm(*(v.denominator for v in values))
-    nums = [v.numerator * (scale // v.denominator) for v in values]
-    out = []
-    for common, groups in program:
-        acc = top = 0
-        for degree, terms in groups:
-            part = 0
-            for c, inputs in terms:
-                for i in inputs:
-                    c *= nums[i]
-                part += c
-            acc = acc * scale ** (degree - top) + part
-            top = degree
-        out.append(Fraction(acc, common * scale ** top))
-    return out
-
-
-def _run_float(program, values, power=pow, skip=()):
-    # floats, or numpy arrays of one shape with power=np.float_power (the C
-    # pow of the scalar x ** e; numpy's ** and np.power, even x*x for
-    # e == 2, are an ulp off it at some points).  A term with an input in
-    # ``skip`` is left out: for scalar zeros and finite inputs no bit
-    # changes (sums start at +0.0), but a 0*inf term is dropped.  x**1
-    # would copy an array.
-    out = []
-    for terms in program:
-        total = 0.0
-        for c, factors in terms:
-            if any(i in skip for i, _ in factors):
-                continue
-            term = c
-            for i, e in factors:
-                term *= values[i] if e == 1 else power(values[i], e)
-            total += term
-        out.append(total)
-    return out
 
 
 def _law_program(spec):
@@ -260,34 +188,29 @@ def bch_product(p: Point, q: Point) -> Point:
     exact, floating = _law_program(spec)
     values = p.sequence() + q.sequence()
     if any(isinstance(v, float) for v in values):
-        out = _run_float(floating, [float(v) for v in values])
+        out = run_float(floating, [float(v) for v in values])
     else:
-        out = _run_exact(exact, values)
+        out = run_exact(exact, values)
     return Point(spec, dict(zip(spec.basis, out)))
 
 
 def product_arrays(spec, p_values, q_values):
     """Float coordinates of ``p * q`` in basis order, from coordinates in
     basis order that are numbers or numpy arrays (broadcast together)."""
-    values = list(p_values) + list(q_values)
-    shape = np.broadcast_shapes(*map(np.shape, values))
-    # full-shape arrays, so the running products and sums work in place
-    values = [np.broadcast_to(v, shape) if isinstance(v, np.ndarray) else float(v)
-              for v in values]
-    skip = {i for i, v in enumerate(values) if isinstance(v, float) and v == 0}
-    out = _run_float(_law_program(spec)[1], values, np.float_power, skip)
-    return [v if np.shape(v) == shape else np.full(shape, v) for v in out]
+    return run_arrays(_law_program(spec)[1], list(p_values) + list(q_values))
 
 
 def left_invariant_coefficients(spec, label):
     """``{lab: d z_lab / d q_label at q = 0}``, polynomials in the plain
-    coordinates ``(k, i)``: the coefficients of the left-invariant field."""
+    coordinates ``(k, i)``: the coefficients of the left-invariant field,
+    read as the law's terms whose only q factor is ``q_label``."""
     law = group_law(spec)
-    qvar = ("q",) + tuple(label)
-    q_zero = {("q",) + lab: 0 for lab in spec.basis}
-    plain = {("p",) + lab: lab for lab in spec.basis}
-    return {lab: law[lab].derivative(qvar).substitute(q_zero).rename(plain)
-            for lab in spec.basis}
+    qfactor = [(("q",) + tuple(label), 1)]
+    return {lab: PolyFunction({
+        tuple((v[1:], e) for v, e in mono if v[0] == "p"): c
+        for mono, c in law[lab].terms.items()
+        if [f for f in mono if f[0][0] == "q"] == qfactor
+    }) for lab in spec.basis}
 
 
 def inverse(p: Point) -> Point:

@@ -148,8 +148,7 @@ class GridField:
         if isinstance(polys, PolyFunction):
             polys = [polys]
         nodes = grid.node_arrays()
-        comps = [np.broadcast_to(p.evaluate_arrays(nodes), grid.shape).astype(float)
-                 for p in polys]
+        comps = [p.evaluate_arrays(nodes) for p in polys]
         return GridField(grid, np.stack(comps, axis=-1))
 
     def component(self, alpha=0):
@@ -169,6 +168,8 @@ class GridField:
 def flow_coordinates(grid: Grid, direction, s):
     """Coordinates of ``p * exp(s X_direction)`` for every node."""
     direction = tuple(direction)
+    if direction not in grid.axes:
+        raise ValueError(f"{direction} is not a coordinate axis of the grid")
     nodes = grid.node_arrays()
     step = [float(s) if lab == direction else 0.0 for lab in grid.axes]
     return product_arrays(grid.spec, [nodes[lab] for lab in grid.axes], step)
@@ -439,7 +440,7 @@ def coordinate_derivative_matrix(grid: Grid, direction, sign):
     for label, coeff in op.coeffs.items():
         ax = grid.axis_of(label)
         diff, v = _axis_shift_difference(grid, ax, sign)
-        cvals = np.broadcast_to(coeff.evaluate_arrays(nodes), grid.shape).ravel()
+        cvals = coeff.evaluate_arrays(nodes).ravel()
         total = total + sparse.diags(cvals) @ diff
         valid &= v
     return total, valid

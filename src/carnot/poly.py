@@ -1,4 +1,5 @@
-"""Sparse multivariate polynomials with exact rational coefficients.
+"""Sparse multivariate polynomials with exact rational coefficients, and
+the one compiler that evaluates them: exactly, on floats or on arrays.
 
 Variables are opaque hashable keys (coordinate labels like ``(k, i)``, or
 the group law's tagged labels).  A monomial is a sorted tuple of
@@ -8,8 +9,11 @@ no terms.  Everything is immutable by convention.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Rational
+
+import numpy as np
 
 
 Monomial = tuple   # tuple[(var, exp), ...], canonically sorted, exps > 0
@@ -21,10 +25,6 @@ def _mono_key(pair):
     # repr-based order keeps mixed key types (tuples of ints and strings)
     # canonically sortable
     return repr(pair[0])
-
-
-def _sorted_mono(pairs):
-    return tuple(sorted(pairs, key=_mono_key))
 
 
 def _as_coeff(c):
@@ -60,8 +60,8 @@ class PolyFunction:
 
     @staticmethod
     def variable(var, exp=1):
-        if exp < 0:
-            raise ValueError("negative exponent")
+        if not isinstance(exp, int) or exp < 0:
+            raise ValueError(f"exponent {exp!r} is not a non-negative integer")
         if exp == 0:
             return PolyFunction.constant(1)
         return PolyFunction({((var, exp),): Fraction(1)})
@@ -158,34 +158,7 @@ class PolyFunction:
                     break
         return PolyFunction({m: c for m, c in out.items() if c})
 
-    # -- substitution / evaluation --------------------------------------
-
-    def substitute(self, assignment):
-        """Replace variables by polynomials or exact constants.
-
-        Variables absent from ``assignment`` are kept.
-        """
-        result = PolyFunction.zero()
-        for mono, c in self.terms.items():
-            term = PolyFunction.constant(c)
-            for v, e in mono:
-                if v in assignment:
-                    rep = assignment[v]
-                    if not isinstance(rep, PolyFunction):
-                        rep = PolyFunction.constant(rep)
-                    term = term * rep ** e
-                else:
-                    term = term * PolyFunction.variable(v, e)
-            result = result + term
-        return result
-
-    def rename(self, mapping):
-        """Rename variables via ``mapping`` (missing keys kept)."""
-        out = {}
-        for mono, c in self.terms.items():
-            new = _sorted_mono((mapping.get(v, v), e) for v, e in mono)
-            out[new] = out.get(new, Fraction(0)) + c
-        return PolyFunction({m: v for m, v in out.items() if v})
+    # -- evaluation -----------------------------------------------------
 
     def evaluate(self, values):
         """Exact evaluation; ``values`` maps every needed variable to a scalar."""
@@ -204,14 +177,10 @@ class PolyFunction:
         return total
 
     def evaluate_arrays(self, arrays):
-        """Vectorized evaluation with numpy arrays (or scalars) per variable."""
-        total = None
-        for mono, c in self.terms.items():
-            term = float(c)
-            for v, e in mono:
-                term = term * arrays[v] ** e
-            total = term if total is None else total + term
-        return 0.0 if total is None else total
+        """Float evaluation on numpy arrays (or numbers) per variable, as
+        a full-shape array; ``arrays`` must name every variable."""
+        program = compile_polys([self], list(arrays))[1]
+        return run_arrays(program, list(arrays.values()))[0]
 
     # -- display --------------------------------------------------------
 
@@ -243,4 +212,97 @@ def _mul_mono(m1: Monomial, m2: Monomial) -> Monomial:
     d = dict(m1)
     for v, e in m2:
         d[v] = d.get(v, 0) + e
-    return _sorted_mono(d.items())
+    return tuple(sorted(d.items(), key=_mono_key))
+
+
+def check_variables(polys, variables):
+    """Raise ``ValueError`` naming each variable of ``polys`` not in ``variables``."""
+    outside = {v for p in polys for mono in p.terms for v, _ in mono} - set(variables)
+    if outside:
+        names = ", ".join(sorted(map(repr, outside)))
+        raise ValueError(f"polynomial variables {names} not among {list(variables)}")
+
+
+def compile_polys(polys, variables):
+    """The polynomials as flat programs over ``variables``: input ``j`` is
+    the value of ``variables[j]``.
+
+    Per polynomial the exact program is ``(L, groups)``: ``L`` is the
+    common denominator of the coefficients and ``groups`` lists ``(degree,
+    [(numerator over L, input indices repeated by exponent)])`` by
+    increasing degree.  The float program keeps the polynomial's own term
+    order as ``(float coefficient, ((input, exponent), ...))``.  Returns
+    ``(exact, floating)``, one program per polynomial in each.
+    """
+    check_variables(polys, variables)
+    index = {v: j for j, v in enumerate(variables)}
+    exact, floating = [], []
+    for poly in polys:
+        terms = poly.terms
+        common = math.lcm(*(c.denominator for c in terms.values()))
+        by_degree = {}
+        for mono, c in terms.items():
+            inputs = tuple(index[v] for v, e in mono for _ in range(e))
+            by_degree.setdefault(len(inputs), []).append(
+                (c.numerator * (common // c.denominator), inputs)
+            )
+        exact.append((common, sorted(by_degree.items())))
+        floating.append([
+            (float(c), tuple((index[v], e) for v, e in mono))
+            for mono, c in terms.items()
+        ])
+    return exact, floating
+
+
+def run_exact(program, values):
+    # inputs as integer numerators over their common denominator D; the
+    # degree groups are summed by Horner's rule in D, so each output is
+    # one integer over L * D**(top degree) and one Fraction normalisation
+    scale = math.lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (scale // v.denominator) for v in values]
+    out = []
+    for common, groups in program:
+        acc = top = 0
+        for degree, terms in groups:
+            part = 0
+            for c, inputs in terms:
+                for i in inputs:
+                    c *= nums[i]
+                part += c
+            acc = acc * scale ** (degree - top) + part
+            top = degree
+        out.append(Fraction(acc, common * scale ** top))
+    return out
+
+
+def run_float(program, values, power=pow, skip=()):
+    # floats, or numpy arrays of one shape with power=np.float_power (the C
+    # pow of the scalar x ** e; numpy's ** and np.power, even x*x for
+    # e == 2, are an ulp off it at some points).  A term with an input in
+    # ``skip`` is left out: for scalar zeros and finite inputs no bit
+    # changes (sums start at +0.0), but a 0*inf term is dropped.  x**1
+    # would copy an array.
+    out = []
+    for terms in program:
+        total = 0.0
+        for c, factors in terms:
+            if any(i in skip for i, _ in factors):
+                continue
+            term = c
+            for i, e in factors:
+                term *= values[i] if e == 1 else power(values[i], e)
+            total += term
+        out.append(total)
+    return out
+
+
+def run_arrays(program, values):
+    """:func:`run_float` on numbers or numpy arrays broadcast together;
+    every output is an array of the broadcast shape."""
+    shape = np.broadcast_shapes(*map(np.shape, values))
+    # full-shape arrays, so the running products and sums work in place
+    values = [np.broadcast_to(v, shape) if isinstance(v, np.ndarray) else float(v)
+              for v in values]
+    skip = {i for i, v in enumerate(values) if isinstance(v, float) and v == 0}
+    out = run_float(program, values, np.float_power, skip)
+    return [v if np.shape(v) == shape else np.full(shape, v) for v in out]

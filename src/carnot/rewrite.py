@@ -644,7 +644,11 @@ def termination_sweep(r, max_total):
             continue
         profile = LayerProfile(r, (0,) + counts)
         report["profiles"] += 1
-        trace = reduce_to_base(profile)
+        try:
+            trace = reduce_to_base(profile)
+        except ClassificationFailure:
+            report["classification_failures"] += 1
+            continue
         report["max_trace"] = max(report["max_trace"], len(trace))
         for step in trace.steps:
             if step.w_out >= step.w_in:

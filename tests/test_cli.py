@@ -1,8 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import carnot
 from carnot import suite
 from carnot.cli import main
 
@@ -258,7 +261,7 @@ def test_verify_constant_not_positive_exits_1(runner):
     (["verify", "caccioppoli", "--n", "12", "--radius", "0.05"], "no grid nodes"),
     (["verify", "estimate", "--n", "12", "--radius", "0.05"], "no grid nodes"),
     (["verify", "supbound", "--n", "12", "--radius", "0.05"], "no grid nodes"),
-    (["rewrite", "sweep", "--step", "5", "--max-total", "4"], "no admissible case"),
+    (["rewrite", "trace", "--step", "5", "--profile", "1,1,0,0"], "no admissible case"),
     (["algebra", "new", "--m", "6", "--r", "6"], "exceeds cap"),
     (["suite", "--triples", "0"], "assoc_triples must be positive"),
     (["suite", "--sweep-total", "0"], "sweep_total must be positive"),
@@ -266,6 +269,15 @@ def test_verify_constant_not_positive_exits_1(runner):
     (["suite", "--n", "1"], "n must exceed 8"),
     (["suite", "--n", "8"], "n must exceed 8"),
     (["suite", "--seed", "-1"], "seed must be non-negative"),
+    (["solve", "--n", "8", "--bc", "p31"], "polynomial variables (1, 3) not among"),
+    (["verify", "caccioppoli", "--n", "8", "--bc", "p13"], "variables (3, 1) not among"),
+    (["fields", "residual", "--u", "p31"], "polynomial variables (1, 3) not among"),
+    (["solve", "--n", "8", "--bc", '{"mono": [], "num": 1}'], "a list of terms"),
+    (["solve", "--n", "8", "--bc", '[{"num": 1}]'], "malformed polynomial term"),
+    (["fields", "show", "--label", "9,9"], "(9, 9) is not a basis label"),
+    (["verify", "peetre", "--n", "5", "--direction", "9,9"], "not a coordinate axis"),
+    (["verify", "peetre", "--n", "5", "--direction", "1"], "not a coordinate axis"),
+    (["verify", "hormander", "--n", "5", "--direction", "3,1"], "not a coordinate axis"),
 ])
 def test_domain_errors_exit_2_with_one_line(runner, args, message):
     result = runner.invoke(main, args)
@@ -274,6 +286,23 @@ def test_domain_errors_exit_2_with_one_line(runner, args, message):
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and message in lines[0]
     assert "Traceback" not in result.output
+
+
+def test_rewrite_sweep_counts_unclassified_profiles_and_exits_1(runner):
+    # step 5 leaves the certificate's case table: a report, not a crash
+    result = runner.invoke(main, ["rewrite", "sweep", "--step", "5",
+                                  "--max-total", "4"])
+    assert result.exit_code == 1
+    data = json.loads(result.stdout)
+    assert data["profiles"] == 69 and data["classification_failures"] == 25
+    assert data["w_violations"] == 0
+
+
+def test_package_and_report_versions_agree(monkeypatch):
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.M)
+    monkeypatch.setattr(suite, "ALL_CHECKS", ())
+    assert declared.group(1) == carnot.__version__ == suite.run_suite()["version"]
 
 
 def test_suite_rejects_group_option(runner):

@@ -68,13 +68,17 @@ def test_field_homogeneity_under_dilation(free23):
         coordinate((1, 1)) * coordinate((2, 1))
         + coordinate((3, 2)) * coordinate((1, 2)) ** 2
     )
+
+    def dilated(poly, s):
+        # poly o delta_s: each monomial scales by s to its weighted degree
+        return PolyFunction({mono: c * s ** sum(v[0] * e for v, e in mono)
+                             for mono, c in poly.terms.items()})
+
     for s in (Fraction(2), Fraction(1, 3), Fraction(5, 4)):
-        scaling = {lab: coordinate(lab).scale(s ** lab[0]) for lab in free23.basis}
-        u_dilated = u.substitute(scaling)
         for lab in free23.basis:
             op = left_invariant_field(free23, lab)
-            lhs = op.apply(u_dilated)
-            rhs = op.apply(u).substitute(scaling).scale(s ** lab[0])
+            lhs = op.apply(dilated(u, s))
+            rhs = dilated(op.apply(u), s).scale(s ** lab[0])
             assert lhs == rhs
 
 

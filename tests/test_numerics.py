@@ -9,7 +9,7 @@ from carnot import regularity
 from carnot.algebra import build_free_nilpotent
 from carnot.catalog import resolve_group
 from carnot.fields import SystemCoefficients, left_invariant_field
-from carnot.group import group_law
+from carnot.group import Point, bch_product
 from carnot.numerics import (
     GRID_BYTE_LIMIT,
     Grid,
@@ -307,27 +307,16 @@ def test_ball_mask_and_gauge_distance(heis):
     assert mask[10, 8, 8] or mask[9, 8, 8]
 
 
-# -- replicas of the substituted-polynomial paths the compiled law replaced
+# -- the array law paths against the scalar product, node by node
 
-def _replica_flow(grid, direction, s):
-    spec = grid.spec
-    kill = {("q",) + lab: Fraction(0) for lab in spec.basis if lab != direction}
-    arrays = dict(grid.node_arrays())
-    arrays["s"] = float(s)
-    out = []
-    for lab in spec.basis:
-        poly = group_law(spec)[lab].substitute(kill)
-        poly = poly.rename({("q",) + direction: "s"})
-        poly = poly.rename({("p",) + b: b for b in spec.basis})
-        out.append(np.broadcast_to(poly.evaluate_arrays(arrays), grid.shape))
-    return out
-
-
-def _replica_product(spec, left, right, shape):
-    arrays = {("p",) + lab: float(c) for lab, c in zip(spec.basis, left)}
-    arrays.update({("q",) + lab: arr for lab, arr in zip(spec.basis, right)})
-    return [np.broadcast_to(group_law(spec)[lab].evaluate_arrays(arrays), shape)
-            for lab in spec.basis]
+def _scalar_products(spec, left, right, nodes):
+    # bch_product on float points at the given flat node indices; each side
+    # is a coordinate sequence of numbers or grid-shaped arrays
+    def point(values, j):
+        return Point.from_sequence(spec, [
+            float(v.flat[j]) if isinstance(v, np.ndarray) else float(v) for v in values
+        ])
+    return [bch_product(point(left, j), point(right, j)).sequence() for j in nodes]
 
 
 def _replica_gauge(spec, coords):
@@ -344,22 +333,34 @@ def _replica_gauge(spec, coords):
 @pytest.mark.parametrize("name,n", [
     ("heisenberg", 17), ("engel", 9), ("free:2,3", 7), ("free:3,2", 6),
 ])
-def test_array_law_paths_match_the_substituted_polynomials(name, n, monkeypatch):
-    # bitwise on Heisenberg (coefficients 1 and 1/2 make every factor order
-    # exact); elsewhere the factors multiply in another order, within 1e-15
+def test_array_law_paths_match_the_scalar_product(name, n, monkeypatch):
+    # flows, centred gauge distances and blow-up coordinates at 60 sampled
+    # nodes: the law bitwise on every group; the gauge formula bitwise on
+    # Heisenberg, elsewhere numpy's powers within 1e-15
     spec = resolve_group(name)
     grid = Grid(spec, n, 1.0)
     nodes = [grid.node_arrays()[lab] for lab in spec.basis]
     rng = np.random.default_rng(5)
-    pairs = []
+    sample = rng.choice(nodes[0].size, 60, replace=False)
+
+    def at_sample(arrays):
+        return [[float(a.flat[j]) for a in arrays] for j in sample]
+
     for lab in spec.basis:
         for s in (0.1, -0.0625):
-            pairs.append((flow_coordinates(grid, lab, s), _replica_flow(grid, lab, s)))
+            step = [s if b == lab else 0.0 for b in spec.basis]
+            got = at_sample(flow_coordinates(grid, lab, s))
+            want = _scalar_products(spec, nodes, step, sample)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
     for _ in range(2):
         centre = list(rng.uniform(-0.3, 0.3, len(spec.basis)))
-        coords = _replica_product(spec, [-c for c in centre], nodes, grid.shape)
-        pairs.append(([gauge_distance_arrays(grid, centre)],
-                      [_replica_gauge(spec, coords)]))
+        got = gauge_distance_arrays(grid, centre).flat[sample]
+        coords = _scalar_products(spec, [-c for c in centre], nodes, sample)
+        want = _replica_gauge(spec, list(np.array(coords).T))
+        if name == "heisenberg":
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
     seen = []
 
@@ -373,14 +374,27 @@ def test_array_law_paths_match_the_substituted_polynomials(name, n, monkeypatch)
     centre = list(rng.uniform(-0.1, 0.1, len(spec.basis)))
     regularity.blowup_rescale(field, centre, 0.9)
     dilated = [arr * 0.9 ** lab[0] for lab, arr in zip(spec.basis, nodes)]
-    pairs.append((seen[0], _replica_product(spec, centre, dilated, grid.shape)))
+    want = _scalar_products(spec, centre, dilated, sample)
+    assert np.array(at_sample(seen[0])).tobytes() == np.array(want).tobytes()
 
-    for got, want in pairs:
-        for g, w in zip(got, want):
-            if name == "heisenberg":
-                assert g.shape == w.shape and g.tobytes() == w.tobytes()
-            else:
-                np.testing.assert_allclose(g, w, rtol=1e-15, atol=0.0)
+
+def test_grid_data_has_the_bits_of_the_scalar_evaluation(heis):
+    # per-node Python pow in term order; numpy's own x ** 4 is an ulp off
+    # it at some nodes of linspace(-1, 1, 32)
+    poly = P11 ** 4 - P21 ** 3 * P12.scale(Fraction(2, 3)) + P11 * P21 + 1
+    grid = Grid(heis, 32, 1.0)
+    nodes = grid.node_arrays()
+    want = np.empty(grid.shape)
+    for idx in np.ndindex(grid.shape):
+        total = 0.0
+        for mono, c in poly.terms.items():
+            term = float(c)
+            for v, e in mono:
+                term *= float(nodes[v][idx]) ** e
+            total += term
+        want[idx] = total
+    got = GridField.from_polys(grid, [poly]).component()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_grid_refuses_oversized_node_arrays_before_allocating():

@@ -343,6 +343,14 @@ def test_trace_json_round_trip_and_replay():
     assert [s.rule for s in back.steps] == [s.rule for s in trace.steps]
 
 
+def test_termination_sweep_counts_unclassified_profiles():
+    # from step 5 some profiles fit no case of the table; each is counted
+    report = termination_sweep(5, 4)
+    assert report["profiles"] == 69
+    assert report["classification_failures"] == 25
+    assert report["w_violations"] == 0
+
+
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_termination_sweep_small(r):
     report = termination_sweep(r, 3)
