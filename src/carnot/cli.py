@@ -89,7 +89,9 @@ def _parse_polys(text):
         return [parse_poly(piece) for piece in text.split(";")]
     if not isinstance(data, list):
         raise ValueError("JSON polynomial input is a list of terms or of term lists")
-    if data and isinstance(data[0], dict):
+    if not data:
+        raise ValueError("no polynomial given: the JSON list is empty")
+    if isinstance(data[0], dict):
         data = [data]
     return [poly_from_json(t) for t in data]
 
@@ -344,17 +346,22 @@ def rewrite_sweep(step_r, max_total):
 @click.option("--out", type=click.Path(), default=None, help="CSV output path")
 def solve_cmd(group_name, n, bc_text, f_text, half_width, out):
     """Solve the weak form with Dirichlet data on the box faces."""
-    spec = resolve_group(group_name)
-    bc = _parse_polys(bc_text)
-    f = _parse_polys(f_text) if f_text else None
-    ident = SystemCoefficients.identity(len(bc), spec.m)
-    sol = numerics.assemble_and_solve(
-        spec, ident, bc, f=f, n=n, half_widths=half_width
-    )
+    _, sol = _solve(group_name, n, bc_text, f_text, half_width)
     if out:
         _write_csv(sol, out)
         click.echo(f"wrote {out}")
     _emit({"solve_report": sol.solve_report})
+
+
+def _solve(group_name, n, bc_text, f_text=None, half_width=1.0):
+    """The group spec and the identity-coefficient solution for the data."""
+    spec = resolve_group(group_name)
+    bc = _parse_polys(bc_text)
+    f = _parse_polys(f_text) if f_text else None
+    ident = SystemCoefficients.identity(len(bc), spec.m)
+    return spec, numerics.assemble_and_solve(
+        spec, ident, bc, f=f, n=n, half_widths=half_width
+    )
 
 
 def _write_csv(field, path):
@@ -379,13 +386,6 @@ def verify_group():
     """Desk-scale estimate checks; exit 1 when a check fails."""
 
 
-def _solve_for_check(group_name, n, bc_text):
-    spec = resolve_group(group_name)
-    bc = _parse_polys(bc_text)
-    ident = SystemCoefficients.identity(len(bc), spec.m)
-    return spec, numerics.assemble_and_solve(spec, ident, bc, n=n)
-
-
 def _emit_verdict(rep, constant):
     """Emit the report; exit 1 unless the constant is finite and positive."""
     rep["stable"] = math.isfinite(constant) and constant > 0
@@ -400,7 +400,7 @@ def _emit_verdict(rep, constant):
 @click.option("--bc", "bc_text", default="poly:p11*p21", show_default=True)
 @click.option("--radius", type=float, default=0.45, show_default=True)
 def verify_caccioppoli(group_name, n, bc_text, radius):
-    _, sol = _solve_for_check(group_name, n, bc_text)
+    _, sol = _solve(group_name, n, bc_text)
     rep = numerics.caccioppoli_check(sol, radius=radius)
     _emit_verdict(rep, rep["empirical_constant"])
 
@@ -415,8 +415,8 @@ def verify_peetre(group_name, n, direction, alpha, beta):
     spec = resolve_group(group_name)
     u = _bump_field(spec, n)
     d = tuple(int(x) for x in direction.split(","))
-    high = numerics.peetre_seminorm(u, numerics.SeminormParams(d, alpha))
-    low = numerics.peetre_seminorm(u, numerics.SeminormParams(d, beta))
+    high = numerics.peetre_seminorm(u, d, alpha)
+    low = numerics.peetre_seminorm(u, d, beta)
     rep = {
         "direction": list(d),
         "alpha": alpha,
@@ -460,7 +460,7 @@ def _bump_field(spec, n, support=0.8):
 @click.option("--tau", type=float, default=0.5, show_default=True)
 @click.option("--radii", default="0.25,0.5,1", show_default=True)
 def verify_decay(group_name, n, bc_text, tau, radii):
-    spec, sol = _solve_for_check(group_name, n, bc_text)
+    spec, sol = _solve(group_name, n, bc_text)
     center = [0.0] * len(spec.basis)
     radii_list = [float(x) for x in radii.split(",")]
     rep = regularity.excess_decay_check(sol, center, tau, max(radii_list),
@@ -479,7 +479,7 @@ def verify_decay(group_name, n, bc_text, tau, radii):
 @click.option("--bc", "bc_text", default="poly:p11*p21", show_default=True)
 @click.option("--radius", type=float, default=0.4, show_default=True)
 def verify_supbound(group_name, n, bc_text, radius):
-    spec, sol = _solve_for_check(group_name, n, bc_text)
+    spec, sol = _solve(group_name, n, bc_text)
     center = [0.0] * len(spec.basis)
     rep = regularity.sup_estimate_check(sol, center, radius)
     _emit_verdict(rep, rep["ratio"])
@@ -491,7 +491,7 @@ def verify_supbound(group_name, n, bc_text, radius):
 @click.option("--bc", "bc_text", default="poly:p12", show_default=True)
 @click.option("--radius", type=float, default=0.4, show_default=True)
 def verify_estimate(group_name, n, bc_text, radius):
-    spec, sol = _solve_for_check(group_name, n, bc_text)
+    spec, sol = _solve(group_name, n, bc_text)
     rep = regularity.higher_order_estimate_check(sol, radius=radius)
     _emit_verdict(rep, rep["empirical_constant"])
 

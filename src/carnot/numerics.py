@@ -20,7 +20,7 @@ from scipy.ndimage import map_coordinates
 from scipy.sparse.linalg import cg as _cg
 
 from .algebra import AlgebraSpec
-from .fields import SystemCoefficients
+from .fields import SystemCoefficients, left_invariant_field, system_residual
 from .group import gauge_norm_arrays, product_arrays
 from .poly import PolyFunction
 
@@ -73,6 +73,8 @@ class Grid:
             widths = [float(half_widths[lab[0]]) for lab in self.axes]
         else:
             widths = [float(w) for w in half_widths]
+        if not all(math.isfinite(w) and w > 0 for w in widths):
+            raise ValueError(f"half widths must be finite and positive, got {widths}")
         self.half_widths = tuple(widths)
         if any(s < 2 for s in self.shape):
             raise ValueError("need at least two nodes per axis")
@@ -341,54 +343,40 @@ def sobolev_norm(u: GridField, order=1, region=None, s=None):
 # seminorms
 # ---------------------------------------------------------------------------
 
-class SeminormParams:
-    """Direction, fractional order and offset sampling for the seminorm."""
-
-    def __init__(self, direction, alpha, epsilon0=None, offset_samples=16):
-        if not (0 < alpha <= 1):
-            raise ValueError("order must lie in (0, 1]")
-        self.direction = tuple(direction)
-        self.alpha = float(alpha)
-        self.epsilon0 = epsilon0
-        self.offset_samples = int(offset_samples)
+# offsets sampled, geometrically, by the seminorm's sup
+OFFSET_SAMPLES = 16
 
 
-def peetre_seminorm(u: GridField, params: SeminormParams) -> float:
-    """Sup over sampled offsets of the squared fractional flow quotient.
+def peetre_seminorm(u: GridField, direction, alpha, epsilon0=None) -> float:
+    """Sup over sampled offsets in ``(0, epsilon0]`` of the squared flow
+    quotient of fractional order ``alpha`` in (0, 1] along ``direction``.
 
     The field is treated as compactly supported: flows that leave the box
     read zero.
     """
+    if not (0 < alpha <= 1):
+        raise ValueError("order must lie in (0, 1]")
     grid = u.grid
-    eps0 = params.epsilon0
-    if eps0 is None:
-        eps0 = 4.0 * grid.horizontal_spacing()
-    offsets = np.geomspace(eps0 / 2 ** (params.offset_samples - 1), eps0,
-                           params.offset_samples)
+    eps0 = 4.0 * grid.horizontal_spacing() if epsilon0 is None else epsilon0
+    offsets = np.geomspace(eps0 / 2 ** (OFFSET_SAMPLES - 1), eps0, OFFSET_SAMPLES)
     worst = 0.0
     for h in offsets:
-        coords = flow_coordinates(grid, params.direction, float(h))
+        coords = flow_coordinates(grid, direction, float(h))
         moved, _ = sample_at(u, coords, outside_zero=True)
         diff = ((moved - u.values) ** 2).sum(axis=-1)
-        val = integrate(diff, grid) / float(h) ** (2 * params.alpha)
+        val = integrate(diff, grid) / float(h) ** (2 * float(alpha))
         worst = max(worst, val)
     return float(worst)
 
 
-def hormander_ratio(u: GridField, direction, epsilon0=None, offset_samples=16):
+def hormander_ratio(u: GridField, direction):
     """Ratio of the fractional seminorm along one layer-k direction to the
     full-order horizontal seminorms plus the L2 norm."""
-    direction = tuple(direction)
-    k = direction[0]
     spec = u.grid.spec
-    lhs = peetre_seminorm(
-        u, SeminormParams(direction, 1.0 / k, epsilon0, offset_samples)
-    )
+    lhs = peetre_seminorm(u, direction, 1.0 / direction[0])
     rhs = 0.0
     for j in range(1, spec.m + 1):
-        rhs += peetre_seminorm(
-            u, SeminormParams((1, j), 1.0, epsilon0, offset_samples)
-        )
+        rhs += peetre_seminorm(u, (1, j), 1.0)
     rhs += l2_norm_sq(u)
     if rhs == 0.0:
         return 0.0
@@ -399,30 +387,6 @@ def hormander_ratio(u: GridField, direction, epsilon0=None, offset_samples=16):
 # weak-form assembly and solve
 # ---------------------------------------------------------------------------
 
-def _axis_shift_difference(grid: Grid, ax, sign):
-    """Sparse one-sided coordinate difference along one axis."""
-    size = int(np.prod(grid.shape))
-    h = grid.spacing[ax]
-    stride = 1
-    for a in range(len(grid.shape) - 1, ax, -1):
-        stride *= grid.shape[a]
-    idx = np.indices(grid.shape)[ax].ravel()
-    if sign > 0:
-        valid_flat = idx < grid.shape[ax] - 1
-        shift = stride
-    else:
-        valid_flat = idx > 0
-        shift = -stride
-    rows = np.arange(size)[valid_flat]
-    data = np.concatenate([np.full(rows.size, 1.0 / (sign * h)),
-                           np.full(rows.size, -1.0 / (sign * h))])
-    cols = np.concatenate([rows + shift, rows])
-    mat = sparse.coo_matrix(
-        (data, (np.concatenate([rows, rows]), cols)), shape=(size, size)
-    ).tocsr()
-    return mat, valid_flat.reshape(grid.shape)
-
-
 def coordinate_derivative_matrix(grid: Grid, direction, sign):
     """One-sided discretization of a left-invariant field in coordinate
     form: exact polynomial coefficients times axis-aligned differences.
@@ -430,20 +394,61 @@ def coordinate_derivative_matrix(grid: Grid, direction, sign):
     Axis stencils stay on the lattice, so no interpolation enters and the
     only invalid rows are on the faces the differences step over.
     """
-    from .fields import left_invariant_field
-
     op = left_invariant_field(grid.spec, direction)
     nodes = grid.node_arrays()
-    size = int(np.prod(grid.shape))
-    total = sparse.csr_matrix((size, size))
+    index = np.arange(math.prod(grid.shape)).reshape(grid.shape)
     valid = np.ones(grid.shape, dtype=bool)
+    rows, cols, data = [], [], []
     for label, coeff in op.coeffs.items():
         ax = grid.axis_of(label)
-        diff, v = _axis_shift_difference(grid, ax, sign)
-        cvals = coeff.evaluate_arrays(nodes).ravel()
-        total = total + sparse.diags(cvals) @ diff
-        valid &= v
-    return total, valid
+        # each row steps to its neighbour along the axis; the face the step
+        # would leave has no row
+        along = np.moveaxis(index, ax, 0)
+        here, there = (along[:-1], along[1:]) if sign > 0 else (along[1:], along[:-1])
+        np.moveaxis(valid, ax, 0)[-1 if sign > 0 else 0] = False
+        here, there = here.ravel(), there.ravel()
+        c = coeff.evaluate_arrays(nodes).ravel()[here] / (sign * grid.spacing[ax])
+        rows += [here, here]
+        cols += [there, here]
+        data += [c, -c]
+    coo = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
+    return sparse.csr_matrix(coo, shape=(index.size,) * 2), valid
+
+
+def _derivative_stack(grid: Grid, ncomp):
+    """G, the one-sided derivatives X_i of both signs for ``ncomp``
+    components (rows ordered side, node, alpha, i), and each side's node
+    weights: half the cell volume where all that side's stencils stay on
+    the grid.  Averaging the two sides' quadratic forms gives the compact
+    stencil (no odd-even decoupling) and cancels the first-order term."""
+    m = grid.spec.m
+    size = math.prod(grid.shape)
+    comps = np.arange(ncomp)
+    rows, cols, vals, weights = [], [], [], []
+    for side, sgn in enumerate((+1, -1)):
+        valid = np.ones(grid.shape, dtype=bool)
+        for i in range(m):
+            mat, v = coordinate_derivative_matrix(grid, (1, i + 1), sgn)
+            valid &= v
+            mat = mat.tocoo()
+            # 64-bit indices: scipy's 32-bit ones would wrap on large grids
+            row, col = mat.row.astype(np.int64), mat.col.astype(np.int64)
+            rows.append(((side * size + row[:, None]) * ncomp + comps) * m + i)
+            cols.append(col[:, None] * ncomp + comps)
+            vals.append(np.repeat(mat.data, ncomp))
+        weights.append(np.where(valid.ravel(), 0.5 * grid.cell_volume, 0.0))
+    # one list at a time, so that each is freed before the next is joined
+    vals = np.concatenate(vals)
+    rows = np.concatenate(rows).ravel()
+    cols = np.concatenate(cols).ravel()
+    shape = (2 * size * ncomp * m, size * ncomp)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=shape), np.stack(weights)
+
+
+# CG polishes to the next tolerance while the weak residual fails its gate
+CG_RTOLS = (1e-12, 1e-15)
+CG_MAXITER = 20000
+WEAK_RESIDUAL_TOL = 1e-10
 
 
 def assemble_and_solve(
@@ -454,8 +459,6 @@ def assemble_and_solve(
     f_i=None,
     n=16,
     half_widths=1.0,
-    rtol=1e-12,
-    maxiter=20000,
 ) -> GridField:
     """Solve the discrete weak form with Dirichlet data on the box faces.
 
@@ -468,60 +471,32 @@ def assemble_and_solve(
             f"coefficients are not coercive (margin {A.coercivity_margin():.3e})"
         )
     grid = Grid(spec, n, half_widths)
-    ncomp = A.n_components
-    m = spec.m
+    ncomp, m = A.n_components, spec.m
 
-    def as_field(obj, default=0.0):
+    def as_field(obj, name):
         if obj is None:
-            return GridField(grid, np.full(grid.shape + (ncomp,), default))
-        if isinstance(obj, GridField):
-            return obj
-        return GridField.from_polys(grid, obj)
+            return GridField.zeros(grid, ncomp)
+        obj = obj if isinstance(obj, GridField) else GridField.from_polys(grid, obj)
+        if obj.n_components != ncomp:
+            raise ValueError(f"{name} has {obj.n_components} components; need {ncomp}")
+        return obj
 
-    g = as_field(boundary)
-    f_field = as_field(f)
-    fi_fields = [as_field(None) for _ in range(m)] if f_i is None else [
-        as_field(fi) for fi in f_i
-    ]
+    g = as_field(boundary, "the boundary data")
+    f_field = as_field(f, "f")
+    f_i = [None] * m if f_i is None else f_i
+    if len(f_i) != m:
+        raise ValueError(f"f_i has {len(f_i)} entries; the group has {m} X_i")
+    flux = np.stack([as_field(fi, f"f_{i}").values for i, fi in enumerate(f_i, 1)], -1)
 
-    # symmetrized pair of one-sided coordinate-form derivatives: the average
-    # of the forward and backward quadratic forms gives the compact stencil
-    # (no odd-even lattice decoupling) and cancels the first-order term
-    sides = []
-    for sgn in (+1, -1):
-        mats = []
-        valid = np.ones(grid.shape, dtype=bool)
-        for i in range(1, m + 1):
-            mat, v = coordinate_derivative_matrix(grid, (1, i), sgn)
-            mats.append(mat)
-            valid &= v
-        sides.append((mats, np.where(valid.ravel(), 0.5 * grid.cell_volume, 0.0)))
+    # the weak form is K = G^T B G, with B block diagonal: at each node of
+    # each side the weight times the form of A on the slots (alpha, i)
+    g_mat, w = _derivative_stack(grid, ncomp)
+    b_mat = sparse.kron(sparse.diags(w.ravel()), A.quadratic_form_matrix(), "csr")
+    k_mat = (g_mat.T @ (b_mat @ g_mat)).tocsr()
+    b = -(g_mat.T @ (w[:, :, None, None] * flux.reshape(-1, ncomp, m)).ravel())
+    b -= (w.sum(axis=0)[:, None] * f_field.values.reshape(-1, ncomp)).ravel()
 
-    a_blocks = [
-        [np.array([[float(A.entry(al, be, i, j)) for be in range(ncomp)]
-                   for al in range(ncomp)])
-         for j in range(m)] for i in range(m)
-    ]
-    size = int(np.prod(grid.shape))
-    k_mat = sparse.csr_matrix((size * ncomp, size * ncomp))
-    b = np.zeros(size * ncomp)
-    w_total = np.zeros(size)
-    for mats, w_diag in sides:
-        weight = sparse.diags(w_diag)
-        w_total += w_diag
-        for i in range(m):
-            di_w = mats[i].T @ weight
-            for j in range(m):
-                block = a_blocks[i][j]
-                if not block.any():
-                    continue
-                s_ij = di_w @ mats[j]
-                k_mat = k_mat + sparse.kron(s_ij, sparse.csr_matrix(block), format="csr")
-            b -= (di_w @ fi_fields[i].values.reshape(size, ncomp)).reshape(-1)
-    b -= (w_total[:, None] * f_field.values.reshape(size, ncomp)).reshape(-1)
-
-    boundary_nodes = grid.boundary_mask().ravel()
-    fixed = np.repeat(boundary_nodes, ncomp)
+    fixed = np.repeat(grid.boundary_mask().ravel(), ncomp)
     free = ~fixed
     x = g.values.reshape(-1).copy()
     rhs = b[free] - k_mat[free][:, fixed] @ x[fixed]
@@ -542,18 +517,15 @@ def assemble_and_solve(
         scale = k_inf * float(np.max(np.abs(vec))) + float(np.max(np.abs(rhs)))
         return float(np.max(np.abs(residual))) / max(scale, 1e-300)
 
-    sol, info = _cg(k_ff, rhs, rtol=rtol, atol=0.0, maxiter=maxiter, M=precond)
-    if not np.all(np.isfinite(sol)):
-        raise SolverDiverged(f"conjugate gradient failed (info={info})")
-    rel_residual = componentwise_residual(sol)
-    if rel_residual > 1e-10:
-        # polish from the current iterate before giving up
-        sol, info = _cg(
-            k_ff, rhs, x0=sol, rtol=1e-15, atol=0.0, maxiter=maxiter, M=precond
-        )
+    sol = None
+    for rtol in CG_RTOLS:
+        sol, info = _cg(k_ff, rhs, x0=sol, rtol=rtol, atol=0.0, maxiter=CG_MAXITER,
+                        M=precond)
         if not np.all(np.isfinite(sol)):
             raise SolverDiverged(f"conjugate gradient failed (info={info})")
         rel_residual = componentwise_residual(sol)
+        if rel_residual <= WEAK_RESIDUAL_TOL:
+            break
     x[free] = sol
     field = GridField(grid, x.reshape(grid.shape + (ncomp,)))
     field.solve_report = {
@@ -563,17 +535,15 @@ def assemble_and_solve(
         "diag_ratio": float(diag.max() / diag.min()),
         "coercivity_margin": A.coercivity_margin(),
     }
-    if rel_residual > 1e-10:
+    if rel_residual > WEAK_RESIDUAL_TOL:
         raise SolverDiverged(
-            f"weak-form residual {rel_residual:.2e} above tolerance 1e-10"
+            f"weak-form residual {rel_residual:.2e} above tolerance {WEAK_RESIDUAL_TOL}"
         )
     return field
 
 
 def manufactured_source(spec, A: SystemCoefficients, u_polys, fi_polys=None):
     """Source polynomials making the given polynomials an exact solution."""
-    from .fields import system_residual
-
     if isinstance(u_polys, PolyFunction):
         u_polys = [u_polys]
     return system_residual(spec, A, u_polys, f_i=fi_polys, f=None)

@@ -55,8 +55,11 @@ def excess_profile(u: GridField, center, radii) -> ExcessReport:
     """Excess at several radii with a least-squares decay exponent.
 
     The fitted exponent is the slope of ``log`` integral oscillation
-    (excess times ball volume) against ``log`` radius.
+    (excess times ball volume) against ``log`` radius, so at least two
+    distinct radii are needed.
     """
+    if len(set(radii)) < 2:
+        raise ValueError(f"the decay fit needs two distinct radii, got {list(radii)}")
     grid = u.grid
     values, means, integrals = [], [], []
     for rad in radii:
@@ -66,13 +69,12 @@ def excess_profile(u: GridField, center, radii) -> ExcessReport:
         integrals.append(total * grid.cell_volume)
     logs_r = np.log(np.asarray(radii, dtype=float))
     logs_i = np.log(np.maximum(np.asarray(integrals), 1e-300))
-    slope = float(np.polyfit(logs_r, logs_i, 1)[0]) if len(radii) > 1 else float("nan")
     return ExcessReport(
         center=[float(c) for c in center],
         radii=[float(r) for r in radii],
         values=values,
         means=means,
-        fitted_exponent=slope,
+        fitted_exponent=float(np.polyfit(logs_r, logs_i, 1)[0]),
         integral_values=integrals,
     )
 

@@ -278,6 +278,14 @@ def test_verify_constant_not_positive_exits_1(runner):
     (["verify", "peetre", "--n", "5", "--direction", "9,9"], "not a coordinate axis"),
     (["verify", "peetre", "--n", "5", "--direction", "1"], "not a coordinate axis"),
     (["verify", "hormander", "--n", "5", "--direction", "3,1"], "not a coordinate axis"),
+    (["solve", "--n", "8", "--half-width", "0"], "half widths must be finite and"),
+    (["solve", "--n", "8", "--half-width", "-1"], "finite and positive, got [-1.0,"),
+    (["solve", "--n", "8", "--half-width", "nan"], "finite and positive, got [nan,"),
+    (["solve", "--n", "8", "--bc", "[]"], "no polynomial given"),
+    (["solve", "--n", "8", "--bc", "p11", "--f", "[]"], "no polynomial given"),
+    (["solve", "--n", "8", "--bc", "p11", "--f", "p11;p21"], "f has 2 components; need 1"),
+    (["verify", "decay", "--n", "12", "--radii", "1"], "two distinct radii, got [1.0]"),
+    (["verify", "decay", "--n", "12", "--radii", "1,1"], "two distinct radii"),
 ])
 def test_domain_errors_exit_2_with_one_line(runner, args, message):
     result = runner.invoke(main, args)

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from carnot import regularity
+from carnot import numerics, regularity
 from carnot.algebra import build_free_nilpotent
 from carnot.catalog import resolve_group
 from carnot.fields import SystemCoefficients, left_invariant_field
@@ -16,7 +17,6 @@ from carnot.numerics import (
     GridField,
     MarginTooSmall,
     NumericsError,
-    SeminormParams,
     SolverDiverged,
     StepTooLarge,
     assemble_and_solve,
@@ -103,28 +103,28 @@ def test_centered_derivative_second_order(heis):
 def test_seminorm_zero_field(heis):
     grid = Grid(heis, 9, 1.0)
     u = GridField.zeros(grid)
-    assert peetre_seminorm(u, SeminormParams((1, 1), 1.0)) == 0.0
+    assert peetre_seminorm(u, (1, 1), 1.0) == 0.0
 
 
 def test_seminorm_scaling_quadratic(heis):
     u = bump_field(heis)
-    base = peetre_seminorm(u, SeminormParams((1, 1), 0.5))
-    scaled = peetre_seminorm(u.scale(3.0), SeminormParams((1, 1), 0.5))
+    base = peetre_seminorm(u, (1, 1), 0.5)
+    scaled = peetre_seminorm(u.scale(3.0), (1, 1), 0.5)
     assert scaled == pytest.approx(9.0 * base, rel=1e-12)
 
 
 def test_seminorm_order_monotone(heis):
     u = bump_field(heis)
     eps0 = 4.0 * u.grid.horizontal_spacing()
-    low = peetre_seminorm(u, SeminormParams((1, 1), 0.5, eps0))
-    high = peetre_seminorm(u, SeminormParams((1, 1), 1.0, eps0))
+    low = peetre_seminorm(u, (1, 1), 0.5, eps0)
+    high = peetre_seminorm(u, (1, 1), 1.0, eps0)
     assert low <= high
     assert math.isfinite(low) and low > 0
 
 
 def test_seminorm_invalid_order(heis):
-    with pytest.raises(ValueError):
-        SeminormParams((1, 1), 1.5)
+    with pytest.raises(ValueError, match=r"order must lie in \(0, 1\]"):
+        peetre_seminorm(GridField.zeros(Grid(heis, 5, 1.0)), (1, 1), 1.5)
 
 
 def test_hormander_ratio_zero_field(heis):
@@ -140,11 +140,11 @@ def test_hormander_ratio_stable_under_refinement(heis):
 
 def test_hormander_layer1_direction_reduces_to_full_order(heis):
     u = bump_field(heis)
-    lhs = peetre_seminorm(u, SeminormParams((1, 2), 1.0))
+    lhs = peetre_seminorm(u, (1, 2), 1.0)
     ratio = hormander_ratio(u, (1, 2))
     rhs = (
-        peetre_seminorm(u, SeminormParams((1, 1), 1.0))
-        + peetre_seminorm(u, SeminormParams((1, 2), 1.0))
+        peetre_seminorm(u, (1, 1), 1.0)
+        + peetre_seminorm(u, (1, 2), 1.0)
         + l2_norm_sq(u)
     )
     assert ratio == pytest.approx(lhs / rhs, rel=1e-12)
@@ -432,8 +432,126 @@ def test_peetre_sandwich_constant_stable_across_refinements(heis):
     for n in (13, 25):
         u = bump_field(heis, n)
         eps0 = 0.25  # same offsets at both resolutions
-        low = peetre_seminorm(u, SeminormParams((1, 1), 0.5, eps0))
-        high = peetre_seminorm(u, SeminormParams((1, 1), 1.0, eps0))
+        low = peetre_seminorm(u, (1, 1), 0.5, eps0)
+        high = peetre_seminorm(u, (1, 1), 1.0, eps0)
         ratios.append(low / high)
     assert all(r > 0 for r in ratios)
     assert max(ratios) <= 2.0 * min(ratios)
+
+
+# -- the one-product assembly against the per-block sum it replaced
+
+def _replica_derivative(grid, direction, sign):
+    # sum over the field's coefficients of diag(c) times a one-sided
+    # coordinate difference, one sparse addition each
+    op = left_invariant_field(grid.spec, direction)
+    nodes = grid.node_arrays()
+    size = int(np.prod(grid.shape))
+    total = sparse.csr_matrix((size, size))
+    valid = np.ones(grid.shape, dtype=bool)
+    for label, coeff in op.coeffs.items():
+        ax = grid.axis_of(label)
+        idx = np.indices(grid.shape)[ax].ravel()
+        ok = idx < grid.shape[ax] - 1 if sign > 0 else idx > 0
+        rows = np.flatnonzero(ok)
+        step = sign * int(np.prod(grid.shape[ax + 1:]))
+        inv = 1.0 / (sign * grid.spacing[ax])
+        diff = sparse.coo_matrix(
+            (np.concatenate([np.full(rows.size, inv), np.full(rows.size, -inv)]),
+             (np.concatenate([rows, rows]), np.concatenate([rows + step, rows]))),
+            shape=(size, size),
+        ).tocsr()
+        total = total + sparse.diags(coeff.evaluate_arrays(nodes).ravel()) @ diff
+        valid &= ok.reshape(grid.shape)
+    return total, valid
+
+
+def _replica_system(spec, A, n, boundary, f, f_i):
+    # sum of kron(D_i^T W D_j, A_ij) over both sides and all (i, j), the
+    # loads -D_i^T W f_i and -w f, then the Dirichlet elimination
+    grid = Grid(spec, n)
+    ncomp, m = A.n_components, spec.m
+    size = int(np.prod(grid.shape))
+    nodes = grid.node_arrays()
+
+    def values(polys):
+        return np.stack([p.evaluate_arrays(nodes) for p in polys], -1).reshape(size, ncomp)
+
+    k_mat = sparse.csr_matrix((size * ncomp, size * ncomp))
+    b = np.zeros(size * ncomp)
+    w_total = np.zeros(size)
+    for sgn in (+1, -1):
+        mats, valid = [], np.ones(grid.shape, dtype=bool)
+        for i in range(m):
+            mat, v = _replica_derivative(grid, (1, i + 1), sgn)
+            mats.append(mat)
+            valid &= v
+        w_diag = np.where(valid.ravel(), 0.5 * grid.cell_volume, 0.0)
+        w_total += w_diag
+        for i in range(m):
+            di_w = mats[i].T @ sparse.diags(w_diag)
+            for j in range(m):
+                block = np.array([[float(A.entry(al, be, i, j)) for be in range(ncomp)]
+                                  for al in range(ncomp)])
+                if block.any():
+                    k_mat = k_mat + sparse.kron(di_w @ mats[j], sparse.csr_matrix(block),
+                                                format="csr")
+            b -= (di_w @ values(f_i[i])).reshape(-1)
+    b -= (w_total[:, None] * values(f)).reshape(-1)
+    fixed = np.repeat(grid.boundary_mask().ravel(), ncomp)
+    free = ~fixed
+    x = values(boundary).reshape(-1)
+    return k_mat[free][:, free], b[free] - k_mat[free][:, fixed] @ x[fixed]
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name,n,ncomp", [
+    ("heisenberg", 20, 1), ("engel", 10, 1), ("heisenberg", 10, 2),
+])
+def test_assembly_matches_the_per_block_sum(name, n, ncomp, monkeypatch):
+    spec = resolve_group(name)
+    m = spec.m
+    if ncomp == 1:
+        A = SystemCoefficients.identity(1, m)
+        boundary, f = [P11 * P21 + 1], [P11 - P21.scale(2)]
+        f_i = [[P21 * P11]] + [[P11.scale(i)] for i in range(1, m)]
+    else:
+        # coupled and not symmetric: A(0, 1, 0, 1) != A(1, 0, 1, 0); the
+        # symmetric part stays positive definite
+        A = SystemCoefficients([
+            [[[2, Fraction(1, 2)], [0, 1]], [[0, Fraction(1, 3)], [Fraction(-1, 4), 0]]],
+            [[[0, 0], [Fraction(1, 5), 0]], [[1, 0], [Fraction(1, 7), 3]]],
+        ])
+        boundary, f = [P11, P12 * P21], [P11 * P12, PolyFunction.constant(1)]
+        f_i = [[P21, P11 * P11], [P12, P21.scale(-1)]]
+    captured = []
+
+    def capture(k_ff, rhs, **kwargs):
+        captured.append((k_ff, rhs))
+        raise _Captured
+
+    monkeypatch.setattr(numerics, "_cg", capture)
+    with pytest.raises(_Captured):
+        assemble_and_solve(spec, A, boundary, f=f, f_i=f_i, n=n)
+    (k_got, b_got), = captured
+    k_want, b_want = _replica_system(spec, A, n, boundary, f, f_i)
+    k_got, k_want = k_got.tocsr(), k_want.tocsr()
+    k_got.sort_indices()
+    k_want.sort_indices()
+    assert np.array_equal(k_got.indptr, k_want.indptr)
+    assert np.array_equal(k_got.indices, k_want.indices)
+    assert np.abs(k_got.data - k_want.data).max() <= 1e-14 * np.abs(k_want.data).max()
+    assert np.abs(b_got - b_want).max() <= 1e-14 * np.abs(b_want).max()
+
+
+def test_solver_checks_the_data_against_the_system(heis):
+    ident = SystemCoefficients.identity(1, 2)
+    with pytest.raises(ValueError, match="the boundary data has 2 components; need 1"):
+        assemble_and_solve(heis, ident, [P11, P12], n=5)
+    with pytest.raises(ValueError, match="f_2 has 2 components; need 1"):
+        assemble_and_solve(heis, ident, [P11], f_i=[[P11], [P11, P12]], n=5)
+    with pytest.raises(ValueError, match="f_i has 1 entries; the group has 2 X_i"):
+        assemble_and_solve(heis, ident, [P11], f_i=[[P11]], n=5)
