@@ -10,6 +10,7 @@ step equal to the grid spacing.
 
 from __future__ import annotations
 
+import functools
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -17,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import sparse
 from scipy.ndimage import map_coordinates
-from scipy.sparse.linalg import cg as _cg
+from scipy.sparse.linalg import splu
 
 from .algebra import AlgebraSpec
 from .fields import SystemCoefficients, left_invariant_field, system_residual
@@ -146,9 +147,11 @@ class GridField:
         return GridField(grid, np.zeros(grid.shape + (n_components,)))
 
     @staticmethod
-    def from_polys(grid, polys):
+    def from_polys(grid, polys, name="the data"):
         if isinstance(polys, PolyFunction):
             polys = [polys]
+        if not polys:
+            raise ValueError(f"{name} has no polynomial")
         nodes = grid.node_arrays()
         comps = [p.evaluate_arrays(nodes) for p in polys]
         return GridField(grid, np.stack(comps, axis=-1))
@@ -423,7 +426,11 @@ def _derivative_stack(grid: Grid, ncomp):
     stencil (no odd-even decoupling) and cancels the first-order term."""
     m = grid.spec.m
     size = math.prod(grid.shape)
-    comps = np.arange(ncomp)
+    shape = (2 * size * ncomp * m, size * ncomp)
+    # 32-bit indices where they fit, which scipy keeps without a copy;
+    # 64-bit ones where 32 bits would wrap
+    index = np.int32 if shape[0] < 2 ** 31 else np.int64
+    comps = np.arange(ncomp, dtype=index)
     rows, cols, vals, weights = [], [], [], []
     for side, sgn in enumerate((+1, -1)):
         valid = np.ones(grid.shape, dtype=bool)
@@ -431,8 +438,7 @@ def _derivative_stack(grid: Grid, ncomp):
             mat, v = coordinate_derivative_matrix(grid, (1, i + 1), sgn)
             valid &= v
             mat = mat.tocoo()
-            # 64-bit indices: scipy's 32-bit ones would wrap on large grids
-            row, col = mat.row.astype(np.int64), mat.col.astype(np.int64)
+            row, col = mat.row.astype(index), mat.col.astype(index)
             rows.append(((side * size + row[:, None]) * ncomp + comps) * m + i)
             cols.append(col[:, None] * ncomp + comps)
             vals.append(np.repeat(mat.data, ncomp))
@@ -441,8 +447,126 @@ def _derivative_stack(grid: Grid, ncomp):
     vals = np.concatenate(vals)
     rows = np.concatenate(rows).ravel()
     cols = np.concatenate(cols).ravel()
-    shape = (2 * size * ncomp * m, size * ncomp)
     return sparse.csr_matrix((vals, (rows, cols)), shape=shape), np.stack(weights)
+
+
+def _dot(u, v):
+    # numpy's pairwise sum in a fixed order: unlike BLAS ddot, its bits do
+    # not depend on the BLAS thread count
+    return float(np.add.reduce(u * v))
+
+
+def _cg(A, b, x0=None, *, rtol, atol, maxiter, M, callback=None):
+    """Preconditioned conjugate gradients, the loop of scipy's ``cg`` with
+    every inner product taken by :func:`_dot`.
+
+    ``M`` is a callable applied once per iteration and ``callback(x)`` runs
+    after each one.  Returns ``(x, info)``: info is 0 once the residual
+    norm is below ``max(atol, rtol * |b|)``, else ``maxiter``.
+    """
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+    tol = max(atol, rtol * math.sqrt(_dot(b, b)))
+    r = b - A @ x if x.any() else b.copy()
+    p, rho_prev = None, None
+    for _ in range(maxiter):
+        if math.sqrt(_dot(r, r)) <= tol:
+            return x, 0
+        z = M(r)
+        rho = _dot(r, z)
+        if p is None:
+            p = z.copy()
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = A @ p
+        alpha = rho / _dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        if callback is not None:
+            callback(x)
+    return x, maxiter
+
+
+def _interpolation(size):
+    """Nested linear interpolation onto ``size`` interior nodes of an axis
+    from its even nodes 0, 2, 4, ...: an odd node takes the mean of its two
+    neighbours, and a neighbour beyond the last node is the Dirichlet face."""
+    coarse = (size + 1) // 2
+    fine = np.arange(size)
+    left = fine // 2
+    odd = fine % 2 == 1
+    right = odd & (left + 1 < coarse)
+    rows = np.concatenate([fine, fine[right]])
+    cols = np.concatenate([left, left[right] + 1])
+    vals = np.concatenate([np.where(odd, 0.5, 1.0), np.full(int(right.sum()), 0.5)])
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(size, coarse))
+
+
+# power steps behind each level's estimate of the spectral radius of D^-1 K
+POWER_STEPS = 12
+
+
+def _jacobi_weights(k):
+    """omega / diag(K) with omega = 4 / (3 rho), rho a power-iteration
+    estimate of the spectral radius of D^-1 K from a fixed start vector."""
+    dinv = 1.0 / k.diagonal()
+    v = np.random.default_rng(0).standard_normal(k.shape[0])
+    for _ in range(POWER_STEPS):
+        kv = k @ v
+        # Rayleigh quotient in the D inner product: a lower bound on rho
+        rho = _dot(v, kv) / _dot(v, v / dinv)
+        v = dinv * kv
+        v /= np.abs(v).max()
+    return (4.0 / (3.0 * rho)) * dinv
+
+
+class VCycle:
+    """Symmetric multigrid V-cycle for the interior unknowns of a grid.
+
+    The horizontal (layer-1) axes are coarsened first, by
+    :func:`_interpolation`, while the upper layers keep every node: the
+    sub-Laplacian reaches them only through its coefficients, so it couples
+    strongly only along the horizontal axes.  Once no horizontal axis has
+    more than two interior nodes the upper-layer axes are coarsened too, so
+    that the LU at the bottom sees at most two interior nodes per axis.
+    Coarse operators are Galerkin products P^T K P, with P the Kronecker
+    product of the axis interpolations and the identity on the components;
+    each level smooths with one damped Jacobi sweep before and one after.
+    Calling the cycle on a residual returns the correction; ``applications``
+    counts the calls.
+    """
+
+    def __init__(self, k, grid: Grid, ncomp):
+        shape = [s - 2 for s in grid.shape]
+        horizontal = [grid.axis_of((1, i)) for i in range(1, grid.spec.m + 1)]
+        self.levels = []        # (K, omega D^-1, P, P^T) per level above the LU
+        while any(s > 2 for s in shape):
+            axes = ([ax for ax in horizontal if shape[ax] > 2]
+                    or [ax for ax, s in enumerate(shape) if s > 2])
+            factors = [sparse.identity(s, format="csr") for s in shape + [ncomp]]
+            for ax in axes:
+                factors[ax] = _interpolation(shape[ax])
+                shape[ax] = (shape[ax] + 1) // 2
+            prolong = functools.reduce(lambda a, b: sparse.kron(a, b, "csr"), factors)
+            restrict = prolong.T.tocsr()
+            self.levels.append((k, _jacobi_weights(k), prolong, restrict))
+            k = (restrict @ (k @ prolong)).tocsr()
+        self.coarsest = splu(k.tocsc())
+        self.applications = 0
+
+    def __call__(self, r):
+        self.applications += 1
+        down = []
+        for k, weights, _, restrict in self.levels:
+            x = weights * r
+            down.append((x, r))
+            r = restrict @ (r - k @ x)
+        x = self.coarsest.solve(r)
+        for (k, weights, prolong, _), (x_pre, r) in zip(self.levels[::-1], down[::-1]):
+            x = x_pre + prolong @ x
+            x += weights * (r - k @ x)
+        return x
 
 
 # CG polishes to the next tolerance while the weak residual fails its gate
@@ -464,19 +588,23 @@ def assemble_and_solve(
 
     ``boundary``, ``f`` and the ``f_i`` may be polynomials (lists for
     several components) or grid fields.  Returns the solution field with a
-    ``solve_report`` attribute carrying residual and conditioning data.
+    ``solve_report`` attribute carrying residual, conditioning and solver
+    data.
     """
     if not A.is_coercive():
         raise SolverDiverged(
             f"coefficients are not coercive (margin {A.coercivity_margin():.3e})"
         )
     grid = Grid(spec, n, half_widths)
+    if min(grid.shape) < 3:
+        raise ValueError("the grid has no interior nodes; need three nodes per axis")
     ncomp, m = A.n_components, spec.m
 
     def as_field(obj, name):
         if obj is None:
             return GridField.zeros(grid, ncomp)
-        obj = obj if isinstance(obj, GridField) else GridField.from_polys(grid, obj)
+        if not isinstance(obj, GridField):
+            obj = GridField.from_polys(grid, obj, name)
         if obj.n_components != ncomp:
             raise ValueError(f"{name} has {obj.n_components} components; need {ncomp}")
         return obj
@@ -491,21 +619,36 @@ def assemble_and_solve(
     # the weak form is K = G^T B G, with B block diagonal: at each node of
     # each side the weight times the form of A on the slots (alpha, i)
     g_mat, w = _derivative_stack(grid, ncomp)
-    b_mat = sparse.kron(sparse.diags(w.ravel()), A.quadratic_form_matrix(), "csr")
-    k_mat = (g_mat.T @ (b_mat @ g_mat)).tocsr()
+    form = A.quadratic_form_matrix()
     b = -(g_mat.T @ (w[:, :, None, None] * flux.reshape(-1, ncomp, m)).ravel())
     b -= (w.sum(axis=0)[:, None] * f_field.values.reshape(-1, ncomp)).ravel()
+    # each matrix is dropped once it is used, and G^T is made CSR once, so
+    # that the product converts no operand: assembly is the solve's peak
+    # of memory
+    g_t = g_mat.T.tocsr()
+    b_g = sparse.kron(sparse.diags(w.ravel()), form, "csr") @ g_mat
+    del g_mat
+    k_mat = g_t @ b_g
+    del g_t, b_g
 
     fixed = np.repeat(grid.boundary_mask().ravel(), ncomp)
     free = ~fixed
     x = g.values.reshape(-1).copy()
-    rhs = b[free] - k_mat[free][:, fixed] @ x[fixed]
-    k_ff = k_mat[free][:, free]
+    k_free = k_mat[free]
+    del k_mat
+    rhs = b[free] - k_free[:, fixed] @ x[fixed]
+    k_ff = k_free[:, free]
+    del k_free
 
     diag = k_ff.diagonal()
     if np.any(diag <= 0):
         raise SolverDiverged("stiffness diagonal is not positive")
-    precond = sparse.diags(1.0 / diag)
+    # CG needs a symmetric preconditioner: the cycle is built on the
+    # symmetric part of K, which is K itself when the form is symmetric
+    precond = VCycle(
+        k_ff if np.array_equal(form, form.T) else (0.5 * (k_ff + k_ff.T)).tocsr(),
+        grid, ncomp,
+    )
 
     k_inf = float(np.max(np.abs(k_ff).sum(axis=1))) if k_ff.nnz else 1.0
 
@@ -531,6 +674,9 @@ def assemble_and_solve(
     field.solve_report = {
         "n": grid.shape,
         "unknowns": int(free.sum()),
+        "nnz": int(k_ff.nnz),
+        "levels": len(precond.levels) + 1,
+        "iterations": precond.applications,
         "relative_weak_residual": rel_residual,
         "diag_ratio": float(diag.max() / diag.min()),
         "coercivity_margin": A.coercivity_margin(),
@@ -552,6 +698,8 @@ def manufactured_source(spec, A: SystemCoefficients, u_polys, fi_polys=None):
 def convergence_study(spec, A, u_polys, sizes=(16, 32, 64), half_widths=1.0):
     """Solve with manufactured data on a sequence of grids; least-squares
     fit of the L2 error order."""
+    if len(set(sizes)) < 2:
+        raise ValueError(f"need at least two distinct sizes, got {list(sizes)}")
     if isinstance(u_polys, PolyFunction):
         u_polys = [u_polys]
     f = manufactured_source(spec, A, u_polys)
@@ -563,12 +711,9 @@ def convergence_study(spec, A, u_polys, sizes=(16, 32, 64), half_widths=1.0):
         err = math.sqrt(l2_norm_sq(GridField(sol.grid, sol.values - exact.values)))
         errors.append(err)
         spacings.append(sol.grid.horizontal_spacing())
-    if len(sizes) >= 2:
-        logs_h = np.log(np.array(spacings))
-        logs_e = np.log(np.maximum(np.array(errors), 1e-300))
-        slope = float(np.polyfit(logs_h, logs_e, 1)[0])
-    else:
-        slope = float("nan")
+    logs_h = np.log(np.array(spacings))
+    logs_e = np.log(np.maximum(np.array(errors), 1e-300))
+    slope = float(np.polyfit(logs_h, logs_e, 1)[0])
     return {
         "sizes": list(sizes),
         "errors": errors,

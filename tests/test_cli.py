@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -182,6 +185,24 @@ def test_suite_small_all_pass_and_deterministic(runner, tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     report = json.loads((tmp_path / "a.json").read_text())
     assert len(report["checks"]) == 11
+
+
+def test_suite_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # criteria 9 and 10 solve with 22^3 unknowns, longer than the vectors
+    # OpenBLAS splits across threads in a dot product
+    args = ["suite", "--n", "16", "--triples", "20", "--samples", "20000",
+            "--sweep-total", "3", "--seed", "99"]
+    src = str(Path(carnot.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "carnot.cli", *args, "--json", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_env_seed_override(runner, monkeypatch):

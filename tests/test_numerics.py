@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import cg
 
 from carnot import numerics, regularity
 from carnot.algebra import build_free_nilpotent
@@ -508,10 +509,9 @@ class _Captured(Exception):
     pass
 
 
-@pytest.mark.parametrize("name,n,ncomp", [
-    ("heisenberg", 20, 1), ("engel", 10, 1), ("heisenberg", 10, 2),
-])
-def test_assembly_matches_the_per_block_sum(name, n, ncomp, monkeypatch):
+def _system_case(name, ncomp):
+    """Coefficients and nonzero data: identity coefficients for one
+    component, a coupled non-symmetric system for two."""
     spec = resolve_group(name)
     m = spec.m
     if ncomp == 1:
@@ -527,16 +527,30 @@ def test_assembly_matches_the_per_block_sum(name, n, ncomp, monkeypatch):
         ])
         boundary, f = [P11, P12 * P21], [P11 * P12, PolyFunction.constant(1)]
         f_i = [[P21, P11 * P11], [P12, P21.scale(-1)]]
+    return spec, A, boundary, f, f_i
+
+
+def _captured_cg_call(monkeypatch, spec, A, boundary, f, f_i, n):
+    """``(K, b, keyword arguments)`` of the solver's first CG call."""
     captured = []
 
     def capture(k_ff, rhs, **kwargs):
-        captured.append((k_ff, rhs))
+        captured.append((k_ff, rhs, kwargs))
         raise _Captured
 
     monkeypatch.setattr(numerics, "_cg", capture)
     with pytest.raises(_Captured):
         assemble_and_solve(spec, A, boundary, f=f, f_i=f_i, n=n)
-    (k_got, b_got), = captured
+    (call,) = captured
+    return call
+
+
+@pytest.mark.parametrize("name,n,ncomp", [
+    ("heisenberg", 20, 1), ("engel", 10, 1), ("heisenberg", 10, 2),
+])
+def test_assembly_matches_the_per_block_sum(name, n, ncomp, monkeypatch):
+    spec, A, boundary, f, f_i = _system_case(name, ncomp)
+    k_got, b_got, _ = _captured_cg_call(monkeypatch, spec, A, boundary, f, f_i, n)
     k_want, b_want = _replica_system(spec, A, n, boundary, f, f_i)
     k_got, k_want = k_got.tocsr(), k_want.tocsr()
     k_got.sort_indices()
@@ -555,3 +569,102 @@ def test_solver_checks_the_data_against_the_system(heis):
         assemble_and_solve(heis, ident, [P11], f_i=[[P11], [P11, P12]], n=5)
     with pytest.raises(ValueError, match="f_i has 1 entries; the group has 2 X_i"):
         assemble_and_solve(heis, ident, [P11], f_i=[[P11]], n=5)
+
+
+@pytest.mark.parametrize("n", [2, (2, 5, 5)])
+def test_solver_needs_interior_nodes(heis, n):
+    with pytest.raises(ValueError, match="no interior nodes"):
+        assemble_and_solve(heis, SystemCoefficients.identity(1, 2), [P11], n=n)
+
+
+def test_from_polys_names_empty_data(heis):
+    with pytest.raises(ValueError, match="the data has no polynomial"):
+        GridField.from_polys(Grid(heis, 5), [])
+    ident = SystemCoefficients.identity(1, 2)
+    with pytest.raises(ValueError, match="the boundary data has no polynomial"):
+        assemble_and_solve(heis, ident, [], n=5)
+    with pytest.raises(ValueError, match="f has no polynomial"):
+        assemble_and_solve(heis, ident, [P11], f=[], n=5)
+
+
+@pytest.mark.parametrize("sizes", [(8,), (8, 8), ()])
+def test_convergence_study_needs_two_distinct_sizes(heis, sizes):
+    ident = SystemCoefficients.identity(1, 2)
+    with pytest.raises(ValueError, match="two distinct sizes"):
+        convergence_study(heis, ident, [P11 ** 3], sizes=sizes)
+
+
+# -------------------------------------------------------------- CG and multigrid
+
+def test_cg_matches_scipy_and_counts_its_iterations():
+    rng = np.random.default_rng(3)
+    root = rng.standard_normal((40, 40))
+    mat = sparse.csr_matrix(root @ root.T + 40 * np.eye(40))
+    rhs = rng.standard_normal(40)
+    calls = []
+    x, info = numerics._cg(mat, rhs, rtol=1e-12, atol=0.0, maxiter=200,
+                           M=lambda r: r / mat.diagonal(), callback=calls.append)
+    want, want_info = cg(mat, rhs, rtol=1e-12, atol=0.0, maxiter=200,
+                         M=sparse.diags(1 / mat.diagonal()))
+    assert info == want_info == 0
+    assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
+    assert 0 < len(calls) < 200
+    _, info = numerics._cg(mat, rhs, rtol=1e-12, atol=0.0, maxiter=2,
+                           M=lambda r: r)
+    assert info == 2
+    x, info = numerics._cg(mat, np.zeros(40), rtol=1e-12, atol=0.0, maxiter=5,
+                           M=lambda r: r)
+    assert info == 0 and not x.any()
+
+
+@pytest.mark.parametrize("name,n,ncomp", [
+    ("heisenberg", 16, 1), ("engel", 10, 1), ("heisenberg", 10, 2),
+])
+def test_vcycle_is_symmetric_positive_definite(name, n, ncomp, monkeypatch):
+    spec, A, boundary, f, f_i = _system_case(name, ncomp)
+    k_ff, _, kwargs = _captured_cg_call(monkeypatch, spec, A, boundary, f, f_i, n)
+    precond = kwargs["M"]
+    assert precond.levels
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        x, y = rng.standard_normal((2, k_ff.shape[0]))
+        mx, my = precond(x), precond(y)
+        x_mx, y_my = float(x @ mx), float(y @ my)
+        assert x_mx > 0 and y_my > 0
+        # the M inner product is bounded by the product of the M norms
+        assert abs(float(mx @ y) - float(x @ my)) <= 1e-12 * math.sqrt(x_mx * y_my)
+
+
+# levels: the horizontal axes halve down to two interior nodes, then the
+# upper-layer axes do (Heisenberg n = 16: 14, 7, 4, 2 horizontally, then
+# 7, 4, 2 vertically, one LU level)
+@pytest.mark.parametrize("name,n,levels", [
+    ("heisenberg", 16, 7), ("heisenberg", 32, 9), ("engel", 12, 7), ("free:2,3", 8, 5),
+])
+def test_vcycle_iterations_stay_bounded(name, n, levels):
+    spec = resolve_group(name)
+    ident = SystemCoefficients.identity(1, spec.m)
+    sol = assemble_and_solve(spec, ident, [P11 * P21 + P11.scale(3)], n=n)
+    report = sol.solve_report
+    assert report["relative_weak_residual"] <= 1e-10
+    assert report["levels"] == levels
+    # Jacobi-PCG took 122, 262, 107 and 69 iterations on these solves
+    assert report["iterations"] <= 40
+
+
+@pytest.mark.parametrize("name,n,bytes_per_node", [
+    ("heisenberg", 32, 650), ("engel", 12, 780),
+])
+def test_solve_peak_memory_per_node(name, n, bytes_per_node):
+    # an assembly that keeps G, B and K alive through the solve peaks at
+    # 715 and 902 bytes per node on these grids
+    spec = resolve_group(name)
+    ident = SystemCoefficients.identity(1, spec.m)
+    assemble_and_solve(spec, ident, [P11], n=5)      # warm the spec's caches
+    tracemalloc.start()
+    try:
+        assemble_and_solve(spec, ident, [P11], n=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bytes_per_node * n ** len(spec.basis)
