@@ -10,6 +10,7 @@ step equal to the grid spacing.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from decimal import Decimal
@@ -418,6 +419,31 @@ def coordinate_derivative_matrix(grid: Grid, direction, sign):
     return sparse.csr_matrix(coo, shape=(index.size,) * 2), valid
 
 
+def _find_malloc_trim():
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+
+
+_MALLOC_TRIM = _find_malloc_trim()
+
+
+def _release_freed_memory():
+    """Hand the C heap's free pages back to the operating system.
+
+    glibc serves arrays below its mmap threshold, which rises towards
+    32 MiB once large arrays are freed, from a heap that keeps freed
+    pages resident.  How many of them are resident when the solve peaks
+    then depends on every allocation before it, and the peak of the same
+    solves moved by up to 40 MB from one process to the next.  The
+    solver calls this after each stage that frees large arrays, so that
+    its peak is the memory it holds.  Without glibc it does nothing.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
 def _derivative_stack(grid: Grid, ncomp):
     """G, the one-sided derivatives X_i of both signs for ``ncomp``
     components (rows ordered side, node, alpha, i), and each side's node
@@ -435,6 +461,7 @@ def _derivative_stack(grid: Grid, ncomp):
     for side, sgn in enumerate((+1, -1)):
         valid = np.ones(grid.shape, dtype=bool)
         for i in range(m):
+            _release_freed_memory()
             mat, v = coordinate_derivative_matrix(grid, (1, i + 1), sgn)
             valid &= v
             mat = mat.tocoo()
@@ -447,6 +474,7 @@ def _derivative_stack(grid: Grid, ncomp):
     vals = np.concatenate(vals)
     rows = np.concatenate(rows).ravel()
     cols = np.concatenate(cols).ravel()
+    _release_freed_memory()
     return sparse.csr_matrix((vals, (rows, cols)), shape=shape), np.stack(weights)
 
 
@@ -552,6 +580,7 @@ class VCycle:
             restrict = prolong.T.tocsr()
             self.levels.append((k, _jacobi_weights(k), prolong, restrict))
             k = (restrict @ (k @ prolong)).tocsr()
+            _release_freed_memory()
         self.coarsest = splu(k.tocsc())
         self.applications = 0
 
@@ -617,28 +646,36 @@ def assemble_and_solve(
     flux = np.stack([as_field(fi, f"f_{i}").values for i, fi in enumerate(f_i, 1)], -1)
 
     # the weak form is K = G^T B G, with B block diagonal: at each node of
-    # each side the weight times the form of A on the slots (alpha, i)
+    # each side the weight times the form of A on the slots (alpha, i).
+    # Only the free columns of G enter K; the Dirichlet values reach the
+    # load through G x on the fixed nodes.  Each matrix is dropped once it
+    # is used, G^T is made CSR once so that no product converts an
+    # operand, and the freed memory is released after each stage
+    _release_freed_memory()
     g_mat, w = _derivative_stack(grid, ncomp)
+    _release_freed_memory()
     form = A.quadratic_form_matrix()
-    b = -(g_mat.T @ (w[:, :, None, None] * flux.reshape(-1, ncomp, m)).ravel())
-    b -= (w.sum(axis=0)[:, None] * f_field.values.reshape(-1, ncomp)).ravel()
-    # each matrix is dropped once it is used, and G^T is made CSR once, so
-    # that the product converts no operand: assembly is the solve's peak
-    # of memory
-    g_t = g_mat.T.tocsr()
-    b_g = sparse.kron(sparse.diags(w.ravel()), form, "csr") @ g_mat
-    del g_mat
-    k_mat = g_t @ b_g
-    del g_t, b_g
-
     fixed = np.repeat(grid.boundary_mask().ravel(), ncomp)
     free = ~fixed
     x = g.values.reshape(-1).copy()
-    k_free = k_mat[free]
-    del k_mat
-    rhs = b[free] - k_free[:, fixed] @ x[fixed]
-    k_ff = k_free[:, free]
-    del k_free
+    weights = sparse.kron(sparse.diags(w.ravel()), form, "csr")
+    load = (w[:, :, None, None] * flux.reshape(-1, ncomp, m)).ravel()
+    load += weights @ (g_mat @ np.where(fixed, x, 0.0))
+    _release_freed_memory()
+    g_free = g_mat[:, free]
+    del g_mat
+    _release_freed_memory()
+    g_t = g_free.T.tocsr()
+    rhs = -(g_t @ load)
+    rhs -= (w.sum(axis=0)[:, None] * f_field.values.reshape(-1, ncomp)).ravel()[free]
+    del load
+    _release_freed_memory()
+    b_g = weights @ g_free
+    del weights, g_free
+    _release_freed_memory()
+    k_ff = g_t @ b_g
+    del g_t, b_g
+    _release_freed_memory()
 
     diag = k_ff.diagonal()
     if np.any(diag <= 0):
