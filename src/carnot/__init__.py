@@ -52,4 +52,4 @@ from .rewrite import (
     verify_rewrite_identity,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.5.1"

@@ -119,7 +119,7 @@ def horizontal_jacobian(spec: AlgebraSpec, u):
 class SystemCoefficients:
     """Constant coefficients ``A[alpha][beta][i][j]`` with a coercivity check."""
 
-    def __init__(self, coefficients, coercivity_tol=1e-10):
+    def __init__(self, coefficients):
         a = [
             [
                 [[Fraction(v) for v in row] for row in beta_block]
@@ -130,7 +130,6 @@ class SystemCoefficients:
         self.n_components = len(a)
         self.m = len(a[0][0]) if a else 0
         self.A = a
-        self.coercivity_tol = coercivity_tol
 
     @staticmethod
     def identity(n_components, m):
@@ -168,7 +167,7 @@ class SystemCoefficients:
         return float(np.linalg.eigvalsh(sym).min())
 
     def is_coercive(self):
-        return self.coercivity_margin() > self.coercivity_tol
+        return self.coercivity_margin() > 1e-10
 
 
 def system_residual(spec, A: SystemCoefficients, u, f_i=None, f=None):

@@ -357,7 +357,9 @@ def ball_volume_estimate(spec, radius, samples, seed=0, shard=1 << 16):
         index += 1
     p_hat = hits / samples
     est = box_vol * p_hat
-    half_ci = 1.96 * box_vol * math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / samples)
+    # the rule of three where all samples fell inside or all outside
+    half_ci = (1.96 * box_vol * math.sqrt(p_hat * (1 - p_hat) / samples)
+               or 3.0 * box_vol / samples)
     return {
         "estimate": est,
         "ci": [est - half_ci, est + half_ci],

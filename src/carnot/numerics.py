@@ -243,11 +243,10 @@ def flow_difference(u: GridField, direction, s, alpha=1.0) -> GridField:
     return GridField(u.grid, quot, mask)
 
 
-def centered_derivative(u: GridField, direction, s=None) -> GridField:
-    """Centered flow difference, second-order consistent with the
-    left-invariant derivative."""
-    if s is None:
-        s = u.grid.spacing[u.grid.axis_of(direction)]
+def centered_derivative(u: GridField, direction) -> GridField:
+    """Centered flow difference with the axis spacing as step, second-order
+    consistent with the left-invariant derivative."""
+    s = u.grid.spacing[u.grid.axis_of(direction)]
     fwd_coords = flow_coordinates(u.grid, direction, s)
     bwd_coords = flow_coordinates(u.grid, direction, -s)
     fwd, m1 = sample_at(u, fwd_coords)
@@ -257,18 +256,18 @@ def centered_derivative(u: GridField, direction, s=None) -> GridField:
     return GridField(u.grid, vals, mask)
 
 
-def derivative_word(u: GridField, word, s=None) -> GridField:
+def derivative_word(u: GridField, word) -> GridField:
     """Apply centered derivatives for the labels in ``word`` (rightmost
     first, matching operator composition order)."""
     out = u
     for direction in reversed(list(word)):
-        out = centered_derivative(out, direction, s)
+        out = centered_derivative(out, direction)
     return out
 
 
-def horizontal_gradient(u: GridField, s=None):
+def horizontal_gradient(u: GridField):
     spec = u.grid.spec
-    return [centered_derivative(u, (1, i), s) for i in range(1, spec.m + 1)]
+    return [centered_derivative(u, (1, i)) for i in range(1, spec.m + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +314,7 @@ def l2_norm_sq(u: GridField, mask=None):
     return integrate(density, u.grid, mask)
 
 
-def sobolev_norm(u: GridField, order=1, region=None, s=None):
+def sobolev_norm(u: GridField, order=1, region=None):
     """Discrete horizontal Sobolev norm: L2 plus all horizontal derivative
     words up to the given order, over the region mask (or the whole box).
 
@@ -331,7 +330,7 @@ def sobolev_norm(u: GridField, order=1, region=None, s=None):
         nxt = {}
         for word, fld in level.items():
             for i in range(1, spec.m + 1):
-                d = centered_derivative(fld, (1, i), s)
+                d = centered_derivative(fld, (1, i))
                 if not bool(np.all(d.mask | ~region)):
                     raise MarginTooSmall(
                         "horizontal stencil leaves the grid inside the region"
@@ -395,28 +394,27 @@ def coordinate_derivative_matrix(grid: Grid, direction, sign):
     """One-sided discretization of a left-invariant field in coordinate
     form: exact polynomial coefficients times axis-aligned differences.
 
+    Each coefficient is one diagonal, at the offset of a step to the next
+    node along its label's axis, and the main diagonal is minus their sum.
     Axis stencils stay on the lattice, so no interpolation enters and the
     only invalid rows are on the faces the differences step over.
     """
-    op = left_invariant_field(grid.spec, direction)
-    nodes = grid.node_arrays()
-    index = np.arange(math.prod(grid.shape)).reshape(grid.shape)
+    size = math.prod(grid.shape)
     valid = np.ones(grid.shape, dtype=bool)
-    rows, cols, data = [], [], []
-    for label, coeff in op.coeffs.items():
+    main, diagonals, offsets = np.zeros(size), [], []
+    for label, coeff in left_invariant_field(grid.spec, direction).coeffs.items():
         ax = grid.axis_of(label)
-        # each row steps to its neighbour along the axis; the face the step
-        # would leave has no row
-        along = np.moveaxis(index, ax, 0)
-        here, there = (along[:-1], along[1:]) if sign > 0 else (along[1:], along[:-1])
-        np.moveaxis(valid, ax, 0)[-1 if sign > 0 else 0] = False
-        here, there = here.ravel(), there.ravel()
-        c = coeff.evaluate_arrays(nodes).ravel()[here] / (sign * grid.spacing[ax])
-        rows += [here, here]
-        cols += [there, here]
-        data += [c, -c]
-    coo = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
-    return sparse.csr_matrix(coo, shape=(index.size,) * 2), valid
+        # the face the step would leave has no entry
+        face = (slice(None),) * ax + (-1 if sign > 0 else 0,)
+        valid[face] = False
+        c = coeff.evaluate_arrays(grid.node_arrays()) / (sign * grid.spacing[ax])
+        c[face] = 0.0
+        c = c.ravel()
+        stride = math.prod(grid.shape[ax + 1:])
+        diagonals.append(c[:-stride] if sign > 0 else c[stride:])
+        offsets.append(sign * stride)
+        main += c
+    return sparse.diags([-main] + diagonals, [0] + offsets, (size,) * 2, "csr"), valid
 
 
 def _find_malloc_trim():
@@ -434,11 +432,10 @@ def _release_freed_memory():
 
     glibc serves arrays below its mmap threshold, which rises towards
     32 MiB once large arrays are freed, from a heap that keeps freed
-    pages resident.  How many of them are resident when the solve peaks
-    then depends on every allocation before it, and the peak of the same
-    solves moved by up to 40 MB from one process to the next.  The
-    solver calls this after each stage that frees large arrays, so that
-    its peak is the memory it holds.  Without glibc it does nothing.
+    pages resident, so the peak of the same solve moved by up to 40 MB
+    from one process to the next.  The solver calls this where a
+    measurement showed that it lowers the peak.  Without glibc it does
+    nothing.
     """
     if _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)
@@ -451,31 +448,19 @@ def _derivative_stack(grid: Grid, ncomp):
     the grid.  Averaging the two sides' quadratic forms gives the compact
     stencil (no odd-even decoupling) and cancels the first-order term."""
     m = grid.spec.m
-    size = math.prod(grid.shape)
-    shape = (2 * size * ncomp * m, size * ncomp)
-    # 32-bit indices where they fit, which scipy keeps without a copy;
-    # 64-bit ones where 32 bits would wrap
-    index = np.int32 if shape[0] < 2 ** 31 else np.int64
-    comps = np.arange(ncomp, dtype=index)
-    rows, cols, vals, weights = [], [], [], []
-    for side, sgn in enumerate((+1, -1)):
-        valid = np.ones(grid.shape, dtype=bool)
+    sides, weights = [], []
+    for sgn in (+1, -1):
+        valid, side = np.ones(grid.shape, dtype=bool), 0
         for i in range(m):
-            _release_freed_memory()
             mat, v = coordinate_derivative_matrix(grid, (1, i + 1), sgn)
             valid &= v
-            mat = mat.tocoo()
-            row, col = mat.row.astype(index), mat.col.astype(index)
-            rows.append(((side * size + row[:, None]) * ncomp + comps) * m + i)
-            cols.append(col[:, None] * ncomp + comps)
-            vals.append(np.repeat(mat.data, ncomp))
+            # E_i puts component alpha at row alpha * m + i; as CSR it stores
+            # no zeros, which a block-format E_i would hand on to kron
+            slot = sparse.csr_matrix(np.kron(np.eye(ncomp), np.eye(m, 1, -i)))
+            side = side + sparse.kron(mat, slot, "csr")
+        sides.append(side)
         weights.append(np.where(valid.ravel(), 0.5 * grid.cell_volume, 0.0))
-    # one list at a time, so that each is freed before the next is joined
-    vals = np.concatenate(vals)
-    rows = np.concatenate(rows).ravel()
-    cols = np.concatenate(cols).ravel()
-    _release_freed_memory()
-    return sparse.csr_matrix((vals, (rows, cols)), shape=shape), np.stack(weights)
+    return sparse.vstack(sides, "csr"), np.stack(weights)
 
 
 def _dot(u, v):
@@ -650,7 +635,7 @@ def assemble_and_solve(
     # Only the free columns of G enter K; the Dirichlet values reach the
     # load through G x on the fixed nodes.  Each matrix is dropped once it
     # is used, G^T is made CSR once so that no product converts an
-    # operand, and the freed memory is released after each stage
+    # operand, and the freed heap is trimmed where that lowers the peak
     _release_freed_memory()
     g_mat, w = _derivative_stack(grid, ncomp)
     _release_freed_memory()
@@ -661,7 +646,6 @@ def assemble_and_solve(
     weights = sparse.kron(sparse.diags(w.ravel()), form, "csr")
     load = (w[:, :, None, None] * flux.reshape(-1, ncomp, m)).ravel()
     load += weights @ (g_mat @ np.where(fixed, x, 0.0))
-    _release_freed_memory()
     g_free = g_mat[:, free]
     del g_mat
     _release_freed_memory()
@@ -758,29 +742,22 @@ def convergence_study(spec, A, u_polys, sizes=(16, 32, 64), half_widths=1.0):
     }
 
 
-def caccioppoli_check(u: GridField, f=None, f_i=None, center=None, radius=0.5):
-    """Empirical constant of the interior energy inequality on a ball pair.
+def caccioppoli_check(u: GridField, radius=0.5):
+    """Empirical constant of the interior energy inequality on the ball pair
+    centred at the origin, for a solution without data.
 
     LHS integrates the squared horizontal gradient over the ball; the RHS
-    combines the scaled L2 mass and the data terms over the double ball.
+    is the L2 mass over the double ball, scaled by the squared radius.
     """
     grid = u.grid
-    center = center or [0.0] * len(grid.axes)
-    inner = occupied_ball_mask(grid, center, radius)
-    outer = ball_mask(grid, center, 2.0 * radius)
+    inner = occupied_ball_mask(grid, None, radius)
+    outer = ball_mask(grid, None, 2.0 * radius)
     grads = horizontal_gradient(u)
     for g in grads:
         if not bool(np.all(g.mask | ~inner)):
             raise MarginTooSmall("gradient stencil leaves the box inside the ball")
     lhs = sum(l2_norm_sq(g, inner) for g in grads)
-    mass = l2_norm_sq(u, outer)
-    data = 0.0
-    if f is not None:
-        data += l2_norm_sq(f, outer)
-    if f_i is not None:
-        for fi in f_i:
-            data += l2_norm_sq(fi, outer)
-    rhs = mass / radius ** 2 + data
+    rhs = l2_norm_sq(u, outer) / radius ** 2
     return {
         "lhs": lhs,
         "rhs": rhs,

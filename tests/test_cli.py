@@ -236,7 +236,7 @@ def test_verify_caccioppoli_supbound_estimate(runner):
 
 def test_suite_text_format(runner):
     result = runner.invoke(main, ["suite", "--n", "16", "--triples", "10",
-                                  "--samples", "10000", "--sweep-total", "3",
+                                  "--samples", "20000", "--sweep-total", "3",
                                   "--format", "text"])
     assert result.exit_code == 0
     assert "all_pass: True" in result.output
@@ -354,3 +354,12 @@ def test_run_config_rejects_non_positive_soundness_cases():
     # the one count the suite command has no option for
     with pytest.raises(ValueError, match="soundness_cases must be positive"):
         suite.RunConfig(soundness_cases=0)
+
+
+def test_ball_volume_gate_fails_on_too_few_samples():
+    # one sample lands in both balls or in neither: the ratio can be exactly
+    # 2^Q, but the intervals are as wide as the box
+    rep = suite.check_ball_volume(suite.RunConfig(mc_samples=1))
+    assert rep["pass"] is False
+    for est in rep["estimates"].values():
+        assert est["ci"][1] - est["ci"][0] == pytest.approx(6.0 * est["box_volume"])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -559,6 +560,36 @@ def test_assembly_matches_the_per_block_sum(name, n, ncomp, monkeypatch):
     assert np.array_equal(k_got.indices, k_want.indices)
     assert np.abs(k_got.data - k_want.data).max() <= 1e-14 * np.abs(k_want.data).max()
     assert np.abs(b_got - b_want).max() <= 1e-14 * np.abs(b_want).max()
+
+
+# SHA-256 digests of K_ff's (indptr, indices, data) and of the right-hand
+# side as the solver hands them to CG; a numpy or scipy upgrade may move
+# these bits without any change to the package
+OPERATOR_DIGESTS = {
+    ("heisenberg", 20, 1): (
+        "194c66c6ed750c916f691e26d99c4a709cacb685e6828b9a12a72f795ad1627d",
+        "d028308228b5b423e30fbb845371252e86c94dac2e7f88a8ddf8e9f8adaa875b",
+    ),
+    ("engel", 10, 1): (
+        "1dde2be69676eabb1774cba7d1002733bc69fe0e538da3999cb4ba5cb2307c3c",
+        "abc487f27c0165720aacad54ddf91d6ea9e481e529efb720f493ad99e87a9194",
+    ),
+    ("heisenberg", 10, 2): (
+        "14ba7c17bb986bcd978ddd65dbe0ce69e95cfd7c67e3e493438823771295be75",
+        "f809d5d147cdd6e54ca72fdbb6fde78069d82bcc06cee39e6274676885a20219",
+    ),
+}
+
+
+@pytest.mark.parametrize("name,n,ncomp", list(OPERATOR_DIGESTS))
+def test_operator_bits_are_pinned(name, n, ncomp, monkeypatch):
+    spec, A, boundary, f, f_i = _system_case(name, ncomp)
+    k_ff, rhs, _ = _captured_cg_call(monkeypatch, spec, A, boundary, f, f_i, n)
+    k_digest = hashlib.sha256()
+    for arr in (k_ff.indptr, k_ff.indices, k_ff.data):
+        k_digest.update(arr.tobytes())
+    rhs_digest = hashlib.sha256(rhs.tobytes())
+    assert (k_digest.hexdigest(), rhs_digest.hexdigest()) == OPERATOR_DIGESTS[name, n, ncomp]
 
 
 def test_solver_checks_the_data_against_the_system(heis):
