@@ -22,7 +22,6 @@ from .fields import (
     SystemCoefficients,
     VectorFieldOperator,
     commutator_check,
-    horizontal_jacobian,
     left_invariant_field,
     system_residual,
 )
@@ -52,4 +51,4 @@ from .rewrite import (
     verify_rewrite_identity,
 )
 
-__version__ = "0.5.1"
+__version__ = "0.6.0"

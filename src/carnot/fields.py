@@ -110,12 +110,6 @@ def commutator_check(spec: AlgebraSpec):
     return report
 
 
-def horizontal_jacobian(spec: AlgebraSpec, u):
-    """m x N matrix of horizontal derivatives of the components of u."""
-    fields_h = [left_invariant_field(spec, (1, i)) for i in range(1, spec.m + 1)]
-    return [[x.apply(comp) for comp in u] for x in fields_h]
-
-
 class SystemCoefficients:
     """Constant coefficients ``A[alpha][beta][i][j]`` with a coercivity check."""
 

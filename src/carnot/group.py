@@ -274,28 +274,6 @@ def gauge_distance(p: Point, q: Point) -> float:
     return gauge_norm(bch_product(inverse(q), p))
 
 
-def quasi_triangle_constant(spec, samples=200, radius=1.0, seed=0):
-    """Estimate sup d(p,q) / (d(p,w) + d(w,q)) over random triples.
-
-    The gauge is only a quasi-metric; this reports the observed constant.
-    """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        pts = []
-        for _ in range(3):
-            coords = {
-                lab: float(rng.uniform(-radius ** lab[0], radius ** lab[0]))
-                for lab in spec.basis
-            }
-            pts.append(Point(spec, coords))
-        p, w, q = pts
-        denom = gauge_distance(p, w) + gauge_distance(q, w)
-        if denom > 0:
-            worst = max(worst, gauge_distance(p, q) / denom)
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # ball volume by Monte-Carlo sampling
 # ---------------------------------------------------------------------------

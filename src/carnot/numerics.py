@@ -1,11 +1,14 @@
-"""Grid realization of the analytic objects: flow difference quotients,
+"""Grid realization of the analytic objects: lattice derivatives,
 seminorms, horizontal Sobolev norms, a weak-form solver and the energy
 inequality check.
 
-Fields live on a lattice in exponential coordinates.  Group flows
+Fields live on a lattice in exponential coordinates.  A left-invariant
+derivative is discretised once, by the one-sided matrices of
+:func:`coordinate_derivative_matrix`: the solver assembles them and
+:func:`centered_derivative` averages the two sides.  Group flows
 ``p -> p * exp(s Z)`` land off-lattice and are evaluated by multilinear
-interpolation; horizontal derivatives are centered flow differences with
-step equal to the grid spacing.
+interpolation; they serve only where they are the definition (the
+fractional seminorms).
 """
 
 from __future__ import annotations
@@ -28,10 +31,6 @@ from .poly import PolyFunction
 
 
 class NumericsError(Exception):
-    pass
-
-
-class StepTooLarge(NumericsError):
     pass
 
 
@@ -223,37 +222,31 @@ def sample_at(field: GridField, coords, outside_zero=False):
     return values, mask
 
 
-def flow_difference(u: GridField, direction, s, alpha=1.0) -> GridField:
-    """Forward flow quotient ``(u(p e^{sZ}) - u(p)) / |s|**alpha``.
-
-    Nodes whose flowed point leaves the box are marked invalid; raises
-    :class:`StepTooLarge` when fewer than half of the nodes survive.
-    """
-    if s == 0:
-        raise ValueError("flow step must be nonzero")
-    coords = flow_coordinates(u.grid, direction, s)
-    moved, mask = sample_at(u, coords)
-    quot = (moved - u.values) / abs(s) ** alpha
-    mask = mask & u.mask
-    if mask.sum() < 0.5 * mask.size:
-        raise StepTooLarge(
-            f"flow step {s} along {tuple(direction)} leaves the box on most nodes"
-        )
-    quot = np.where(mask[..., None], quot, 0.0)
-    return GridField(u.grid, quot, mask)
-
+# ---------------------------------------------------------------------------
+# lattice derivatives
+# ---------------------------------------------------------------------------
 
 def centered_derivative(u: GridField, direction) -> GridField:
-    """Centered flow difference with the axis spacing as step, second-order
-    consistent with the left-invariant derivative."""
-    s = u.grid.spacing[u.grid.axis_of(direction)]
-    fwd_coords = flow_coordinates(u.grid, direction, s)
-    bwd_coords = flow_coordinates(u.grid, direction, -s)
-    fwd, m1 = sample_at(u, fwd_coords)
-    bwd, m2 = sample_at(u, bwd_coords)
-    mask = m1 & m2 & u.mask
-    vals = np.where(mask[..., None], (fwd - bwd) / (2.0 * s), 0.0)
-    return GridField(u.grid, vals, mask)
+    """``(X^+ u + X^- u) / 2`` with the one-sided matrices of
+    :func:`coordinate_derivative_matrix`: on the lattice, second-order
+    consistent with the left-invariant derivative.
+
+    A node is valid where both one-sided stencils stay on the grid and
+    every node they read is valid in ``u``.
+    """
+    grid = u.grid
+    (plus, valid_plus), (minus, valid_minus) = (
+        coordinate_derivative_matrix(grid, direction, sign) for sign in (1, -1)
+    )
+    flat = u.values.reshape(-1, u.n_components)
+    mask = u.mask & valid_plus & valid_minus
+    if not np.all(u.mask):
+        invalid = (~u.mask).ravel().astype(float)
+        reads = abs(plus) @ invalid + abs(minus) @ invalid
+        mask &= (reads == 0.0).reshape(grid.shape)
+    vals = 0.5 * (plus @ flat + minus @ flat)
+    vals = np.where(mask[..., None], vals.reshape(u.values.shape), 0.0)
+    return GridField(grid, vals, mask)
 
 
 def derivative_word(u: GridField, word) -> GridField:
@@ -658,6 +651,9 @@ def assemble_and_solve(
     del weights, g_free
     _release_freed_memory()
     k_ff = g_t @ b_g
+    # sorted indices, so that the cycle sees the K that CG runs on and not
+    # the product's first-touch column order
+    k_ff.sum_duplicates()
     del g_t, b_g
     _release_freed_memory()
 

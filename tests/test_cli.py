@@ -363,3 +363,17 @@ def test_ball_volume_gate_fails_on_too_few_samples():
     assert rep["pass"] is False
     for est in rep["estimates"].values():
         assert est["ci"][1] - est["ci"][0] == pytest.approx(6.0 * est["box_volume"])
+
+
+def test_ball_volume_without_small_ball_hits_fails_without_error(monkeypatch):
+    # at one sample some seeds put no point in the unit ball: the ratio is
+    # undefined and the gate fails with its numbers, not with an exception
+    monkeypatch.setattr(suite, "ALL_CHECKS", [suite.check_ball_volume])
+    undefined = 0
+    for seed in range(10):
+        (rep,) = suite.run_suite(suite.RunConfig(mc_samples=1, seed=seed))["checks"]
+        assert "error" not in rep and rep["pass"] is False
+        if rep["estimates"]["R=1"]["estimate"] == 0.0:
+            assert rep["ratio"] is None
+            undefined += 1
+    assert undefined > 0

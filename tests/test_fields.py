@@ -7,7 +7,6 @@ from carnot.fields import (
     commutator_check,
     coordinate,
     field_of_element,
-    horizontal_jacobian,
     left_invariant_field,
     system_residual,
 )
@@ -91,16 +90,6 @@ def test_coefficient_homogeneous_degree(free24):
             for mono in poly.terms:
                 wdeg = sum(weights[v] * e for v, e in mono)
                 assert wdeg == slot[0] - lab[0]
-
-
-def test_horizontal_jacobian(heis):
-    u = [coordinate((1, 1)), coordinate((1, 2))]
-    jac = horizontal_jacobian(heis, u)
-    ident = PolyFunction.constant(1)
-    assert jac[0][0] == ident and jac[1][1] == ident
-    assert jac[0][1].is_zero() and jac[1][0].is_zero()
-    zero_jac = horizontal_jacobian(heis, [PolyFunction.constant(3)])
-    assert all(p.is_zero() for row in zero_jac for p in row)
 
 
 def test_system_residual_harmonic_coordinates(heis):

@@ -220,13 +220,6 @@ def test_ball_volume_deterministic(heis):
     assert a == b
 
 
-def test_quasi_triangle_constant_reported(heis):
-    worst = __import__("carnot.group", fromlist=["quasi_triangle_constant"]).quasi_triangle_constant(
-        heis, samples=50, seed=2
-    )
-    assert 0.0 < worst < 10.0
-
-
 # -- the compiled group law against the plain polynomial evaluation ----------
 
 LAW_SPECS = ["heisenberg", "engel", "free:2,2", "free:2,3", "free:2,4",

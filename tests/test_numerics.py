@@ -20,20 +20,21 @@ from carnot.numerics import (
     MarginTooSmall,
     NumericsError,
     SolverDiverged,
-    StepTooLarge,
     assemble_and_solve,
     ball_mask,
     caccioppoli_check,
     centered_derivative,
     convergence_study,
+    coordinate_derivative_matrix,
+    derivative_word,
     flow_coordinates,
-    flow_difference,
     gauge_distance_arrays,
     hormander_ratio,
     integrate,
     l2_norm_sq,
     manufactured_source,
     peetre_seminorm,
+    sample_at,
     sobolev_norm,
 )
 from carnot.poly import PolyFunction
@@ -51,40 +52,95 @@ def bump_field(spec, n=17, support=0.8):
     return GridField(grid, bump)
 
 
-# -------------------------------------------------------------- flows
+# -------------------------------------------------------------- derivatives
 
-def test_flow_difference_constant_vanishes(heis):
-    grid = Grid(heis, 9, 1.0)
-    u = GridField(grid, np.full(grid.shape, 3.5))
-    fd = flow_difference(u, (1, 1), 0.2)
-    assert np.allclose(fd.values[fd.mask], 0.0)
-
-
-def test_flow_difference_linear_exact(heis):
-    grid = Grid(heis, 9, 1.0)
-    u = GridField.from_polys(grid, [P11])
-    fd = flow_difference(u, (1, 1), 0.25)
-    assert np.allclose(fd.values[..., 0][fd.mask], 1.0, atol=1e-12)
-
-
-def test_flow_difference_small_step_matches_symbolic(heis):
+def test_flow_quotient_matches_the_symbolic_derivative(heis):
+    # the flows behind the seminorms: (u(p e^{sX}) - u(p)) / s tends to X u
     u_poly = P11 * P12 + P21 * P11
     symbolic = left_invariant_field(heis, (1, 1)).apply(u_poly)
     grid = Grid(heis, 33, 1.0)
     u = GridField.from_polys(grid, [u_poly])
     exact = GridField.from_polys(grid, [symbolic])
     s = 0.01
-    fd = flow_difference(u, (1, 1), s)
-    err = np.abs(fd.values - exact.values)[fd.mask[..., None]]
+    moved, mask = sample_at(u, flow_coordinates(grid, (1, 1), s))
+    err = np.abs((moved - u.values) / s - exact.values)[mask]
     h = grid.horizontal_spacing()
+    assert mask.sum() > 0.9 * mask.size
     assert err.max() <= 5 * (s + h ** 2)
 
 
-def test_flow_difference_step_too_large(heis):
-    grid = Grid(heis, 9, 1.0)
-    u = GridField.from_polys(grid, [P11])
-    with pytest.raises(StepTooLarge):
-        flow_difference(u, (1, 1), 5.0)
+@pytest.mark.parametrize("name,n", [("heisenberg", 9), ("engel", 7), ("free:2,3", 6)])
+def test_centered_derivative_is_the_mean_of_the_solver_stencils(name, n, monkeypatch):
+    # one discrete X_i: the solver's one-sided matrices, averaged, with no
+    # flow and no interpolation
+    def no_flow(*args, **kwargs):
+        raise AssertionError("centered_derivative flowed")
+
+    spec = resolve_group(name)
+    grid = Grid(spec, n, 1.0)
+    rng = np.random.default_rng(11)
+    u = GridField(grid, rng.standard_normal(grid.shape + (2,)))
+    flat = u.values.reshape(-1, 2)
+    monkeypatch.setattr(numerics, "flow_coordinates", no_flow)
+    monkeypatch.setattr(numerics, "sample_at", no_flow)
+    for lab in spec.basis:
+        (plus, v_plus), (minus, v_minus) = (
+            coordinate_derivative_matrix(grid, lab, sign) for sign in (1, -1)
+        )
+        want = (0.5 * (plus @ flat + minus @ flat)).reshape(u.values.shape)
+        d = centered_derivative(u, lab)
+        assert np.array_equal(d.mask, v_plus & v_minus)
+        assert d.values[d.mask].tobytes() == want[d.mask].tobytes()
+        assert not d.values[~d.mask].any()
+
+
+def test_centered_derivative_exact_on_quadratics(engel_spec):
+    # the centred axis differences of a quadratic are exact, and the field
+    # coefficients are taken at the node itself
+    p31 = PolyFunction.variable((3, 1))
+    # the flow form errs by 5e-3 on p31^2 along X_1 at this n
+    u_poly = (P11 * P11 + P11 * P12.scale(3) - P12 * P12 + P21 * P11
+              + p31 * P12.scale(2) - P21 * P21 + p31 * p31 + P11 + p31)
+    grid = Grid(engel_spec, 9, 1.0)
+    u = GridField.from_polys(grid, [u_poly])
+    for i in (1, 2):
+        symbolic = left_invariant_field(engel_spec, (1, i)).apply(u_poly)
+        exact = GridField.from_polys(grid, [symbolic]).values
+        d = centered_derivative(u, (1, i))
+        assert d.mask.sum() > 0
+        assert np.abs(d.values - exact)[d.mask].max() <= 1e-13
+
+
+def test_derivative_word_masks_every_stencil_that_reads_an_invalid_node(heis):
+    grid = Grid(heis, 11, 1.0)
+    rng = np.random.default_rng(3)
+    mask = rng.random(grid.shape) > 0.05
+    u = GridField(grid, rng.standard_normal(grid.shape), mask)
+
+    def oracle(valid, lab):
+        # faces of every label axis, then the neighbours each nonzero
+        # coefficient reads along its axis
+        out = valid.copy()
+        nodes = grid.node_arrays()
+        for label, coeff in left_invariant_field(heis, lab).coeffs.items():
+            ax = grid.axis_of(label)
+            reads = coeff.evaluate_arrays(nodes) != 0.0
+            face = np.zeros(grid.shape, dtype=bool)
+            face[(slice(None),) * ax + (0,)] = face[(slice(None),) * ax + (-1,)] = True
+            out &= ~face
+            for step in (1, -1):
+                out &= ~reads | np.roll(valid, step, axis=ax)
+        return out
+
+    word = [(1, 1), (1, 2)]
+    d = derivative_word(u, word)
+    assert np.array_equal(d.mask, oracle(oracle(mask, (1, 2)), (1, 1)))
+    assert d.mask.sum() > 0
+    # the valid nodes do not see what the invalid ones hold
+    noisy = GridField(grid, np.where(mask, u.values[..., 0], 1e6), mask)
+    d_noisy = derivative_word(noisy, word)
+    assert np.array_equal(d_noisy.mask, d.mask)
+    assert d_noisy.values.tobytes() == d.values.tobytes()
 
 
 def test_centered_derivative_second_order(heis):
@@ -669,6 +725,46 @@ def test_vcycle_is_symmetric_positive_definite(name, n, ncomp, monkeypatch):
 # levels: the horizontal axes halve down to two interior nodes, then the
 # upper-layer axes do (Heisenberg n = 16: 14, 7, 4, 2 horizontally, then
 # 7, 4, 2 vertically, one LU level)
+@pytest.mark.parametrize("name,n", [("heisenberg", 9), ("free:2,3", 7)])
+def test_vcycle_depends_on_the_values_of_k_only(name, n, monkeypatch):
+    # the solver hands the cycle K with sorted indices, and a cycle built
+    # on any column order of K, once canonicalised, has the same bits
+    spec, A, boundary, f, f_i = _system_case(name, 1)
+    seen = []
+
+    class Recording(numerics.VCycle):
+        def __init__(self, k, grid, ncomp):
+            seen.append((k.copy(), grid))
+            super().__init__(k, grid, ncomp)
+
+    monkeypatch.setattr(numerics, "VCycle", Recording)
+    _captured_cg_call(monkeypatch, spec, A, boundary, f, f_i, n)
+    ((k, grid),) = seen
+    rows = np.repeat(np.arange(k.shape[0]), np.diff(k.indptr))
+    assert np.all((np.diff(k.indices) > 0) | (np.diff(rows) > 0))
+
+    rng = np.random.default_rng(2)
+    order = np.concatenate([
+        lo + rng.permutation(hi - lo) for lo, hi in zip(k.indptr[:-1], k.indptr[1:])
+    ])
+    shuffled = sparse.csr_matrix((k.data[order], k.indices[order], k.indptr), k.shape)
+    assert not np.array_equal(shuffled.indices, k.indices)
+    cycles = []
+    for mat in (k, shuffled):
+        mat.sum_duplicates()
+        cycles.append(numerics.VCycle(mat, grid, 1))
+    assert len(cycles[0].levels) == len(cycles[1].levels)
+    for level_a, level_b in zip(cycles[0].levels, cycles[1].levels):
+        for a, b in zip(level_a, level_b):
+            if sparse.issparse(a):
+                for part in ("indptr", "indices", "data"):
+                    assert getattr(a, part).tobytes() == getattr(b, part).tobytes()
+            else:
+                assert a.tobytes() == b.tobytes()
+    r = rng.standard_normal(k.shape[0])
+    assert cycles[0](r).tobytes() == cycles[1](r).tobytes()
+
+
 @pytest.mark.parametrize("name,n,levels", [
     ("heisenberg", 16, 7), ("heisenberg", 32, 9), ("engel", 12, 7), ("free:2,3", 8, 5),
 ])
