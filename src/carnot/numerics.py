@@ -6,9 +6,11 @@ Fields live on a lattice in exponential coordinates.  A left-invariant
 derivative is discretised once, by the one-sided matrices of
 :func:`coordinate_derivative_matrix`: the solver assembles them and
 :func:`centered_derivative` averages the two sides.  Group flows
-``p -> p * exp(s Z)`` land off-lattice and are evaluated by multilinear
-interpolation; they serve only where they are the definition (the
-fractional seminorms).
+``p -> p * exp(s Z)`` land off-lattice and serve only where they are the
+definition (the fractional seminorms and the blow-ups).  They are sampled
+by a multilinear gather over the axes they move: a flow along a layer-k
+direction leaves the lower layers and the other layer-k axes on their
+nodes, and those axes are read at their node index.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
-from scipy.ndimage import map_coordinates
 from scipy.sparse.linalg import splu
 
 from .algebra import AlgebraSpec
@@ -180,44 +181,68 @@ def flow_coordinates(grid: Grid, direction, s):
     return product_arrays(grid.spec, [nodes[lab] for lab in grid.axes], step)
 
 
-def _fractional_indices(grid, coords):
-    idx = []
-    for ax, arr in enumerate(coords):
-        w = grid.half_widths[ax]
-        h = grid.spacing[ax]
-        idx.append((arr + w) / h)
-    return idx
-
-
-def _inside_mask(grid, indices, tol=1e-9):
-    mask = np.ones(np.shape(indices[0]), dtype=bool)
-    for ax, arr in enumerate(indices):
-        mask &= (arr >= -tol) & (arr <= grid.shape[ax] - 1 + tol)
-    return mask
+def _fold(corners, fractions):
+    """Multilinear combination of the ``2**k`` corner arrays (bit j of a
+    corner's position is its step along the j-th moved axis) by pairwise
+    lerps ``a + t (b - a)``, the last axis first, in place."""
+    for j in reversed(range(len(fractions))):
+        t, half = fractions[j], 1 << j
+        for lo, hi in zip(corners[:half], corners[half:]):
+            hi -= lo
+            hi *= t
+            hi += lo
+        corners = corners[half:]
+    return corners[0]
 
 
 def sample_at(field: GridField, coords, outside_zero=False):
     """Multilinear interpolation of the field at off-lattice points.
 
-    Returns ``(values, mask)``; outside the box the value is 0 and the mask
-    is cleared unless ``outside_zero`` marks the extension as intended.
+    Returns ``(values, mask)``.  Points are clipped to the box; beyond it
+    by more than 1e-9 of a cell, or at a non-finite coordinate, the value
+    is 0 and the mask is cleared unless ``outside_zero`` marks the
+    extension as intended.  Where the field has invalid nodes a point is
+    valid only if their interpolated share is below 1e-9.  An axis whose
+    coordinates are the grid's node mesh is read at its node index, so
+    only the moved axes are interpolated.
     """
     grid = field.grid
-    indices = _fractional_indices(grid, coords)
-    inside = _inside_mask(grid, indices)
-    stacked = np.stack([np.clip(ix, 0, s - 1) for ix, s in zip(indices, grid.shape)])
-    comps = []
-    for alpha in range(field.n_components):
-        comps.append(
-            map_coordinates(field.values[..., alpha], stacked, order=1, mode="nearest")
-        )
-    values = np.stack(comps, axis=-1)
-    values = np.where(inside[..., None], values, 0.0)
-    mask = np.ones(inside.shape, dtype=bool) if outside_zero else inside
+    nodes = grid.node_arrays()
+    shape = np.shape(coords[0])
+    inside = np.ones(shape, dtype=bool)
+    base = np.zeros(shape, dtype=np.intp)
+    # corner o of the point with lower corner ``base`` is entry base + o
+    offsets, fractions = [0], []
+    for ax, (lab, arr) in enumerate(zip(grid.axes, coords)):
+        s = grid.shape[ax]
+        stride = math.prod(grid.shape[ax + 1:])
+        if np.shape(arr) == grid.shape and np.array_equal(arr, nodes[lab]):
+            node_index = np.arange(s).reshape((s,) + (1,) * (len(shape) - ax - 1))
+            base += node_index * stride
+            continue
+        # the fractional index (arr + w) / h, the floor of its clipped value
+        # (at most s - 2) and the fraction in [0, 1], each in place
+        x = np.array(arr, dtype=float)
+        x += grid.half_widths[ax]
+        x /= grid.spacing[ax]
+        inside &= (x >= -1e-9) & (x <= s - 1 + 1e-9)
+        # fmax and fmin drop NaN, so no non-finite value reaches the cast
+        np.fmin(np.fmax(x, 0.0, out=x), s - 1.0, out=x)
+        lower = x.astype(np.intp)
+        np.minimum(lower, s - 2, out=lower)
+        x -= lower
+        lower *= stride
+        base += lower
+        offsets += [o + stride for o in offsets]
+        fractions.append(x)
+    flat = field.values.reshape(-1, field.n_components)
+    values = _fold([flat[o:].take(base, axis=0) for o in offsets],
+                   [t[..., None] for t in fractions])
+    values[~inside] = 0.0
+    mask = np.ones(shape, dtype=bool) if outside_zero else inside
     if not np.all(field.mask):
-        valid = map_coordinates(
-            field.mask.astype(float), stacked, order=1, mode="constant", cval=0.0
-        )
+        valid = field.mask.astype(float).ravel()
+        valid = _fold([valid[o:].take(base) for o in offsets], fractions)
         mask = mask & (valid > 1.0 - 1e-9)
     return values, mask
 
@@ -353,7 +378,9 @@ def peetre_seminorm(u: GridField, direction, alpha, epsilon0=None) -> float:
     if not (0 < alpha <= 1):
         raise ValueError("order must lie in (0, 1]")
     grid = u.grid
-    eps0 = 4.0 * grid.horizontal_spacing() if epsilon0 is None else epsilon0
+    eps0 = 4.0 * grid.horizontal_spacing() if epsilon0 is None else float(epsilon0)
+    if not (math.isfinite(eps0) and eps0 > 0):
+        raise ValueError(f"epsilon0 must be finite and positive, got {epsilon0}")
     offsets = np.geomspace(eps0 / 2 ** (OFFSET_SAMPLES - 1), eps0, OFFSET_SAMPLES)
     worst = 0.0
     for h in offsets:

@@ -1,18 +1,21 @@
+import gc
 import hashlib
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.ndimage import map_coordinates
 from scipy.sparse.linalg import cg
 
 from carnot import numerics, regularity
 from carnot.algebra import build_free_nilpotent
 from carnot.catalog import resolve_group
 from carnot.fields import SystemCoefficients, left_invariant_field
-from carnot.group import Point, bch_product
+from carnot.group import Point, bch_product, product_arrays
 from carnot.numerics import (
     GRID_BYTE_LIMIT,
     Grid,
@@ -206,6 +209,183 @@ def test_hormander_layer1_direction_reduces_to_full_order(heis):
         + l2_norm_sq(u)
     )
     assert ratio == pytest.approx(lhs / rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("epsilon0", [0.0, -0.2, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
+def test_seminorm_rejects_epsilon0_not_finite_and_positive(heis, epsilon0, alpha):
+    u = bump_field(heis, n=9)
+    with pytest.raises(ValueError, match="epsilon0 must be finite and positive"):
+        peetre_seminorm(u, (1, 1), alpha, epsilon0)
+
+
+# -------------------------------------------------------------- flow sampling
+
+def map_coordinates_oracle(field, coords, outside_zero=False):
+    # the sampler as scipy's order-1 spline: fractional indices clipped to
+    # the box, nodes outside it read as the nearest face, and the validity
+    # interpolated with zero beyond the box
+    grid = field.grid
+    idx = [(np.asarray(c) + w) / h
+           for c, w, h in zip(coords, grid.half_widths, grid.spacing)]
+    inside = np.ones(np.shape(idx[0]), dtype=bool)
+    for x, s in zip(idx, grid.shape):
+        inside &= (x >= -1e-9) & (x <= s - 1 + 1e-9)
+    stacked = np.stack([np.clip(x, 0, s - 1) for x, s in zip(idx, grid.shape)])
+    values = np.stack([
+        map_coordinates(field.values[..., a], stacked, order=1, mode="nearest")
+        for a in range(field.n_components)
+    ], axis=-1)
+    values = np.where(inside[..., None], values, 0.0)
+    mask = np.ones(inside.shape, dtype=bool) if outside_zero else inside
+    if not np.all(field.mask):
+        valid = map_coordinates(field.mask.astype(float), stacked, order=1,
+                                mode="constant", cval=0.0)
+        mask = mask & (valid > 1.0 - 1e-9)
+    return values, mask
+
+
+def assert_matches_oracle(field, coords, outside_zero):
+    got, got_mask = sample_at(field, coords, outside_zero)
+    want, want_mask = map_coordinates_oracle(field, coords, outside_zero)
+    assert np.array_equal(got_mask, want_mask)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(field.values).max()
+
+
+SAMPLED_GROUPS = [
+    ("heisenberg", (11, 12, 13)),
+    ("engel", (8, 9, 7, 8)),
+    ("free:2,3", (7, 6, 7, 6, 5)),
+]
+
+
+@pytest.mark.parametrize("name,shape", SAMPLED_GROUPS)
+def test_sample_at_matches_map_coordinates_on_every_flow(name, shape):
+    spec = resolve_group(name)
+    grid = Grid(spec, shape, [0.9 + 0.1 * ax for ax in range(len(shape))])
+    rng = np.random.default_rng(7)
+    values = rng.uniform(-4.0, 4.0, grid.shape + (2,))
+    holes = rng.random(grid.shape) < 0.05
+    for mask in (None, ~holes):
+        u = GridField(grid, values, mask)
+        for lab in spec.basis:
+            for h in (0.037, -0.037, 0.0007, -0.0007):
+                coords = flow_coordinates(grid, lab, h)
+                for outside_zero in (False, True):
+                    assert_matches_oracle(u, coords, outside_zero)
+
+
+def test_sample_at_matches_map_coordinates_on_a_blowup_grid(heis, monkeypatch):
+    seen = []
+
+    def recording(u, coords, outside_zero=False):
+        seen.append(coords)
+        return sample_at(u, coords, outside_zero)
+
+    monkeypatch.setattr(regularity, "sample_at", recording)
+    grid = Grid(heis, 17, 1.0)
+    rng = np.random.default_rng(8)
+    u = GridField(grid, rng.uniform(-4.0, 4.0, grid.shape),
+                  rng.random(grid.shape) >= 0.05)
+    seq = regularity.blowup_rescale(u, [0.07, -0.05, 0.03], 0.6, n=(40, 44, 52))
+    (coords,) = seen
+    assert seq.rescaled.grid.shape == (40, 44, 52)
+    assert np.shape(coords[0]) == (40, 44, 52)
+    for field in (u, GridField(grid, u.values)):
+        for outside_zero in (False, True):
+            assert_matches_oracle(field, coords, outside_zero)
+
+
+def test_sample_at_reproduces_multilinear_polynomials(heis):
+    # multilinear interpolation is exact on each cell for a polynomial of
+    # degree at most one in each coordinate
+    poly = (P11 + 1) * (2 - P21) * (P12 + 1)
+    grid = Grid(heis, (9, 10, 11), 1.0)
+    u = GridField.from_polys(grid, [poly])
+    nodes = grid.node_arrays()
+    sets = [flow_coordinates(grid, lab, h)
+            for lab in heis.basis for h in (0.037, -0.0007)]
+    sets.append(product_arrays(heis, [0.1, -0.2, 0.05],
+                               [nodes[lab] * 0.7 ** lab[0] for lab in heis.basis]))
+    for coords in sets:
+        moved, mask = sample_at(u, coords)
+        want = poly.evaluate_arrays(dict(zip(heis.basis, coords)))
+        assert mask.any()
+        assert np.abs(moved[..., 0] - want)[mask].max() <= 1e-14 * np.abs(want).max()
+        assert not moved[~mask].any()
+
+
+def test_sample_at_counts_the_faces_and_their_tolerance_as_inside(heis):
+    grid = Grid(heis, (5, 6, 7), (1.0, 0.5, 2.0))
+    rng = np.random.default_rng(9)
+    u = GridField(grid, rng.uniform(-1.0, 1.0, grid.shape))
+    # per axis: each face, 0.5e-9 of a cell beyond it (inside, clipped back
+    # to the face) and 2e-9 of a cell beyond it (outside); the other axes
+    # sit on their second node
+    for ax in range(3):
+        w, h = grid.half_widths[ax], grid.spacing[ax]
+        coords = [np.full(6, grid.coords1d[i][1]) for i in range(3)]
+        coords[ax] = np.array([-w, w, -w - 0.5e-9 * h, w + 0.5e-9 * h,
+                               -w - 2e-9 * h, w + 2e-9 * h])
+        values, mask = sample_at(u, coords)
+        assert mask.tolist() == [True] * 4 + [False] * 2
+        at = [1, 1, 1]
+        faces = []
+        for end in (0, -1):
+            at[ax] = end
+            faces.append(u.component()[tuple(at)])
+        assert np.abs(values[:4, 0] - faces * 2).max() <= 1e-15
+        assert not values[4:].any()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sample_at_nonfinite_coordinates_are_outside_without_warning(heis, bad):
+    grid = Grid(heis, 9, 1.0)
+    u = GridField.from_polys(grid, [P11 + 2])
+    coords = flow_coordinates(grid, (1, 1), 0.01)
+    for ax in range(3):
+        bent = [c.copy() for c in coords]
+        bent[ax][1, 2, 3] = bad
+        bent[(ax + 1) % 3][4, 4, 4] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, mask = sample_at(u, bent)
+            _, kept = sample_at(u, bent, outside_zero=True)
+        for point in ((1, 2, 3), (4, 4, 4)):
+            assert not values[point].any()
+            assert not mask[point]
+            assert kept[point]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in SAMPLED_GROUPS])
+def test_flows_keep_the_lower_layers_and_the_other_same_layer_axes_on_nodes(name):
+    # what lets the sampler read those axes at their node index
+    spec = resolve_group(name)
+    grid = Grid(spec, 6, 1.0)
+    nodes = grid.node_arrays()
+    for lab in spec.basis:
+        for h in (0.037, -0.0007):
+            coords = flow_coordinates(grid, lab, h)
+            for other, arr in zip(spec.basis, coords):
+                if other[0] < lab[0] or (other[0] == lab[0] and other != lab):
+                    assert arr.tobytes() == nodes[other].tobytes(), (lab, other)
+
+
+def test_flow_sampling_leaves_no_reference_cycles(heis):
+    u = bump_field(heis, n=13)
+    regularity.blowup_rescale(u, [0.05, 0.0, -0.02], 0.5)
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        hormander_ratio(u, (2, 1))
+        assert gc.collect() == 0
+        regularity.blowup_rescale(u, [0.05, 0.0, -0.02], 0.5)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # -------------------------------------------------------------- norms
