@@ -312,6 +312,8 @@ def rewrite_group():
               help="comma counts for layers 2..r")
 @click.option("--json", "out", type=click.Path(), default=None)
 def rewrite_trace(step_r, profile_text, out):
+    if step_r < 2:
+        raise DomainError(f"the step must be at least 2, got {step_r}")
     counts = [int(x) for x in profile_text.split(",")]
     if len(counts) != step_r - 1:
         raise click.UsageError(f"need {step_r - 1} counts for layers 2..{step_r}")

@@ -17,6 +17,9 @@ classifies.  The exact one (:class:`ExactContext`) instantiates every
 letter as an algebra element; the soundness check compares both
 generators' words, and a word against its normalized form, as operator
 identities on polynomials.  So the certified words are the verified words.
+
+One reduction step, largest-W successor first, serves the reduction, the
+sweep (once per profile, in ascending W) and the replay of a trace.
 """
 
 from __future__ import annotations
@@ -40,10 +43,6 @@ class ClassificationFailure(RewriteError):
         super().__init__(f"unclassifiable term {term} from {profile}: {detail}")
         self.profile = profile
         self.term = term
-
-
-class DepthExceeded(RewriteError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -469,22 +468,22 @@ def _expansion_successors(profile):
 
 
 def t2_step(profile):
-    """Step for profiles populated only at the lowest and top layers.
+    """Successors of one step on a profile populated only at the lowest and
+    top layers.
 
-    Returns ``(successors, certificate)``; the certificate asserts that
-    every successor lost at least one lowest-layer letter without losing
-    mass anywhere else and without increasing the total.
+    Raises :class:`ClassificationFailure` unless every successor lost at
+    least one lowest-layer letter without losing mass anywhere else and
+    without increasing the total.
     """
     r = profile.r
     low = profile.lowest_layer()
     if low is None:
-        return [], {"rule": "T2", "ok": True, "checks": []}
+        return []
     if not profile.middle_is_empty():
         raise ValueError("t2 step needs an empty middle range")
     if low == r:
         raise ValueError("top-layer-only profiles reduce by the top-layer iteration")
     succ = _expansion_successors(profile)
-    checks = []
     for s in succ:
         ok = (
             s.profile.total() <= profile.total()
@@ -495,18 +494,11 @@ def t2_step(profile):
                 if k != low
             )
         )
-        checks.append({"profile": list(s.profile.counts), "ok": ok})
         if not ok:
             raise ClassificationFailure(
                 profile, s, "successor violates the two-layer certificate"
             )
-    certificate = {
-        "rule": "T2",
-        "ok": True,
-        "lowest_layer": low,
-        "checks": checks,
-    }
-    return succ, certificate
+    return succ
 
 
 @dataclass(frozen=True)
@@ -525,6 +517,24 @@ class TraceStep:
             "W_in": self.w_in,
             "W_out": self.w_out,
         }
+
+
+def _step(profile):
+    """One reduction step on a nonzero profile: rule ``A`` drops a top-layer
+    letter, ``T2`` is :func:`t2_step`, and otherwise the rule is that of the
+    chosen successor.  The distinct successor profiles come largest
+    ``(W, counts)`` first; the chain continues through ``out_profiles[0]``.
+    """
+    r = profile.r
+    if profile.only_top_layer():
+        succ, rule = [Successor(profile.with_count(r, profile.count(r) - 1), "A")], "A"
+    elif profile.middle_is_empty():
+        succ, rule = t2_step(profile), "T2"
+    else:
+        succ, rule = _expansion_successors(profile), None
+    out = sorted({s.profile for s in succ}, key=lambda p: (p.w_measure(), p.counts))[::-1]
+    rule = rule or next(s.rule for s in succ if s.profile == out[0])
+    return TraceStep(rule, profile, tuple(out), profile.w_measure(), out[0].w_measure())
 
 
 class ReductionTrace:
@@ -560,33 +570,21 @@ class ReductionTrace:
         return ReductionTrace(LayerProfile(r, data["initial"]), steps)
 
     def replay(self):
-        """Re-run every step and confirm the recorded successor sets."""
+        """True only when the steps are the chain :func:`reduce_to_base`
+        takes from ``initial``, each through the previous step's first
+        out-profile, with W dropping at every step, down to zero."""
+        profile = self.initial
         for step in self.steps:
-            recomputed = _step_successors(step.in_profile)[1]
-            got = tuple(sorted({s.profile.counts for s in recomputed}))
-            want = tuple(sorted(p.counts for p in step.out_profiles))
-            if got != want:
+            # a chain starts without horizontal letters and stops at zero
+            if profile.lowest_layer() in (None, 1) or step.in_profile != profile:
                 return False
-            if step.w_in != step.in_profile.w_measure():
+            try:
+                if step != _step(profile) or step.w_out >= step.w_in:
+                    return False
+            except ClassificationFailure:
                 return False
-            if step.out_profiles and step.w_out != max(
-                p.w_measure() for p in step.out_profiles
-            ):
-                return False
-            if step.w_out >= step.w_in:
-                return False
-        return True
-
-
-def _step_successors(profile):
-    """Dispatch one reduction step; returns (default rule, successor list)."""
-    r = profile.r
-    if profile.only_top_layer():
-        nxt = profile.with_count(r, profile.count(r) - 1)
-        return "A", [Successor(nxt, "A")]
-    if profile.middle_is_empty():
-        return "T2", t2_step(profile)[0]
-    return "T1", _expansion_successors(profile)
+            profile = step.out_profiles[0]
+        return profile.is_zero()
 
 
 def reduce_to_base(initial: LayerProfile) -> ReductionTrace:
@@ -596,63 +594,58 @@ def reduce_to_base(initial: LayerProfile) -> ReductionTrace:
     to drop strictly on each of them; the chain continues through the
     successor of largest W, so its length is bounded by W(initial).
     """
-    low = initial.lowest_layer()
-    if low == 1:
+    if initial.lowest_layer() == 1:
         raise ValueError("horizontal-layer letters are absorbed by the energy norm")
     steps = []
     profile = initial
-    budget = initial.w_measure()
     while not profile.is_zero():
-        if len(steps) >= budget:
-            raise DepthExceeded(f"more steps than W({initial}) = {budget}")
-        default_rule, succ = _step_successors(profile)
-        w_in = profile.w_measure()
-        for s in succ:
-            if s.profile.w_measure() >= w_in:
-                raise ClassificationFailure(
-                    profile, s, f"W did not decrease: {s.profile}"
-                )
-        # deterministic continuation: largest W, then largest counts
-        chosen = max(succ, key=lambda s: (s.profile.w_measure(), s.profile.counts))
-        rule = chosen.rule if default_rule == "T1" else default_rule
-        out = tuple(
-            sorted(
-                {s.profile for s in succ},
-                key=lambda p: (p.w_measure(), p.counts),
-                reverse=True,
-            )
-        )
-        steps.append(TraceStep(rule, profile, out, w_in, out[0].w_measure()))
-        profile = chosen.profile
+        step = _step(profile)
+        if step.w_out >= step.w_in:
+            worst = step.out_profiles[0]
+            raise ClassificationFailure(profile, worst, f"W did not decrease: {worst}")
+        steps.append(step)
+        profile = step.out_profiles[0]
     return ReductionTrace(initial, steps)
 
 
 def termination_sweep(r, max_total):
-    """Exhaustively reduce every profile of the given step with bounded
-    total letters (lowest layer >= 2); returns a summary report."""
+    """Reduce every profile of step ``r`` with 1..``max_total`` letters in
+    layers 2..r; a profile whose chain meets an unclassifiable term or a
+    step on which W does not drop counts once in the report."""
+    if r < 2:
+        raise ValueError(f"the step must be at least 2, got {r}")
+    if max_total < 1:
+        raise ValueError(f"the total must be at least 1, got {max_total}")
+    domain = [
+        word_profile([Letter(k) for k in layers], r)
+        for t in range(1, max_total + 1)
+        for layers in itertools.combinations_with_replacement(range(2, r + 1), t)
+    ]
     report = {
         "r": r,
         "max_total": max_total,
-        "profiles": 0,
+        "profiles": len(domain),
         "max_trace": 0,
         "classification_failures": 0,
         "w_violations": 0,
     }
-    ranges = [range(max_total + 1)] * (r - 1)
-    for counts in itertools.product(*ranges):
-        if sum(counts) > max_total or not any(counts):
-            continue
-        profile = LayerProfile(r, (0,) + counts)
-        report["profiles"] += 1
+    # ascending W, so each chain continues through a profile already swept;
+    # a broken chain's entry is the report counter naming its first break
+    length = {LayerProfile(r, (0,) * r): 0}
+    for profile in sorted(domain, key=LayerProfile.w_measure):
         try:
-            trace = reduce_to_base(profile)
+            step = _step(profile)
+            outcome = "w_violations"
+            if step.w_out < step.w_in:
+                outcome = length[step.out_profiles[0]]
         except ClassificationFailure:
-            report["classification_failures"] += 1
-            continue
-        report["max_trace"] = max(report["max_trace"], len(trace))
-        for step in trace.steps:
-            if step.w_out >= step.w_in:
-                report["w_violations"] += 1
+            outcome = "classification_failures"
+        if isinstance(outcome, int):
+            outcome += 1
+            report["max_trace"] = max(report["max_trace"], outcome)
+        else:
+            report[outcome] += 1
+        length[profile] = outcome
     return report
 
 

@@ -307,6 +307,16 @@ def test_verify_constant_not_positive_exits_1(runner):
     (["solve", "--n", "8", "--bc", "p11", "--f", "p11;p21"], "f has 2 components; need 1"),
     (["verify", "decay", "--n", "12", "--radii", "1"], "two distinct radii, got [1.0]"),
     (["verify", "decay", "--n", "12", "--radii", "1,1"], "two distinct radii"),
+    # an empty sweep domain would certify nothing
+    (["rewrite", "sweep", "--step", "1"], "the step must be at least 2, got 1"),
+    (["rewrite", "sweep", "--step", "0"], "the step must be at least 2, got 0"),
+    (["rewrite", "sweep", "--step", "-3"], "the step must be at least 2, got -3"),
+    (["rewrite", "sweep", "--step", "3", "--max-total", "0"],
+     "the total must be at least 1, got 0"),
+    (["rewrite", "sweep", "--step", "3", "--max-total", "-2"],
+     "the total must be at least 1, got -2"),
+    (["rewrite", "trace", "--step", "1", "--profile", ""],
+     "the step must be at least 2, got 1"),
 ])
 def test_domain_errors_exit_2_with_one_line(runner, args, message):
     result = runner.invoke(main, args)

@@ -1,12 +1,15 @@
+import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from carnot import rewrite
 from carnot.algebra import build_free_nilpotent
 from carnot.catalog import resolve_group
 from carnot.fields import SystemCoefficients
@@ -19,6 +22,7 @@ from carnot.rewrite import (
     Letter,
     ReductionTrace,
     SymbolicTerm,
+    TraceStep,
     classify_successor,
     expand_f,
     expand_fi,
@@ -288,17 +292,20 @@ def test_classify_absorbs_one_leading_horizontal():
 
 def test_t2_step_reduces_lowest_layer():
     profile = LayerProfile(3, (0, 1, 2))
-    successors, certificate = t2_step(profile)
-    assert certificate["ok"]
+    successors = t2_step(profile)
+    assert successors
     for s in successors:
         assert s.profile.count(2) == 0
         assert s.profile.total() <= profile.total()
 
 
 def test_t2_step_certificate_on_step3():
+    # every successor lost a layer-2 letter and kept its layer-3 mass
     profile = LayerProfile(3, (0, 2, 1))
-    successors, certificate = t2_step(profile)
-    assert all(chk["ok"] for chk in certificate["checks"])
+    successors = t2_step(profile)
+    for s in successors:
+        assert s.profile.count(2) <= 1 and s.profile.count(3) >= 1
+        assert s.profile.total() <= profile.total()
     ws = {s.profile.w_measure() for s in successors}
     assert max(ws) < profile.w_measure()
 
@@ -343,6 +350,30 @@ def test_trace_json_round_trip_and_replay():
     assert [s.rule for s in back.steps] == [s.rule for s in trace.steps]
 
 
+@pytest.mark.parametrize("tamper", [
+    lambda d: d.update(steps=d["steps"][:2] + d["steps"][3:]),
+    lambda d: d["steps"][0].update(rule="A"),
+    lambda d: d.update(steps=d["steps"][:-2]),
+    lambda d: d.update(initial=[0, 3, 0, 0]),
+    lambda d: d.update(steps=[]),
+], ids=["step-dropped", "rule-changed", "tail-cut", "initial-changed", "no-steps"])
+def test_replay_rejects_tampered_trace(tamper):
+    trace = reduce_to_base(LayerProfile(4, (0, 2, 1, 0)))
+    assert [s.rule for s in trace.steps] == ["T1-P2", "T2", "T1-P2", "T2", "A", "A"]
+    data = json.loads(json.dumps(trace.to_json()))
+    tamper(data)
+    assert not ReductionTrace.from_json(data).replay()
+
+
+def test_replay_rejects_a_trace_of_an_unclassifiable_profile():
+    profile = LayerProfile(5, (0, 1, 1, 0, 0))
+    with pytest.raises(ClassificationFailure):
+        reduce_to_base(profile)
+    zero = LayerProfile(5, (0,) * 5)
+    forged = ReductionTrace(profile, [TraceStep("T1-P2", profile, (zero,), 7, 0)])
+    assert not forged.replay()
+
+
 def test_termination_sweep_counts_unclassified_profiles():
     # from step 5 some profiles fit no case of the table; each is counted
     report = termination_sweep(5, 4)
@@ -357,6 +388,74 @@ def test_termination_sweep_small(r):
     assert report["classification_failures"] == 0
     assert report["w_violations"] == 0
     assert report["profiles"] > 0
+
+
+def _sweep_oracle(r, max_total):
+    """The sweep as a reduction from every start profile, each failure of
+    the chain counted once."""
+    report = {"r": r, "max_total": max_total, "profiles": 0, "max_trace": 0,
+              "classification_failures": 0, "w_violations": 0}
+    for counts in itertools.product(range(max_total + 1), repeat=r - 1):
+        if not 0 < sum(counts) <= max_total:
+            continue
+        report["profiles"] += 1
+        try:
+            trace = reduce_to_base(LayerProfile(r, (0,) + counts))
+        except ClassificationFailure:
+            report["classification_failures"] += 1
+            continue
+        report["max_trace"] = max(report["max_trace"], len(trace))
+    return report
+
+
+@pytest.mark.parametrize("r, max_total", [(2, 6), (3, 6), (4, 6), (5, 4), (6, 3)])
+def test_termination_sweep_matches_per_profile_reduction(monkeypatch, r, max_total):
+    want = _sweep_oracle(r, max_total)
+    expanded = []
+    expand = rewrite._expansion_successors
+
+    def counting(profile):
+        expanded.append(profile)
+        return expand(profile)
+
+    monkeypatch.setattr(rewrite, "_expansion_successors", counting)
+    report = termination_sweep(r, max_total)
+    assert report == want
+    # each profile is expanded at most once; the max_total profiles with
+    # letters in the top layer only drop one top letter and expand nothing
+    assert len(set(expanded)) == len(expanded)
+    assert len(expanded) + max_total == report["profiles"]
+
+
+@pytest.mark.parametrize("r, max_total", [(2, 6), (4, 6), (7, 3), (20, 2)])
+def test_termination_sweep_domain_size(r, max_total):
+    # one profile per nonempty multiset of at most max_total layers in 2..r
+    report = termination_sweep(r, max_total)
+    assert report["profiles"] == math.comb(max_total + r - 1, r - 1) - 1
+
+
+def test_termination_sweep_counts_chains_through_a_w_violation(monkeypatch):
+    # a step on which W does not drop breaks every chain through it, once each
+    stalled = LayerProfile(3, (0, 0, 1))
+    starts = [
+        LayerProfile(3, (0, a, b)) for a in range(3) for b in range(3) if 0 < a + b <= 2
+    ]
+    through = sum(
+        stalled in [s.in_profile for s in reduce_to_base(p).steps] for p in starts
+    )
+    step = rewrite._step
+
+    def stalling(profile):
+        s = step(profile)
+        return dataclasses.replace(s, w_out=s.w_in) if profile == stalled else s
+
+    monkeypatch.setattr(rewrite, "_step", stalling)
+    report = termination_sweep(3, 2)
+    assert report["profiles"] == len(starts)
+    assert report["w_violations"] == through > 0
+    assert report["classification_failures"] == 0
+    with pytest.raises(ClassificationFailure, match="W did not decrease"):
+        reduce_to_base(stalled)
 
 
 # sha256 of the JSON traces of every profile swept at r = 2, 3, 4 and
@@ -495,8 +594,7 @@ def test_step3_trace_matches_hand_computation():
 def test_lowest_at_top_minus_one_routes_through_two_layer_step():
     # mass only in the next-to-top layer: still the two-layer machinery
     profile = LayerProfile(4, (0, 0, 2, 0))
-    successors, certificate = t2_step(profile)
-    assert certificate["ok"]
+    successors = t2_step(profile)
     out = {s.profile.counts for s in successors}
     assert (0, 0, 1, 0) in out           # peeled word
     assert all(p[2] <= 1 for p in out)   # lowest-layer count dropped
