@@ -3,14 +3,17 @@ seminorms, horizontal Sobolev norms, a weak-form solver and the energy
 inequality check.
 
 Fields live on a lattice in exponential coordinates.  A left-invariant
-derivative is discretised once, by the one-sided matrices of
-:func:`coordinate_derivative_matrix`: the solver assembles them and
-:func:`centered_derivative` averages the two sides.  Group flows
-``p -> p * exp(s Z)`` land off-lattice and serve only where they are the
-definition (the fractional seminorms and the blow-ups).  They are sampled
-by a multilinear gather over the axes they move: a flow along a layer-k
-direction leaves the lower layers and the other layer-k axes on their
-nodes, and those axes are read at their node index.
+derivative is discretised once, by the one-sided stencils of
+:func:`_stencil` (a coefficient array per axis displacement): the solver
+accumulates the weak form from them diagonal by diagonal, with no sparse
+product, and :func:`centered_derivative` averages the two sides of
+:func:`coordinate_derivative_matrix`, the same stencils as sparse
+matrices.  Group flows ``p -> p * exp(s Z)`` land off-lattice and serve
+only where they are the definition (the fractional seminorms and the
+blow-ups).  They are sampled by a multilinear gather over the axes they
+move: a flow along a layer-k direction leaves the lower layers and the
+other layer-k axes on their nodes, and those axes are read at their node
+index.
 """
 
 from __future__ import annotations
@@ -410,18 +413,21 @@ def hormander_ratio(u: GridField, direction):
 # weak-form assembly and solve
 # ---------------------------------------------------------------------------
 
-def coordinate_derivative_matrix(grid: Grid, direction, sign):
+def _stencil(grid: Grid, direction, sign):
     """One-sided discretization of a left-invariant field in coordinate
     form: exact polynomial coefficients times axis-aligned differences.
 
-    Each coefficient is one diagonal, at the offset of a step to the next
-    node along its label's axis, and the main diagonal is minus their sum.
-    Axis stencils stay on the lattice, so no interpolation enters and the
-    only invalid rows are on the faces the differences step over.
+    Returns a map from axis displacement to coefficient array, the zero
+    displacement first, and the nodes where the stencil stays on the grid.
+    Each coefficient sits at a step of ``sign`` along its label's axis and
+    the zero displacement holds minus their sum.  Axis stencils stay on the
+    lattice, so no interpolation enters and the only invalid nodes are on
+    the faces the differences step over, where every coefficient is zero.
     """
-    size = math.prod(grid.shape)
+    dim = len(grid.shape)
     valid = np.ones(grid.shape, dtype=bool)
-    main, diagonals, offsets = np.zeros(size), [], []
+    main = np.zeros(grid.shape)
+    stencil = {(0,) * dim: main}
     for label, coeff in left_invariant_field(grid.spec, direction).coeffs.items():
         ax = grid.axis_of(label)
         # the face the step would leave has no entry
@@ -429,12 +435,29 @@ def coordinate_derivative_matrix(grid: Grid, direction, sign):
         valid[face] = False
         c = coeff.evaluate_arrays(grid.node_arrays()) / (sign * grid.spacing[ax])
         c[face] = 0.0
-        c = c.ravel()
-        stride = math.prod(grid.shape[ax + 1:])
-        diagonals.append(c[:-stride] if sign > 0 else c[stride:])
-        offsets.append(sign * stride)
+        stencil[_unit_step(dim, ax, sign)] = c
         main += c
-    return sparse.diags([-main] + diagonals, [0] + offsets, (size,) * 2, "csr"), valid
+    np.negative(main, out=main)
+    return stencil, valid
+
+
+def _unit_step(dim, ax, sign):
+    return tuple(sign if k == ax else 0 for k in range(dim))
+
+
+def _flat_offset(shape, step):
+    return sum(t * math.prod(shape[k + 1:]) for k, t in enumerate(step))
+
+
+def coordinate_derivative_matrix(grid: Grid, direction, sign):
+    """The one-sided matrix of :func:`_stencil`, one diagonal per
+    displacement, and its valid nodes."""
+    stencil, valid = _stencil(grid, direction, sign)
+    size = math.prod(grid.shape)
+    offsets = [_flat_offset(grid.shape, step) for step in stencil]
+    diagonals = [c.ravel()[max(0, -o):size - max(0, o)]
+                 for c, o in zip(stencil.values(), offsets)]
+    return sparse.diags(diagonals, offsets, (size,) * 2, "csr"), valid
 
 
 def _find_malloc_trim():
@@ -461,26 +484,139 @@ def _release_freed_memory():
         _MALLOC_TRIM(0)
 
 
-def _derivative_stack(grid: Grid, ncomp):
-    """G, the one-sided derivatives X_i of both signs for ``ncomp``
-    components (rows ordered side, node, alpha, i), and each side's node
-    weights: half the cell volume where all that side's stencils stay on
-    the grid.  Averaging the two sides' quadratic forms gives the compact
-    stencil (no odd-even decoupling) and cancels the first-order term."""
-    m = grid.spec.m
-    sides, weights = [], []
-    for sgn in (+1, -1):
-        valid, side = np.ones(grid.shape, dtype=bool), 0
-        for i in range(m):
-            mat, v = coordinate_derivative_matrix(grid, (1, i + 1), sgn)
-            valid &= v
-            # E_i puts component alpha at row alpha * m + i; as CSR it stores
-            # no zeros, which a block-format E_i would hand on to kron
-            slot = sparse.csr_matrix(np.kron(np.eye(ncomp), np.eye(m, 1, -i)))
-            side = side + sparse.kron(mat, slot, "csr")
-        sides.append(side)
-        weights.append(np.where(valid.ravel(), 0.5 * grid.cell_volume, 0.0))
-    return sparse.vstack(sides, "csr"), np.stack(weights)
+def _coupled_steps(grid: Grid, form):
+    """The axis displacements, ascending, from an unknown's node to the
+    nodes its row of K reaches: on either side, a step of X_j less a step
+    of X_i, for each pair of slots (i, j) the form couples."""
+    spec, dim = grid.spec, len(grid.shape)
+    m = spec.m
+    ncomp = form.shape[0] // m
+    coupled = form.reshape(ncomp, m, ncomp, m).any(axis=(0, 2))
+    steps = set()
+    for sign in (1, -1):
+        reach = [[(0,) * dim] + [_unit_step(dim, grid.axis_of(label), sign)
+                                 for label in left_invariant_field(spec, (1, i + 1)).coeffs]
+                 for i in range(m)]
+        for i, j in zip(*np.nonzero(coupled)):
+            steps.update(tuple(b - a for a, b in zip(back, ahead))
+                         for back in reach[i] for ahead in reach[j])
+    return sorted(steps)
+
+
+def _weak_form(grid: Grid, form, steps, g: GridField, flux, f: GridField):
+    """K_ff and the right-hand side of the weak form on the interior
+    unknowns, accumulated diagonal by diagonal from the stencils.
+
+    K = sum over the sides and slots of X_i^T (w A_ij) X_j, with w half the
+    cell volume where all of a side's stencils stay on the grid; the loads
+    are -X_i^T (w f_i), -w f and, for the Dirichlet data g, -X_i^T (w A_ij)
+    X_j g.  Averaging the two sides' forms gives the compact stencil (no
+    odd-even decoupling) and cancels the first-order term.  Each entry of
+    K sums its terms from 0.0 over the side, then the quadrature node p by
+    ascending displacement from the unknown's node, then i, each term X_i
+    at p times the sum over ascending (beta, j) of w A_ij X_j at p; the
+    loads sum the same way.  These are the sums, in the same order, of the
+    sparse products G_I^T (B G_I) and G_I^T (B G g) with G the stack of the
+    X_i^± (rows side, node, component, i) and B the weighted form at each
+    node, so K and the right-hand side have the bits of those products,
+    with entries that sum to exactly zero dropped.
+    """
+    m, ncomp = grid.spec.m, g.n_components
+    inner = tuple(s - 2 for s in grid.shape)
+    form = form.reshape(ncomp, m, ncomp, m)         # [alpha, i, beta, j]
+    # acc[k, beta, q, alpha]: the row of unknown (q, alpha) at column
+    # (q + steps[k], beta), q running over the interior nodes
+    acc = np.zeros((len(steps), ncomp) + inner + (ncomp,))
+    rhs = np.zeros(inner + (ncomp,))
+    fixed = np.where(grid.boundary_mask()[..., None], g.values, 0.0)
+    w_total = 0.0
+    for sign in (1, -1):
+        w_total = w_total + _add_side(grid, form, sign, steps, fixed, flux, acc, rhs)
+    interior = tuple(slice(1, -1) for _ in inner)
+    np.negative(rhs, out=rhs)
+    rhs -= w_total[interior][..., None] * f.values[interior]
+    return _diagonals_to_csr(acc, steps), rhs.ravel()
+
+
+def _add_side(grid: Grid, form, sign, steps, fixed, flux, acc, rhs):
+    """Add one side's terms to ``acc`` and ``rhs`` (see :func:`_weak_form`,
+    without the loads' minus sign) and return its node weights; the
+    side's stencils and products are freed on return."""
+    m, ncomp = grid.spec.m, fixed.shape[-1]
+    diagonal = {step: k for k, step in enumerate(steps)}
+    stencils, valid = zip(*(_stencil(grid, (1, i + 1), sign) for i in range(m)))
+    w = np.where(np.logical_and.reduce(valid), 0.5 * grid.cell_volume, 0.0)
+    # per slot i: for each (alpha, beta) the weighted form times X_j,
+    # summed over j, at each displacement; and the loads on the grid
+    xg = [_apply_stencil(stencil, fixed) for stencil in stencils]
+    load = w[..., None, None] * flux
+    bx = [[] for _ in range(m)]
+    for al, i in np.ndindex(ncomp, m):
+        dirichlet = 0.0
+        for be in range(ncomp):
+            sums = {}
+            for j in range(m):
+                a = form[al, i, be, j]
+                if a == 0.0:
+                    continue
+                wa = w * a
+                dirichlet = dirichlet + wa * xg[j][..., be]
+                for step, c in stencils[j].items():
+                    sums[step] = sums.get(step, 0.0) + wa * c
+            bx[i].append((al, be, sums))
+        load[..., al, i] += dirichlet
+    term = np.empty(rhs.shape[:-1])
+    for nu in sorted({tuple(-t for t in step) for st in stencils for step in st}):
+        at = tuple(slice(1 + t, s - 1 + t) for t, s in zip(nu, grid.shape))
+        back = tuple(-t for t in nu)
+        for i, stencil in enumerate(stencils):
+            if back not in stencil:
+                continue
+            xi = stencil[back][at]
+            rhs += xi[..., None] * load[at + (slice(None), i)]
+            for al, be, sums in bx[i]:
+                for step, b in sums.items():
+                    k = diagonal[tuple(t + u for t, u in zip(nu, step))]
+                    entries = acc[k, be, ..., al]
+                    entries += np.multiply(xi, b[at], out=term)
+    return w
+
+
+def _apply_stencil(stencil, x):
+    """The stencil applied to nodal values ``x[..., component]``: at each
+    node, the sum from 0.0 over ascending displacement of the coefficient
+    times the value it reaches, the order in which the sparse matrix sums
+    its row."""
+    out = np.zeros(x.shape)
+    for step in sorted(stencil):
+        here = tuple(slice(max(0, -t), s - max(0, t)) for t, s in zip(step, x.shape))
+        there = tuple(slice(max(0, t), s - max(0, -t)) for t, s in zip(step, x.shape))
+        reached = out[here]
+        reached += stencil[step][here][..., None] * x[there]
+    return out
+
+
+def _diagonals_to_csr(acc, steps):
+    """The CSR matrix with row (q, alpha) holding ``acc[k, beta, q, alpha]``
+    at column (q + steps[k], beta), q over an interior box: the columns off
+    the box and the exact zeros are dropped, and each row's columns ascend
+    because the steps do."""
+    ncomp, inner = acc.shape[1], acc.shape[2:-1]
+    for k, step in enumerate(steps):
+        for ax, t in enumerate(step):
+            if t:
+                cut = slice(max(inner[ax] - t, 0), None) if t > 0 else slice(None, -t)
+                acc[(k, slice(None)) + (slice(None),) * ax + (cut,)] = 0.0
+    values = acc.reshape(len(steps) * ncomp, -1).T
+    keep = values != 0.0
+    rows = values.shape[0]
+    index = np.int32 if keep.size < 2 ** 31 else np.int64
+    offsets = np.array([_flat_offset(inner, step) for step in steps], dtype=index)
+    columns = (offsets[:, None] * ncomp + np.arange(ncomp, dtype=index)).ravel()
+    indices = (np.arange(rows, dtype=index) // ncomp * ncomp)[:, None] + columns
+    indptr = np.zeros(rows + 1, dtype=index)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return sparse.csr_matrix((values[keep], indices[keep], indptr), shape=(rows, rows))
 
 
 def _dot(u, v):
@@ -633,6 +769,18 @@ def assemble_and_solve(
     if min(grid.shape) < 3:
         raise ValueError("the grid has no interior nodes; need three nodes per axis")
     ncomp, m = A.n_components, spec.m
+    form = A.quadratic_form_matrix()
+    steps = _coupled_steps(grid, form)
+    # each diagonal entry of K_ff takes 25 bytes to assemble: 8 to sum it,
+    # 1 to mask it, 12 for its CSR value and index and 4 for the index
+    # before masking; an assembly over the byte limit is refused here
+    needed = 25 * len(steps) * ncomp * math.prod(s - 2 for s in grid.shape) * ncomp
+    if needed > GRID_BYTE_LIMIT:
+        raise NumericsError(
+            f"grid {'x'.join(map(str, grid.shape))} needs about {Decimal(needed):.3e} "
+            f"bytes to assemble the stiffness matrix, over the "
+            f"{GRID_BYTE_LIMIT:.3e}-byte limit"
+        )
 
     def as_field(obj, name):
         if obj is None:
@@ -650,51 +798,21 @@ def assemble_and_solve(
         raise ValueError(f"f_i has {len(f_i)} entries; the group has {m} X_i")
     flux = np.stack([as_field(fi, f"f_{i}").values for i, fi in enumerate(f_i, 1)], -1)
 
-    # the weak form is K = G^T B G, with B block diagonal: at each node of
-    # each side the weight times the form of A on the slots (alpha, i).
-    # Only the free columns of G enter K; the Dirichlet values reach the
-    # load through G x on the fixed nodes.  Each matrix is dropped once it
-    # is used, G^T is made CSR once so that no product converts an
-    # operand, and the freed heap is trimmed where that lowers the peak
-    _release_freed_memory()
-    g_mat, w = _derivative_stack(grid, ncomp)
-    _release_freed_memory()
-    form = A.quadratic_form_matrix()
-    fixed = np.repeat(grid.boundary_mask().ravel(), ncomp)
-    free = ~fixed
-    x = g.values.reshape(-1).copy()
-    weights = sparse.kron(sparse.diags(w.ravel()), form, "csr")
-    load = (w[:, :, None, None] * flux.reshape(-1, ncomp, m)).ravel()
-    load += weights @ (g_mat @ np.where(fixed, x, 0.0))
-    g_free = g_mat[:, free]
-    del g_mat
-    _release_freed_memory()
-    g_t = g_free.T.tocsr()
-    rhs = -(g_t @ load)
-    rhs -= (w.sum(axis=0)[:, None] * f_field.values.reshape(-1, ncomp)).ravel()[free]
-    del load
-    _release_freed_memory()
-    b_g = weights @ g_free
-    del weights, g_free
-    _release_freed_memory()
-    k_ff = g_t @ b_g
-    # sorted indices, so that the cycle sees the K that CG runs on and not
-    # the product's first-touch column order
-    k_ff.sum_duplicates()
-    del g_t, b_g
+    k_ff, rhs = _weak_form(grid, form, steps, g, flux, f_field)
     _release_freed_memory()
 
     diag = k_ff.diagonal()
     if np.any(diag <= 0):
         raise SolverDiverged("stiffness diagonal is not positive")
+    # the largest absolute row sum, summed as abs(K).sum(axis=1) sums it,
+    # without a copy of K; every row holds its positive diagonal
+    k_inf = float(np.add.reduceat(np.abs(k_ff.data), k_ff.indptr[:-1]).max())
     # CG needs a symmetric preconditioner: the cycle is built on the
     # symmetric part of K, which is K itself when the form is symmetric
     precond = VCycle(
         k_ff if np.array_equal(form, form.T) else (0.5 * (k_ff + k_ff.T)).tocsr(),
         grid, ncomp,
     )
-
-    k_inf = float(np.max(np.abs(k_ff).sum(axis=1))) if k_ff.nnz else 1.0
 
     def componentwise_residual(vec):
         # largest row residual, relative to the backward-error scale
@@ -713,11 +831,13 @@ def assemble_and_solve(
         rel_residual = componentwise_residual(sol)
         if rel_residual <= WEAK_RESIDUAL_TOL:
             break
-    x[free] = sol
-    field = GridField(grid, x.reshape(grid.shape + (ncomp,)))
+    interior = tuple(slice(1, -1) for _ in grid.shape)
+    values = g.values.copy()
+    values[interior] = sol.reshape(values[interior].shape)
+    field = GridField(grid, values)
     field.solve_report = {
         "n": grid.shape,
-        "unknowns": int(free.sum()),
+        "unknowns": sol.size,
         "nnz": int(k_ff.nnz),
         "levels": len(precond.levels) + 1,
         "iterations": precond.applications,

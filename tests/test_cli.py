@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import carnot
-from carnot import suite
+from carnot import numerics, suite
 from carnot.cli import main
 
 
@@ -325,6 +325,26 @@ def test_domain_errors_exit_2_with_one_line(runner, args, message):
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and message in lines[0]
     assert "Traceback" not in result.output
+
+
+def test_solve_over_the_byte_limit_exits_2_with_one_line(runner, monkeypatch):
+    monkeypatch.setattr(numerics, "GRID_BYTE_LIMIT", 1 << 20)
+    result = runner.invoke(main, ["solve", "--n", "20"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and "to assemble the stiffness matrix" in lines[0]
+
+
+def test_package_runs_as_a_module():
+    src = str(Path(carnot.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "carnot", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "Usage: python -m carnot" in done.stdout
+    assert "suite" in done.stdout
 
 
 def test_rewrite_sweep_counts_unclassified_profiles_and_exits_1(runner):

@@ -648,6 +648,23 @@ def test_grid_refuses_oversized_node_arrays_before_allocating():
     assert peak < 1 << 20
 
 
+def test_solver_refuses_an_oversized_assembly_before_allocating(heis, monkeypatch):
+    # Heisenberg n = 20: 192 kB of node arrays, and 11 diagonals of K over
+    # 18^3 interior rows at 25 bytes each, about 1.6 MB
+    monkeypatch.setattr(numerics, "GRID_BYTE_LIMIT", 1 << 20)
+    ident = SystemCoefficients.identity(1, 2)
+    assemble_and_solve(heis, ident, [P11], n=5)      # warm the spec's caches
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericsError, match=r"20x20x20 needs about 1\.604e\+6 bytes"):
+            assemble_and_solve(heis, ident, [P11], n=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assemble_and_solve(heis, ident, [P11], n=16)
+
+
 def test_gated_grids_far_below_the_byte_limit(heis, engel_spec):
     for spec, n in ((heis, 64), (engel_spec, 24)):
         grid = Grid(spec, n)
@@ -767,7 +784,7 @@ def _system_case(name, ncomp):
     return spec, A, boundary, f, f_i
 
 
-def _captured_cg_call(monkeypatch, spec, A, boundary, f, f_i, n):
+def _captured_cg_call(monkeypatch, spec, A, boundary, f, f_i, n, half_widths=1.0):
     """``(K, b, keyword arguments)`` of the solver's first CG call."""
     captured = []
 
@@ -777,7 +794,7 @@ def _captured_cg_call(monkeypatch, spec, A, boundary, f, f_i, n):
 
     monkeypatch.setattr(numerics, "_cg", capture)
     with pytest.raises(_Captured):
-        assemble_and_solve(spec, A, boundary, f=f, f_i=f_i, n=n)
+        assemble_and_solve(spec, A, boundary, f=f, f_i=f_i, n=n, half_widths=half_widths)
     (call,) = captured
     return call
 
@@ -826,6 +843,100 @@ def test_operator_bits_are_pinned(name, n, ncomp, monkeypatch):
         k_digest.update(arr.tobytes())
     rhs_digest = hashlib.sha256(rhs.tobytes())
     assert (k_digest.hexdigest(), rhs_digest.hexdigest()) == OPERATOR_DIGESTS[name, n, ncomp]
+
+
+# -- the stencil assembly against the sparse products it replaced
+
+def _product_derivative(grid, direction, sign):
+    # the one-sided matrix as sparse.diags of whole coefficient arrays, one
+    # diagonal per coefficient and minus their sum on the main diagonal
+    size = math.prod(grid.shape)
+    valid = np.ones(grid.shape, dtype=bool)
+    main, diagonals, offsets = np.zeros(size), [], []
+    for label, coeff in left_invariant_field(grid.spec, direction).coeffs.items():
+        ax = grid.axis_of(label)
+        face = (slice(None),) * ax + (-1 if sign > 0 else 0,)
+        valid[face] = False
+        c = coeff.evaluate_arrays(grid.node_arrays()) / (sign * grid.spacing[ax])
+        c[face] = 0.0
+        c = c.ravel()
+        stride = math.prod(grid.shape[ax + 1:])
+        diagonals.append(c[:-stride] if sign > 0 else c[stride:])
+        offsets.append(sign * stride)
+        main += c
+    return sparse.diags([-main] + diagonals, [0] + offsets, (size,) * 2, "csr"), valid
+
+
+def _product_system(spec, A, boundary, f, f_i, n, half_widths=1.0):
+    # K_ff = G_I^T (B G_I) and rhs = -G_I^T (w f_i + B G g) - w f, with G the
+    # stack of X_i^+- for every component (rows side, node, alpha, i) and B
+    # the weight times the form of A at each node of each side
+    grid = Grid(spec, n, half_widths)
+    ncomp, m = A.n_components, spec.m
+    sides, weights = [], []
+    for sgn in (+1, -1):
+        valid, side = np.ones(grid.shape, dtype=bool), 0
+        for i in range(m):
+            mat, v = _product_derivative(grid, (1, i + 1), sgn)
+            valid &= v
+            slot = sparse.csr_matrix(np.kron(np.eye(ncomp), np.eye(m, 1, -i)))
+            side = side + sparse.kron(mat, slot, "csr")
+        sides.append(side)
+        weights.append(np.where(valid.ravel(), 0.5 * grid.cell_volume, 0.0))
+    g_mat, w = sparse.vstack(sides, "csr"), np.stack(weights)
+    form = A.quadratic_form_matrix()
+    fixed = np.repeat(grid.boundary_mask().ravel(), ncomp)
+    free = ~fixed
+    x = GridField.from_polys(grid, boundary).values.reshape(-1)
+    flux = np.stack([GridField.from_polys(grid, fi).values for fi in f_i], -1)
+    b_mat = sparse.kron(sparse.diags(w.ravel()), form, "csr")
+    load = (w[:, :, None, None] * flux.reshape(-1, ncomp, m)).ravel()
+    load += b_mat @ (g_mat @ np.where(fixed, x, 0.0))
+    g_t = g_mat[:, free].T.tocsr()
+    rhs = -(g_t @ load)
+    f_vals = GridField.from_polys(grid, f).values.reshape(-1, ncomp)
+    rhs -= (w.sum(axis=0)[:, None] * f_vals).ravel()[free]
+    k_ff = g_t @ (b_mat @ g_mat[:, free])
+    k_ff.sum_duplicates()
+    return k_ff, rhs
+
+
+@pytest.mark.parametrize("name,ncomp,n,half_widths", [
+    ("heisenberg", 1, 33, 1.0),                 # odd: x = 0 is a node
+    ("engel", 1, (5, 6, 7, 8), 1.0),
+    ("heisenberg", 1, (9, 12, 10), [0.7, 1.3, 0.45]),
+    ("engel", 1, 7, [1.2, 0.8, 0.5, 0.3]),
+    ("free:2,3", 1, 7, 1.0),
+    ("free:3,2", 1, 6, 1.0),
+    ("free:2,4", 1, 5, 1.0),
+    ("heisenberg", 2, 11, 1.0),
+    ("engel", 2, (6, 5, 7, 5), [0.9, 1.1, 0.7, 1.4]),
+])
+def test_stencil_assembly_has_the_bits_of_the_sparse_products(
+        name, ncomp, n, half_widths, monkeypatch):
+    spec, A, boundary, f, f_i = _system_case(name, ncomp)
+    k_got, b_got, _ = _captured_cg_call(monkeypatch, spec, A, boundary, f, f_i, n,
+                                        half_widths)
+    k_want, b_want = _product_system(spec, A, boundary, f, f_i, n, half_widths)
+    for part in ("indptr", "indices", "data"):
+        got, want = getattr(k_got, part), getattr(k_want, part)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), part
+    assert b_got.tobytes() == b_want.tobytes()
+
+
+@pytest.mark.parametrize("name,n", [
+    ("heisenberg", 9), ("engel", (5, 6, 7, 8)), ("free:2,3", 6), ("free:3,2", 5),
+])
+def test_derivative_matrix_has_the_bits_of_whole_array_diagonals(name, n):
+    spec = resolve_group(name)
+    grid = Grid(spec, n, [0.5 + 0.25 * k for k in range(len(spec.basis))])
+    for lab in spec.basis:
+        for sign in (1, -1):
+            got, got_valid = coordinate_derivative_matrix(grid, lab, sign)
+            want, want_valid = _product_derivative(grid, lab, sign)
+            assert np.array_equal(got_valid, want_valid)
+            for part in ("indptr", "indices", "data"):
+                assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
 
 
 def test_solver_checks_the_data_against_the_system(heis):
@@ -960,11 +1071,13 @@ def test_vcycle_iterations_stay_bounded(name, n, levels):
 
 
 @pytest.mark.parametrize("name,n,bytes_per_node", [
-    ("heisenberg", 32, 650), ("engel", 12, 780),
+    ("heisenberg", 32, 454), ("engel", 12, 409),
 ])
 def test_solve_peak_memory_per_node(name, n, bytes_per_node):
-    # an assembly that keeps G, B and K alive through the solve peaks at
-    # 715 and 902 bytes per node on these grids
+    # a solve with the stencil assembly peaks at 412 and 371 bytes per node
+    # on these grids (the bounds are 10 % above); with the sparse products
+    # G^T (B G) it peaked at 542 and 545, and at 715 and 902 when it kept
+    # G, B and K alive through the solve
     spec = resolve_group(name)
     ident = SystemCoefficients.identity(1, spec.m)
     assemble_and_solve(spec, ident, [P11], n=5)      # warm the spec's caches
