@@ -5,15 +5,19 @@ inequality check.
 Fields live on a lattice in exponential coordinates.  A left-invariant
 derivative is discretised once, by the one-sided stencils of
 :func:`_stencil` (a coefficient array per axis displacement): the solver
-accumulates the weak form from them diagonal by diagonal, with no sparse
-product, and :func:`centered_derivative` averages the two sides of
-:func:`coordinate_derivative_matrix`, the same stencils as sparse
-matrices.  Group flows ``p -> p * exp(s Z)`` land off-lattice and serve
-only where they are the definition (the fractional seminorms and the
-blow-ups).  They are sampled by a multilinear gather over the axes they
-move: a flow along a layer-k direction leaves the lower layers and the
-other layer-k axes on their nodes, and those axes are read at their node
-index.
+accumulates the weak form from them diagonal by diagonal, and
+:func:`centered_derivative` averages the two sides applied by
+:func:`_apply_stencil`, neither through a sparse matrix;
+:func:`coordinate_derivative_matrix` is the same stencils as a sparse
+matrix, kept as the reference form.  The estimate checks take each ball
+from :func:`gauge_balls`, one gauge distance pass per centre for all of a
+check's radii, and refuse a ball their derivatives do not cover by
+:func:`require_stencil_cover`.  Group flows ``p -> p * exp(s Z)`` land
+off-lattice and serve only where they are the definition (the fractional
+seminorms and the blow-ups).  They are sampled by a multilinear gather
+over the axes they move: a flow along a layer-k direction leaves the lower
+layers and the other layer-k axes on their nodes, and those axes are read
+at their node index.
 """
 
 from __future__ import annotations
@@ -255,25 +259,25 @@ def sample_at(field: GridField, coords, outside_zero=False):
 # ---------------------------------------------------------------------------
 
 def centered_derivative(u: GridField, direction) -> GridField:
-    """``(X^+ u + X^- u) / 2`` with the one-sided matrices of
-    :func:`coordinate_derivative_matrix`: on the lattice, second-order
-    consistent with the left-invariant derivative.
+    """``(X^+ u + X^- u) / 2`` with the solver's one-sided stencils of
+    :func:`_stencil`: on the lattice, second-order consistent with the
+    left-invariant derivative.
 
     A node is valid where both one-sided stencils stay on the grid and
     every node they read is valid in ``u``.
     """
     grid = u.grid
     (plus, valid_plus), (minus, valid_minus) = (
-        coordinate_derivative_matrix(grid, direction, sign) for sign in (1, -1)
+        _stencil(grid, direction, sign) for sign in (1, -1)
     )
-    flat = u.values.reshape(-1, u.n_components)
     mask = u.mask & valid_plus & valid_minus
     if not np.all(u.mask):
-        invalid = (~u.mask).ravel().astype(float)
-        reads = abs(plus) @ invalid + abs(minus) @ invalid
-        mask &= (reads == 0.0).reshape(grid.shape)
-    vals = 0.5 * (plus @ flat + minus @ flat)
-    vals = np.where(mask[..., None], vals.reshape(u.values.shape), 0.0)
+        invalid = (~u.mask).astype(float)[..., None]
+        for stencil in (plus, minus):
+            reads = _apply_stencil({step: abs(c) for step, c in stencil.items()}, invalid)
+            mask &= reads[..., 0] == 0.0
+    vals = 0.5 * (_apply_stencil(plus, u.values) + _apply_stencil(minus, u.values))
+    vals = np.where(mask[..., None], vals, 0.0)
     return GridField(grid, vals, mask)
 
 
@@ -307,16 +311,23 @@ def gauge_distance_arrays(grid: Grid, center=None):
     return gauge_norm_arrays(spec, dict(zip(spec.basis, coords)))
 
 
-def ball_mask(grid: Grid, center, radius):
-    return gauge_distance_arrays(grid, center) < radius
+def gauge_balls(grid: Grid, center, radii):
+    """Masks of the gauge balls about ``center`` of the given radii, from
+    one distance pass; raises ``ValueError`` when the smallest holds no
+    node."""
+    dist = gauge_distance_arrays(grid, center)
+    balls = [dist < r for r in radii]
+    if not balls[int(np.argmin(radii))].any():
+        raise ValueError(f"no grid nodes inside the ball of radius {min(radii)}")
+    return balls
 
 
-def occupied_ball_mask(grid: Grid, center, radius):
-    """:func:`ball_mask`, raising ``ValueError`` when no node is inside."""
-    mask = ball_mask(grid, center, radius)
-    if not mask.any():
-        raise ValueError(f"no grid nodes inside the ball of radius {radius}")
-    return mask
+def require_stencil_cover(region, fields):
+    """Raise :class:`MarginTooSmall` unless every derived field is valid on
+    the region."""
+    outside = ~region
+    if not all(bool(np.all(fld.mask | outside)) for fld in fields):
+        raise MarginTooSmall("a derivative stencil leaves the grid inside the region")
 
 
 def integrate(field_values, grid: Grid, mask=None):
@@ -352,10 +363,7 @@ def sobolev_norm(u: GridField, order=1, region=None):
         for word, fld in level.items():
             for i in range(1, spec.m + 1):
                 d = centered_derivative(fld, (1, i))
-                if not bool(np.all(d.mask | ~region)):
-                    raise MarginTooSmall(
-                        "horizontal stencil leaves the grid inside the region"
-                    )
+                require_stencil_cover(region, [d])
                 nxt[word + ((1, i),)] = d
         for fld in nxt.values():
             total += math.sqrt(l2_norm_sq(fld, region))
@@ -859,7 +867,7 @@ def manufactured_source(spec, A: SystemCoefficients, u_polys, fi_polys=None):
     return system_residual(spec, A, u_polys, f_i=fi_polys, f=None)
 
 
-def convergence_study(spec, A, u_polys, sizes=(16, 32, 64), half_widths=1.0):
+def convergence_study(spec, A, u_polys, sizes=(16, 32, 64)):
     """Solve with manufactured data on a sequence of grids; least-squares
     fit of the L2 error order."""
     if len(set(sizes)) < 2:
@@ -870,7 +878,7 @@ def convergence_study(spec, A, u_polys, sizes=(16, 32, 64), half_widths=1.0):
     errors = []
     spacings = []
     for n in sizes:
-        sol = assemble_and_solve(spec, A, u_polys, f=f, n=n, half_widths=half_widths)
+        sol = assemble_and_solve(spec, A, u_polys, f=f, n=n)
         exact = GridField.from_polys(sol.grid, u_polys)
         err = math.sqrt(l2_norm_sq(GridField(sol.grid, sol.values - exact.values)))
         errors.append(err)
@@ -893,12 +901,9 @@ def caccioppoli_check(u: GridField, radius=0.5):
     is the L2 mass over the double ball, scaled by the squared radius.
     """
     grid = u.grid
-    inner = occupied_ball_mask(grid, None, radius)
-    outer = ball_mask(grid, None, 2.0 * radius)
+    inner, outer = gauge_balls(grid, None, (radius, 2.0 * radius))
     grads = horizontal_gradient(u)
-    for g in grads:
-        if not bool(np.all(g.mask | ~inner)):
-            raise MarginTooSmall("gradient stencil leaves the box inside the ball")
+    require_stencil_cover(inner, grads)
     lhs = sum(l2_norm_sq(g, inner) for g in grads)
     rhs = l2_norm_sq(u, outer) / radius ** 2
     return {

@@ -6,7 +6,7 @@ excess over gauge balls, its decay in the radius, and blow-up rescaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,86 +14,55 @@ from .group import product_arrays
 from .numerics import (
     Grid,
     GridField,
-    MarginTooSmall,
     ZeroExcess,
-    ball_mask,
     centered_derivative,
     derivative_word,
+    gauge_balls,
+    gauge_distance_arrays,
     horizontal_gradient,
-    occupied_ball_mask,
+    require_stencil_cover,
     sample_at,
     sobolev_norm,
 )
 
 
-def ball_oscillation(u: GridField, center, radius):
-    """Squared deviations from the mean summed over a gauge ball, the mean
+def ball_oscillation(u: GridField, ball):
+    """Squared deviations from the mean summed over a ball mask, the mean
     and the node count."""
-    vals = u.values[occupied_ball_mask(u.grid, center, radius)]
+    vals = u.values[ball]
     mean = vals.mean(axis=0)
     return float(((vals - mean) ** 2).sum()), mean, len(vals)
 
 
 def excess(u: GridField, center, radius) -> float:
     """Mean-square oscillation of the field over a gauge ball."""
-    total, _, count = ball_oscillation(u, center, radius)
+    total, _, count = ball_oscillation(u, gauge_balls(u.grid, center, [radius])[0])
     return total / count
-
-
-@dataclass
-class ExcessReport:
-    center: list
-    radii: list
-    values: list
-    means: list
-    fitted_exponent: float
-    integral_values: list = field(default_factory=list)
-
-
-def excess_profile(u: GridField, center, radii) -> ExcessReport:
-    """Excess at several radii with a least-squares decay exponent.
-
-    The fitted exponent is the slope of ``log`` integral oscillation
-    (excess times ball volume) against ``log`` radius, so at least two
-    distinct radii are needed.
-    """
-    if len(set(radii)) < 2:
-        raise ValueError(f"the decay fit needs two distinct radii, got {list(radii)}")
-    grid = u.grid
-    values, means, integrals = [], [], []
-    for rad in radii:
-        total, mean, count = ball_oscillation(u, center, rad)
-        values.append(total / count)
-        means.append([float(x) for x in mean])
-        integrals.append(total * grid.cell_volume)
-    logs_r = np.log(np.asarray(radii, dtype=float))
-    logs_i = np.log(np.maximum(np.asarray(integrals), 1e-300))
-    return ExcessReport(
-        center=[float(c) for c in center],
-        radii=[float(r) for r in radii],
-        values=values,
-        means=means,
-        fitted_exponent=float(np.polyfit(logs_r, logs_i, 1)[0]),
-        integral_values=integrals,
-    )
 
 
 def excess_decay_check(u: GridField, center, tau, radius, radii=None):
     """Decay ratios of the excess under radius shrinking.
 
     Reports the mean-form ratio against ``tau**2``, the integral-form ratio
-    against ``tau**(Q+2)`` and a fitted exponent over the given radii.
+    against ``tau**(Q+2)`` and, over the given radii (at least two
+    distinct), the least-squares slope of ``log`` integral oscillation
+    (excess times ball volume) against ``log`` radius.  Every ball is read
+    off one gauge distance pass.
     """
     if not (0 < tau < 1):
         raise ValueError("shrink factor must lie in (0, 1)")
-    spec = u.grid.spec
-    q_hom = spec.homogeneous_dimension()
-    total_s, _, count_s = ball_oscillation(u, center, tau * radius)
-    total_l, _, count_l = ball_oscillation(u, center, radius)
+    if radii and len(set(radii)) < 2:
+        raise ValueError(f"the decay fit needs two distinct radii, got {list(radii)}")
+    grid = u.grid
+    q_hom = grid.spec.homogeneous_dimension()
+    radii = list(radii or [])
+    small, large, *fit = gauge_balls(grid, center, [tau * radius, radius] + radii)
+    total_s, _, count_s = ball_oscillation(u, small)
+    total_l, _, count_l = ball_oscillation(u, large)
     u_small, u_large = total_s / count_s, total_l / count_l
     mean_ratio = u_small / u_large if u_large > 0 else 0.0
-    integral_small = u_small * count_s * u.grid.cell_volume
-    integral_large = u_large * count_l * u.grid.cell_volume
+    integral_small = u_small * count_s * grid.cell_volume
+    integral_large = u_large * count_l * grid.cell_volume
     integral_ratio = integral_small / integral_large if integral_large > 0 else 0.0
     report = {
         "tau": float(tau),
@@ -102,17 +71,19 @@ def excess_decay_check(u: GridField, center, tau, radius, radii=None):
         "U_large": u_large,
         "mean_ratio": mean_ratio,
         "mean_bound": tau ** 2,
-        "mean_constant": mean_ratio / tau ** 2 if tau else float("inf"),
+        "mean_constant": mean_ratio / tau ** 2,
         "integral_ratio": integral_ratio,
         "integral_bound": tau ** (q_hom + 2),
         "integral_constant": integral_ratio / tau ** (q_hom + 2),
         "Q": q_hom,
     }
     if radii:
-        profile = excess_profile(u, center, radii)
-        report["radii"] = profile.radii
-        report["fitted_exponent"] = profile.fitted_exponent
-        report["integral_values"] = profile.integral_values
+        integrals = [ball_oscillation(u, ball)[0] * grid.cell_volume for ball in fit]
+        logs_r = np.log(np.asarray(radii, dtype=float))
+        logs_i = np.log(np.maximum(np.asarray(integrals), 1e-300))
+        report["radii"] = [float(r) for r in radii]
+        report["fitted_exponent"] = float(np.polyfit(logs_r, logs_i, 1)[0])
+        report["integral_values"] = integrals
     return report
 
 
@@ -133,7 +104,7 @@ def blowup_rescale(u: GridField, center, radius, n=None) -> BlowupSequence:
     """
     grid = u.grid
     spec = grid.spec
-    total, mean, count = ball_oscillation(u, center, radius)
+    total, mean, count = ball_oscillation(u, gauge_balls(grid, center, [radius])[0])
     u_exc = total / count
     scale_sq = float((u.values ** 2).mean())
     if u_exc <= 1e-14 * max(scale_sq, 1.0):
@@ -151,7 +122,7 @@ def blowup_rescale(u: GridField, center, radius, n=None) -> BlowupSequence:
     vals = (moved - mean) / eps
     vals = np.where(mask[..., None], vals, 0.0)
     rescaled = GridField(out_grid, vals, mask)
-    unit = ball_mask(out_grid, None, 1.0) & mask
+    unit = (gauge_distance_arrays(out_grid) < 1.0) & mask
     count = int(unit.sum())
     norm = float((rescaled.values[unit] ** 2).sum() / count) if count else 0.0
     return BlowupSequence(
@@ -164,22 +135,15 @@ def sup_estimate_check(u: GridField, center, radius):
     double ball, for homogeneous constant-coefficient solutions."""
     grid = u.grid
     spec = grid.spec
-    inner = occupied_ball_mask(grid, center, radius)
-    outer = ball_mask(grid, center, 2.0 * radius)
+    inner, outer = gauge_balls(grid, center, (radius, 2.0 * radius))
     grads = horizontal_gradient(u)
-    second = []
-    for gi in grads:
-        for j in range(1, spec.m + 1):
-            second.append(centered_derivative(gi, (1, j)))
-    mask = inner.copy()
-    for fld in grads + second:
-        mask &= fld.mask
-    if not mask.any():
-        raise MarginTooSmall("derivative stencils do not cover the ball")
+    second = [centered_derivative(gi, (1, j))
+              for gi in grads for j in range(1, spec.m + 1)]
+    require_stencil_cover(inner, grads + second)
     jet = (u.values ** 2).sum(axis=-1)
     jet = jet + radius ** 2 * sum((g.values ** 2).sum(axis=-1) for g in grads)
     jet = jet + radius ** 4 * sum((s.values ** 2).sum(axis=-1) for s in second)
-    lhs = float(jet[mask].max())
+    lhs = float(jet[inner].max())
     count = int(outer.sum())
     mean_mass = float((u.values[outer] ** 2).sum() / count)
     return {
@@ -187,7 +151,7 @@ def sup_estimate_check(u: GridField, center, radius):
         "sup_jet": lhs,
         "mean_mass": mean_mass,
         "ratio": lhs / mean_mass if mean_mass > 0 else 0.0,
-        "ball_nodes": int(mask.sum()),
+        "ball_nodes": int(inner.sum()),
     }
 
 
@@ -201,11 +165,9 @@ def higher_order_estimate_check(u: GridField, radius=0.5):
     """
     grid = u.grid
     word = [(k, 1) for k in range(2, grid.spec.r + 1)]
-    inner = occupied_ball_mask(grid, None, radius)
-    outer = ball_mask(grid, None, 2.0 * radius)
+    inner, outer = gauge_balls(grid, None, (radius, 2.0 * radius))
     derived = derivative_word(u, word)
-    if not bool(np.all(derived.mask | ~inner)):
-        raise MarginTooSmall("derivative word leaves the box inside the ball")
+    require_stencil_cover(inner, [derived])
     lhs = sobolev_norm(derived, 1, inner)
     rhs = sobolev_norm(u, 1, outer)
     return {

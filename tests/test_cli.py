@@ -317,6 +317,8 @@ def test_verify_constant_not_positive_exits_1(runner):
      "the total must be at least 1, got -2"),
     (["rewrite", "trace", "--step", "1", "--profile", ""],
      "the step must be at least 2, got 1"),
+    # the second-order stencils leave the box inside this ball
+    (["verify", "supbound", "--n", "9", "--radius", "0.9"], "stencil leaves"),
 ])
 def test_domain_errors_exit_2_with_one_line(runner, args, message):
     result = runner.invoke(main, args)

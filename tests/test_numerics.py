@@ -24,13 +24,13 @@ from carnot.numerics import (
     NumericsError,
     SolverDiverged,
     assemble_and_solve,
-    ball_mask,
     caccioppoli_check,
     centered_derivative,
     convergence_study,
     coordinate_derivative_matrix,
     derivative_word,
     flow_coordinates,
+    gauge_balls,
     gauge_distance_arrays,
     hormander_ratio,
     integrate,
@@ -95,6 +95,36 @@ def test_centered_derivative_is_the_mean_of_the_solver_stencils(name, n, monkeyp
         assert np.array_equal(d.mask, v_plus & v_minus)
         assert d.values[d.mask].tobytes() == want[d.mask].tobytes()
         assert not d.values[~d.mask].any()
+
+
+def test_centered_derivative_builds_no_sparse_matrix(engel_spec, monkeypatch):
+    # the stencils are applied as arrays, with the bits of the matrices and
+    # the same reads of a masked input
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("centered_derivative built a sparse matrix")
+
+    def by_matrix(v, lab):
+        (plus, v_plus), (minus, v_minus) = (
+            coordinate_derivative_matrix(grid, lab, sign) for sign in (1, -1)
+        )
+        invalid = (~v.mask).ravel().astype(float)
+        reads = abs(plus) @ invalid + abs(minus) @ invalid
+        mask = v.mask & v_plus & v_minus & (reads == 0.0).reshape(grid.shape)
+        flat = v.values.reshape(-1, 1)
+        vals = (0.5 * (plus @ flat + minus @ flat)).reshape(v.values.shape)
+        return GridField(grid, np.where(mask[..., None], vals, 0.0), mask)
+
+    grid = Grid(engel_spec, 7, 1.0)
+    rng = np.random.default_rng(4)
+    u = GridField(grid, rng.standard_normal(grid.shape), rng.random(grid.shape) > 0.1)
+    want = {lab: by_matrix(by_matrix(u, lab), lab) for lab in engel_spec.basis}
+    monkeypatch.setattr(numerics, "coordinate_derivative_matrix", no_matrix)
+    monkeypatch.setattr(numerics.sparse, "diags", no_matrix)
+    monkeypatch.setattr(numerics.sparse, "csr_matrix", no_matrix)
+    for lab in engel_spec.basis:
+        d = derivative_word(u, [lab, lab])
+        assert d.mask.any() and np.array_equal(d.mask, want[lab].mask)
+        assert d.values.tobytes() == want[lab].values.tobytes()
 
 
 def test_centered_derivative_exact_on_quadratics(engel_spec):
@@ -392,7 +422,7 @@ def test_flow_sampling_leaves_no_reference_cycles(heis):
 
 def test_sobolev_norm_constant(heis):
     grid = Grid(heis, 9, 1.0)
-    region = ball_mask(grid, None, 0.7)
+    region, = gauge_balls(grid, None, [0.7])
     u = GridField(grid, np.full(grid.shape, 2.0))
     vol = integrate(np.ones(grid.shape), grid, region)
     assert sobolev_norm(u, 1, region) == pytest.approx(2.0 * math.sqrt(vol))
@@ -400,7 +430,7 @@ def test_sobolev_norm_constant(heis):
 
 def test_sobolev_norm_coordinate_field(heis):
     grid = Grid(heis, 17, 1.0)
-    region = ball_mask(grid, None, 0.6)
+    region, = gauge_balls(grid, None, [0.6])
     u = GridField.from_polys(grid, [P11])
     vol = integrate(np.ones(grid.shape), grid, region)
     expected = math.sqrt(l2_norm_sq(u, region)) + math.sqrt(vol)
@@ -409,7 +439,7 @@ def test_sobolev_norm_coordinate_field(heis):
 
 def test_sobolev_norm_monotone_in_order(heis):
     u = bump_field(heis)
-    region = ball_mask(u.grid, None, 0.5)
+    region, = gauge_balls(u.grid, None, [0.5])
     n1 = sobolev_norm(u, 1, region)
     n2 = sobolev_norm(u, 2, region)
     assert n2 >= n1
@@ -538,11 +568,14 @@ def test_ball_mask_and_gauge_distance(heis):
     grid = Grid(heis, 17, 1.0)
     d0 = gauge_distance_arrays(grid, None)
     assert d0[8, 8, 8] == 0.0
-    mask = ball_mask(grid, [0.25, 0.0, 0.0], 0.3)
-    nodes = grid.node_arrays()
+    mask, wider = gauge_balls(grid, [0.25, 0.0, 0.0], [0.3, 0.6])
     assert mask.sum() > 0
+    assert np.array_equal(wider, gauge_distance_arrays(grid, [0.25, 0.0, 0.0]) < 0.6)
     # the center node itself lies inside
     assert mask[10, 8, 8] or mask[9, 8, 8]
+    # the smallest ball must hold a node, whatever the order of the radii
+    with pytest.raises(ValueError, match="no grid nodes inside the ball of radius 0.0"):
+        gauge_balls(grid, [0.25, 0.0, 0.0], [0.3, 0.0])
 
 
 # -- the array law paths against the scalar product, node by node

@@ -1,16 +1,28 @@
+import hashlib
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from carnot import numerics, regularity
 from carnot.fields import SystemCoefficients
-from carnot.numerics import Grid, GridField, ZeroExcess, assemble_and_solve, ball_mask
+from carnot.numerics import (
+    Grid,
+    GridField,
+    MarginTooSmall,
+    ZeroExcess,
+    assemble_and_solve,
+    caccioppoli_check,
+    gauge_balls,
+    hormander_ratio,
+)
 from carnot.poly import PolyFunction
 from carnot.regularity import (
     blowup_rescale,
     excess,
     excess_decay_check,
-    excess_profile,
     higher_order_estimate_check,
     sup_estimate_check,
 )
@@ -62,7 +74,7 @@ def test_excess_matches_brute_force_oracle(heis):
 def test_excess_is_variance_of_coordinate(heis):
     grid = Grid(heis, 17, 1.0)
     u = GridField.from_polys(grid, [P11])
-    mask = ball_mask(grid, None, 1.0)
+    mask, = gauge_balls(grid, None, [1.0])
     vals = u.values[..., 0][mask]
     assert excess(u, [0, 0, 0], 1.0) == pytest.approx(float(vals.var()), rel=1e-12)
 
@@ -76,9 +88,10 @@ def test_excess_shift_invariance(heis):
 
 
 def test_excess_profile_exponent_for_coordinate(harmonic32):
-    report = excess_profile(harmonic32, [0.0, 0.0, 0.0], [0.25, 0.5, 1.0])
+    report = excess_decay_check(harmonic32, [0.0, 0.0, 0.0], 0.5, 1.0,
+                                radii=[0.25, 0.5, 1.0])
     # mass of a harmonic coordinate scales like r^(Q+2) = r^6
-    assert report.fitted_exponent == pytest.approx(6.0, abs=0.4)
+    assert report["fitted_exponent"] == pytest.approx(6.0, abs=0.4)
 
 
 def test_excess_decay_ratios(harmonic32):
@@ -127,7 +140,7 @@ def test_blowup_affine_shape_reproduced(heis):
     seq = blowup_rescale(u, [0.0, 0.0, 0.0], radius, n=33)
     out = seq.rescaled
     nodes = out.grid.node_arrays()[(1, 1)]
-    inside = ball_mask(out.grid, None, 1.0) & out.mask
+    inside = gauge_balls(out.grid, None, [1.0])[0] & out.mask
     expected = radius * nodes / seq.epsilon
     assert np.allclose(out.values[..., 0][inside], expected[inside], atol=1e-8)
 
@@ -171,3 +184,94 @@ def test_higher_order_estimate_stable(heis):
         constants.append(rep["empirical_constant"])
     assert all(c > 0 for c in constants)
     assert max(constants) <= 2.0 * min(constants)
+
+
+def test_sup_estimate_refuses_a_ball_the_stencils_leave(heis):
+    # at n = 9 the second-order stencils leave the box inside the ball of
+    # radius 0.9: the sup is refused rather than taken over part of the ball
+    ident = SystemCoefficients.identity(1, 2)
+    sol = assemble_and_solve(heis, ident, [P11 * P12], n=9)
+    with pytest.raises(MarginTooSmall, match="stencil leaves"):
+        sup_estimate_check(sol, [0.0, 0.0, 0.0], 0.9)
+
+
+# -- one fixed solved field, the checks' reports pinned bitwise
+
+@pytest.fixture(scope="module")
+def pinned_field(heis):
+    data = P11 + P12.scale(Fraction(1, 2)) + P21.scale(Fraction(1, 4)) + P11 * P12
+    return assemble_and_solve(heis, SystemCoefficients.identity(1, 2), [data], n=24)
+
+
+OFFSET_CENTRE = [0.05, -0.03, 0.02]
+
+
+def _estimate_reports(u):
+    # every check of the estimates on the pinned field, each as a callable
+    # returning its report
+    def blowup():
+        seq = blowup_rescale(u, OFFSET_CENTRE, 0.5)
+        return seq.rescaled.values, seq.rescaled.mask, (seq.epsilon, seq.normalization)
+
+    origin = [0.0, 0.0, 0.0]
+    return {
+        "caccioppoli": lambda: caccioppoli_check(u, radius=0.45),
+        "excess_decay_origin": lambda: excess_decay_check(u, origin, 0.5, 1.0,
+                                                          radii=[0.25, 0.5, 1.0]),
+        "excess_decay_offset": lambda: excess_decay_check(u, OFFSET_CENTRE, 0.5, 0.8,
+                                                          radii=[0.2, 0.4, 0.8]),
+        "sup": lambda: sup_estimate_check(u, origin, 0.4),
+        "higher_order": lambda: higher_order_estimate_check(u, radius=0.4),
+        "blowup": blowup,
+        "hormander": lambda: hormander_ratio(u, (2, 1)),
+    }
+
+
+def _report_digest(report):
+    if isinstance(report, tuple):
+        digest = hashlib.sha256()
+        for arr in report[:2]:
+            digest.update(np.ascontiguousarray(arr).tobytes())
+        digest.update(repr(report[2]).encode())
+        return digest.hexdigest()
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+# SHA-256 digests of each report (JSON with sorted keys; the blow-up's
+# values and mask bytes, then its epsilon and normalization); a numpy or
+# scipy upgrade may move these bits without any change to the package
+ESTIMATE_DIGESTS = {
+    "caccioppoli": "88d8c79efc4e3d23fa1fe1276b3c719f55354c71f8aa89caa9cb1807d4237633",
+    "excess_decay_origin": "984e364d4c241a1ab5527bd033bc6659894648652d142a793830ad9b4780a41b",
+    "excess_decay_offset": "90018777973a36f04194194d4ed21932a0952817dbbd87491ececf0a1072aaf2",
+    "sup": "833741d5bfbbc95c7d3c28550e96d3e82e08d512a84cc9a509e3c0a5522c3fda",
+    "higher_order": "dcd8f872d46191555404070bf4b5d4c1d823cbc952101b19d26f533930dfe493",
+    "blowup": "8b8c0a0df7c8722128c5aad365b350ddd22d66d2c0f2722aaa7da72de8b94b54",
+    "hormander": "bbe79e17f44049576f87f0bfae7f93628c9b41be845d0daca4f76678c5219d88",
+}
+
+
+@pytest.mark.parametrize("name", list(ESTIMATE_DIGESTS))
+def test_estimate_bits_are_pinned(pinned_field, name):
+    report = _estimate_reports(pinned_field)[name]()
+    assert _report_digest(report) == ESTIMATE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name,passes", [
+    ("caccioppoli", 1), ("excess_decay_origin", 1), ("excess_decay_offset", 1),
+    ("sup", 1), ("higher_order", 1), ("blowup", 2),
+])
+def test_one_gauge_pass_per_ball_centre(pinned_field, name, passes, monkeypatch):
+    # every radius of a check is read off one distance array; the blow-up
+    # also takes the unit ball of its output grid
+    calls = []
+    real = numerics.gauge_distance_arrays
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "gauge_distance_arrays", counted)
+    monkeypatch.setattr(regularity, "gauge_distance_arrays", counted)
+    _estimate_reports(pinned_field)[name]()
+    assert len(calls) == passes
