@@ -683,6 +683,48 @@ def _interpolation(size):
 # power steps behind each level's estimate of the spectral radius of D^-1 K
 POWER_STEPS = 12
 
+# bytes that one slab of the product K P may take while a Galerkin level
+# is formed (see _galerkin_product); smaller slabs cost time, since each
+# slab boundary recomputes one fine x-plane of K P
+GALERKIN_SLAB_BYTES = 32 << 20
+
+
+def _galerkin_product(k, prolong, restrict, planes):
+    """R K P in CSR, formed by slabs of coarse rows: each slab is a run of
+    consecutive coarse x-planes (``planes`` in all), times only the rows of
+    K that its rows of R reach.
+
+    The slab count keeps each slab of K P under GALERKIN_SLAB_BYTES, taking
+    the bytes scipy allocates for it: a value and an index per term, that
+    is per nonzero of K times the mean row length of P.  K's rows enter as
+    views of its arrays.  Every row of a product is summed from its own
+    operands in their stored order, so the slabs hold the rows of the whole
+    product with their bits and their stored order.
+    """
+    per_term = k.data.itemsize + k.indices.itemsize
+    kp_bytes = per_term * k.nnz * prolong.nnz / prolong.shape[0]
+    count = min(planes, max(1, math.ceil(kp_bytes / GALERKIN_SLAB_BYTES)))
+    plane_rows = restrict.shape[0] // planes
+    slabs = []
+    for s in range(count):
+        a, b = (planes * t // count * plane_rows for t in (s, s + 1))
+        ra, rb = restrict.indptr[a], restrict.indptr[b]
+        reached = restrict.indices[ra:rb]
+        lo, hi = int(reached.min()), int(reached.max()) + 1
+        ka, kb = k.indptr[lo], k.indptr[hi]
+        k_rows = sparse.csr_matrix(
+            (k.data[ka:kb], k.indices[ka:kb], k.indptr[lo:hi + 1] - ka),
+            shape=(hi - lo, k.shape[1]))
+        r_rows = sparse.csr_matrix(
+            (restrict.data[ra:rb], reached - lo, restrict.indptr[a:b + 1] - ra),
+            shape=(b - a, hi - lo))
+        slabs.append(r_rows @ (k_rows @ prolong))
+    if count == 1:
+        return slabs[0]
+    # the slabs' freed work arrays would stay resident under the stacked copy
+    _release_freed_memory()
+    return sparse.vstack(slabs, format="csr")
+
 
 def _jacobi_weights(k):
     """omega / diag(K) with omega = 4 / (3 rho), rho a power-iteration
@@ -708,8 +750,10 @@ class VCycle:
     more than two interior nodes the upper-layer axes are coarsened too, so
     that the LU at the bottom sees at most two interior nodes per axis.
     Coarse operators are Galerkin products P^T K P, with P the Kronecker
-    product of the axis interpolations and the identity on the components;
-    each level smooths with one damped Jacobi sweep before and one after.
+    product of the axis interpolations and the identity on the components,
+    formed by slabs of coarse x-planes (:func:`_galerkin_product`) so that
+    no level holds the whole product K P; each level smooths with one
+    damped Jacobi sweep before and one after.
     Calling the cycle on a residual returns the correction; ``applications``
     counts the calls.
     """
@@ -728,7 +772,7 @@ class VCycle:
             prolong = functools.reduce(lambda a, b: sparse.kron(a, b, "csr"), factors)
             restrict = prolong.T.tocsr()
             self.levels.append((k, _jacobi_weights(k), prolong, restrict))
-            k = (restrict @ (k @ prolong)).tocsr()
+            k = _galerkin_product(k, prolong, restrict, shape[0])
             _release_freed_memory()
         self.coarsest = splu(k.tocsc())
         self.applications = 0
@@ -807,11 +851,15 @@ def assemble_and_solve(
     flux = np.stack([as_field(fi, f"f_{i}").values for i, fi in enumerate(f_i, 1)], -1)
 
     k_ff, rhs = _weak_form(grid, form, steps, g, flux, f_field)
+    # the loads are spent: neither the V-cycle build nor CG holds them
+    del flux, f_field
     _release_freed_memory()
 
     diag = k_ff.diagonal()
     if np.any(diag <= 0):
         raise SolverDiverged("stiffness diagonal is not positive")
+    diag_ratio = float(diag.max() / diag.min())
+    del diag
     # the largest absolute row sum, summed as abs(K).sum(axis=1) sums it,
     # without a copy of K; every row holds its positive diagonal
     k_inf = float(np.add.reduceat(np.abs(k_ff.data), k_ff.indptr[:-1]).max())
@@ -850,7 +898,7 @@ def assemble_and_solve(
         "levels": len(precond.levels) + 1,
         "iterations": precond.applications,
         "relative_weak_residual": rel_residual,
-        "diag_ratio": float(diag.max() / diag.min()),
+        "diag_ratio": diag_ratio,
         "coercivity_margin": A.coercivity_margin(),
     }
     if rel_residual > WEAK_RESIDUAL_TOL:

@@ -25,6 +25,7 @@ sweep (once per profile, in ascending W) and the replay of a trace.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .algebra import AlgebraElement, bracket
@@ -608,6 +609,15 @@ def reduce_to_base(initial: LayerProfile) -> ReductionTrace:
     return ReductionTrace(initial, steps)
 
 
+# a sweep holds about SWEEP_BYTES_PER_PROFILE bytes for each profile of its
+# domain (the profile, its places in the domain list and in the W order and
+# its chain length: 272 measured by tracemalloc at step 12, total 6), and a
+# domain that would hold more than SWEEP_BYTE_LIMIT is refused before it is
+# enumerated
+SWEEP_BYTES_PER_PROFILE = 272
+SWEEP_BYTE_LIMIT = 256 << 20
+
+
 def termination_sweep(r, max_total):
     """Reduce every profile of step ``r`` with 1..``max_total`` letters in
     layers 2..r; a profile whose chain meets an unclassifiable term or a
@@ -616,6 +626,16 @@ def termination_sweep(r, max_total):
         raise ValueError(f"the step must be at least 2, got {r}")
     if max_total < 1:
         raise ValueError(f"the total must be at least 1, got {max_total}")
+    # C(r - 1 + max_total, max_total) - 1 profiles, at least 2^64 once
+    # r - 1 and max_total both reach 64, so not counted further there
+    huge = min(r - 1, max_total) >= 64
+    profiles = 2 ** 64 if huge else math.comb(r - 1 + max_total, max_total) - 1
+    if profiles * SWEEP_BYTES_PER_PROFILE > SWEEP_BYTE_LIMIT:
+        raise ValueError(
+            f"the sweep of step {r} to total {max_total} has {'over ' * huge}"
+            f"{profiles:,} profiles, about {profiles * SWEEP_BYTES_PER_PROFILE:.3e} "
+            f"bytes, over the {SWEEP_BYTE_LIMIT:.3e}-byte limit"
+        )
     domain = [
         word_profile([Letter(k) for k in layers], r)
         for t in range(1, max_total + 1)

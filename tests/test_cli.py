@@ -319,6 +319,9 @@ def test_verify_constant_not_positive_exits_1(runner):
      "the step must be at least 2, got 1"),
     # the second-order stencils leave the box inside this ball
     (["verify", "supbound", "--n", "9", "--radius", "0.9"], "stencil leaves"),
+    # 4,457,399 profiles: refused before the domain is enumerated
+    (["rewrite", "sweep", "--step", "12", "--max-total", "14"],
+     "has 4,457,399 profiles, about 1.212e+09 bytes, over the 2.684e+08-byte limit"),
 ])
 def test_domain_errors_exit_2_with_one_line(runner, args, message):
     result = runner.invoke(main, args)

@@ -1089,6 +1089,57 @@ def test_vcycle_depends_on_the_values_of_k_only(name, n, monkeypatch):
     assert cycles[0](r).tobytes() == cycles[1](r).tobytes()
 
 
+@pytest.mark.parametrize("name,n,ncomp", list(OPERATOR_DIGESTS))
+def test_galerkin_slabs_have_the_bits_of_the_whole_product(name, n, ncomp, monkeypatch):
+    # a one-byte budget takes one slab per coarse x-plane; the build with
+    # the whole product R (K P) is the reference
+    spec, A, boundary, f, f_i = _system_case(name, ncomp)
+    slabbed, real_vstack = numerics._galerkin_product, sparse.vstack
+    products, stacked, cycles = [], [], {}
+
+    def recording(k, prolong, restrict, planes):
+        products.append((k, prolong, restrict, planes, slabbed(k, prolong, restrict, planes)))
+        return products[-1][-1]
+
+    def whole(k, prolong, restrict, planes):
+        return (restrict @ (k @ prolong)).tocsr()
+
+    def counting_vstack(blocks, **kwargs):
+        stacked.append(len(blocks))
+        return real_vstack(blocks, **kwargs)
+
+    class Recording(numerics.VCycle):
+        def __init__(self, k, grid, ncomp):
+            super().__init__(k, grid, ncomp)
+            cycles[build] = self
+
+    monkeypatch.setattr(numerics, "VCycle", Recording)
+    monkeypatch.setattr(sparse, "vstack", counting_vstack)
+    solutions = {}
+    for build, slab_bytes in ((recording, 1), (whole, numerics.GALERKIN_SLAB_BYTES)):
+        monkeypatch.setattr(numerics, "_galerkin_product", build)
+        monkeypatch.setattr(numerics, "GALERKIN_SLAB_BYTES", slab_bytes)
+        solutions[build] = assemble_and_solve(spec, A, boundary, f=f, f_i=f_i, n=n)
+
+    assert stacked == [planes for *_, planes, _ in products if planes >= 2]
+    assert len(stacked) >= 2
+    for k, prolong, restrict, _, got in products:
+        want = whole(k, prolong, restrict, None)
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+    slab_cycle, whole_cycle = cycles[recording], cycles[whole]
+    assert len(slab_cycle.levels) == len(whole_cycle.levels) == len(products)
+    for slab_level, whole_level in zip(slab_cycle.levels, whole_cycle.levels):
+        (slab_k, slab_weights, *_), (whole_k, whole_weights, *_) = slab_level, whole_level
+        for part in ("indptr", "indices", "data"):
+            assert getattr(slab_k, part).tobytes() == getattr(whole_k, part).tobytes()
+        assert slab_weights.tobytes() == whole_weights.tobytes()
+    slab_sol, whole_sol = solutions[recording], solutions[whole]
+    assert slab_sol.values.tobytes() == whole_sol.values.tobytes()
+    assert slab_sol.solve_report == whole_sol.solve_report
+
+
 @pytest.mark.parametrize("name,n,levels", [
     ("heisenberg", 16, 7), ("heisenberg", 32, 9), ("engel", 12, 7), ("free:2,3", 8, 5),
 ])
@@ -1103,14 +1154,19 @@ def test_vcycle_iterations_stay_bounded(name, n, levels):
     assert report["iterations"] <= 40
 
 
-@pytest.mark.parametrize("name,n,bytes_per_node", [
-    ("heisenberg", 32, 454), ("engel", 12, 409),
+@pytest.mark.parametrize("name,n,slab_bytes,bytes_per_node", [
+    pytest.param("heisenberg", 32, numerics.GALERKIN_SLAB_BYTES, 431, id="heisenberg-32"),
+    pytest.param("engel", 12, numerics.GALERKIN_SLAB_BYTES, 397, id="engel-12"),
+    pytest.param("heisenberg", 32, 1 << 20, 401, id="heisenberg-32-1MiB-slabs"),
 ])
-def test_solve_peak_memory_per_node(name, n, bytes_per_node):
-    # a solve with the stencil assembly peaks at 412 and 371 bytes per node
-    # on these grids (the bounds are 10 % above); with the sparse products
-    # G^T (B G) it peaked at 542 and 545, and at 715 and 902 when it kept
-    # G, B and K alive through the solve
+def test_solve_peak_memory_per_node(name, n, slab_bytes, bytes_per_node, monkeypatch):
+    # a solve peaks at 392 and 361 bytes per node on these grids, and at 365
+    # on Heisenberg when a 1 MiB budget takes its first two Galerkin levels
+    # in 8 and 5 slabs (the bounds are 10 % above); with each level formed
+    # from the whole product K P and the loads alive through the build it
+    # peaked at 412 and 371, with the sparse products G^T (B G) at 542 and
+    # 545, and at 715 and 902 when it kept G, B and K alive through the solve
+    monkeypatch.setattr(numerics, "GALERKIN_SLAB_BYTES", slab_bytes)
     spec = resolve_group(name)
     ident = SystemCoefficients.identity(1, spec.m)
     assemble_and_solve(spec, ident, [P11], n=5)      # warm the spec's caches

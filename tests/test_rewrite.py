@@ -434,6 +434,24 @@ def test_termination_sweep_domain_size(r, max_total):
     assert report["profiles"] == math.comb(max_total + r - 1, r - 1) - 1
 
 
+def test_termination_sweep_refuses_a_domain_over_the_byte_limit(monkeypatch):
+    def enumerated(*args):
+        raise AssertionError("the domain was enumerated")
+
+    monkeypatch.setattr(rewrite.itertools, "combinations_with_replacement", enumerated)
+    with pytest.raises(ValueError, match=r"step 12 to total 14 has 4,457,399 profiles"):
+        termination_sweep(12, 14)
+    with pytest.raises(ValueError, match=r"has over 18,446,744,073,709,551,616 profiles"):
+        termination_sweep(10 ** 9, 10 ** 9)
+    monkeypatch.undo()
+    # (3, 4) has 14 profiles: a limit of exactly their bytes holds them
+    monkeypatch.setattr(rewrite, "SWEEP_BYTE_LIMIT", 14 * rewrite.SWEEP_BYTES_PER_PROFILE)
+    assert termination_sweep(3, 4)["profiles"] == 14
+    monkeypatch.setattr(rewrite, "SWEEP_BYTE_LIMIT", 14 * rewrite.SWEEP_BYTES_PER_PROFILE - 1)
+    with pytest.raises(ValueError, match="has 14 profiles"):
+        termination_sweep(3, 4)
+
+
 def test_termination_sweep_counts_chains_through_a_w_violation(monkeypatch):
     # a step on which W does not drop breaks every chain through it, once each
     stalled = LayerProfile(3, (0, 0, 1))
