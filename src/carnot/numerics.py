@@ -18,6 +18,10 @@ seminorms and the blow-ups).  They are sampled by a multilinear gather
 over the axes they move: a flow along a layer-k direction leaves the lower
 layers and the other layer-k axes on their nodes, and those axes are read
 at their node index.
+
+scipy is imported only inside the functions that build or factor sparse
+matrices, so importing the package, and every exact computation, leaves
+it unloaded; the first solve loads it.
 """
 
 from __future__ import annotations
@@ -29,8 +33,6 @@ from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .algebra import AlgebraSpec
 from .fields import SystemCoefficients, left_invariant_field, system_residual
@@ -460,6 +462,8 @@ def _flat_offset(shape, step):
 def coordinate_derivative_matrix(grid: Grid, direction, sign):
     """The one-sided matrix of :func:`_stencil`, one diagonal per
     displacement, and its valid nodes."""
+    from scipy import sparse
+
     stencil, valid = _stencil(grid, direction, sign)
     size = math.prod(grid.shape)
     offsets = [_flat_offset(grid.shape, step) for step in stencil]
@@ -609,6 +613,8 @@ def _diagonals_to_csr(acc, steps):
     at column (q + steps[k], beta), q over an interior box: the columns off
     the box and the exact zeros are dropped, and each row's columns ascend
     because the steps do."""
+    from scipy import sparse
+
     ncomp, inner = acc.shape[1], acc.shape[2:-1]
     for k, step in enumerate(steps):
         for ax, t in enumerate(step):
@@ -627,10 +633,10 @@ def _diagonals_to_csr(acc, steps):
     return sparse.csr_matrix((values[keep], indices[keep], indptr), shape=(rows, rows))
 
 
-def _dot(u, v):
+def _dot(u, v, out=None):
     # numpy's pairwise sum in a fixed order: unlike BLAS ddot, its bits do
-    # not depend on the BLAS thread count
-    return float(np.add.reduce(u * v))
+    # not depend on the BLAS thread count; ``out`` takes the product
+    return float(np.add.reduce(np.multiply(u, v, out=out)))
 
 
 def _cg(A, b, x0=None, *, rtol, atol, maxiter, M, callback=None):
@@ -642,23 +648,24 @@ def _cg(A, b, x0=None, *, rtol, atol, maxiter, M, callback=None):
     norm is below ``max(atol, rtol * |b|)``, else ``maxiter``.
     """
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    tol = max(atol, rtol * math.sqrt(_dot(b, b)))
+    work = np.empty_like(x)     # every product and scaled vector of the loop
+    tol = max(atol, rtol * math.sqrt(_dot(b, b, work)))
     r = b - A @ x if x.any() else b.copy()
     p, rho_prev = None, None
     for _ in range(maxiter):
-        if math.sqrt(_dot(r, r)) <= tol:
+        if math.sqrt(_dot(r, r, work)) <= tol:
             return x, 0
         z = M(r)
-        rho = _dot(r, z)
+        rho = _dot(r, z, work)
         if p is None:
             p = z.copy()
         else:
             p *= rho / rho_prev
             p += z
         q = A @ p
-        alpha = rho / _dot(p, q)
-        x += alpha * p
-        r -= alpha * q
+        alpha = rho / _dot(p, q, work)
+        x += np.multiply(p, alpha, out=work)
+        r -= np.multiply(q, alpha, out=work)
         rho_prev = rho
         if callback is not None:
             callback(x)
@@ -669,6 +676,8 @@ def _interpolation(size):
     """Nested linear interpolation onto ``size`` interior nodes of an axis
     from its even nodes 0, 2, 4, ...: an odd node takes the mean of its two
     neighbours, and a neighbour beyond the last node is the Dirichlet face."""
+    from scipy import sparse
+
     coarse = (size + 1) // 2
     fine = np.arange(size)
     left = fine // 2
@@ -701,6 +710,8 @@ def _galerkin_product(k, prolong, restrict, planes):
     operands in their stored order, so the slabs hold the rows of the whole
     product with their bits and their stored order.
     """
+    from scipy import sparse
+
     per_term = k.data.itemsize + k.indices.itemsize
     kp_bytes = per_term * k.nnz * prolong.nnz / prolong.shape[0]
     count = min(planes, max(1, math.ceil(kp_bytes / GALERKIN_SLAB_BYTES)))
@@ -759,6 +770,9 @@ class VCycle:
     """
 
     def __init__(self, k, grid: Grid, ncomp):
+        from scipy import sparse
+        from scipy.sparse.linalg import splu
+
         shape = [s - 2 for s in grid.shape]
         horizontal = [grid.axis_of((1, i)) for i in range(1, grid.spec.m + 1)]
         self.levels = []        # (K, omega D^-1, P, P^T) per level above the LU
@@ -783,11 +797,15 @@ class VCycle:
         for k, weights, _, restrict in self.levels:
             x = weights * r
             down.append((x, r))
-            r = restrict @ (r - k @ x)
+            kx = k @ x
+            r = restrict @ np.subtract(r, kx, out=kx)
         x = self.coarsest.solve(r)
         for (k, weights, prolong, _), (x_pre, r) in zip(self.levels[::-1], down[::-1]):
-            x = x_pre + prolong @ x
-            x += weights * (r - k @ x)
+            x = prolong @ x
+            x += x_pre
+            kx = k @ x
+            np.subtract(r, kx, out=kx)
+            x += np.multiply(kx, weights, out=kx)
         return x
 
 
@@ -853,7 +871,6 @@ def assemble_and_solve(
     k_ff, rhs = _weak_form(grid, form, steps, g, flux, f_field)
     # the loads are spent: neither the V-cycle build nor CG holds them
     del flux, f_field
-    _release_freed_memory()
 
     diag = k_ff.diagonal()
     if np.any(diag <= 0):
@@ -861,7 +878,9 @@ def assemble_and_solve(
     diag_ratio = float(diag.max() / diag.min())
     del diag
     # the largest absolute row sum, summed as abs(K).sum(axis=1) sums it,
-    # without a copy of K; every row holds its positive diagonal
+    # from a copy of K's values but not of its indices; every row holds its
+    # positive diagonal.  The copy is freed before the V-cycle build, which
+    # holds the solve's peak
     k_inf = float(np.add.reduceat(np.abs(k_ff.data), k_ff.indptr[:-1]).max())
     # CG needs a symmetric preconditioner: the cycle is built on the
     # symmetric part of K, which is K itself when the form is symmetric

@@ -18,6 +18,15 @@ def runner():
     return CliRunner()
 
 
+def _run_python(*args, timeout=60, **env):
+    """``python *args`` in a fresh process that imports this package."""
+    src = str(Path(carnot.__file__).resolve().parents[1])
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
 def test_algebra_dims_free23(runner):
     result = runner.invoke(main, ["algebra", "dims", "--group", "free:2,3"])
     assert result.exit_code == 0
@@ -192,14 +201,11 @@ def test_suite_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # OpenBLAS splits across threads in a dot product
     args = ["suite", "--n", "16", "--triples", "20", "--samples", "20000",
             "--sweep-total", "3", "--seed", "99"]
-    src = str(Path(carnot.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}.json"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-m", "carnot.cli", *args, "--json", str(out)],
-                              env=env, capture_output=True, text=True, timeout=300)
+        done = _run_python("-m", "carnot.cli", *args, "--json", str(out), timeout=300,
+                           OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         assert done.returncode == 0, done.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
@@ -342,14 +348,50 @@ def test_solve_over_the_byte_limit_exits_2_with_one_line(runner, monkeypatch):
 
 
 def test_package_runs_as_a_module():
-    src = str(Path(carnot.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "carnot", "--help"], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = _run_python("-m", "carnot", "--help")
     assert done.returncode == 0, done.stderr
     assert "Usage: python -m carnot" in done.stdout
     assert "suite" in done.stdout
+
+
+def _scipy_modules(names):
+    return sorted(m for m in names if m == "scipy" or m.startswith("scipy."))
+
+
+def test_imports_load_no_scipy_until_the_first_solve():
+    # scipy builds and factors the solver's sparse matrices and nothing else
+    script = """
+import json, sys
+import carnot, carnot.cli, carnot.suite, carnot.regularity, carnot.numerics
+print(json.dumps(sorted(sys.modules)))
+from carnot.catalog import heisenberg
+from carnot.fields import SystemCoefficients
+from carnot.poly import PolyFunction
+spec = heisenberg()
+carnot.numerics.assemble_and_solve(spec, SystemCoefficients.identity(1, spec.m),
+                                   [PolyFunction.variable((1, 1))], n=6)
+print("scipy.sparse" in sys.modules)
+"""
+    done = _run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+    imported, solved = done.stdout.splitlines()
+    assert _scipy_modules(json.loads(imported)) == []
+    assert solved == "True"
+
+
+def test_exact_cli_command_loads_no_scipy():
+    # -X importtime logs every module the process imports, to stderr
+    done = _run_python("-X", "importtime", "-m", "carnot", "rewrite", "sweep",
+                       "--step", "3", "--max-total", "4")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "classification_failures": 0, "max_total": 4, "max_trace": 7,
+        "profiles": 14, "r": 3, "w_violations": 0,
+    }
+    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "carnot.cli" in imported
+    assert _scipy_modules(imported) == []
 
 
 def test_rewrite_sweep_counts_unclassified_profiles_and_exits_1(runner):
