@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .expressions import json_fraction, json_int, json_label
+
 Label = tuple  # (layer, index), both 1-based
 
 BASIS_CAP = 512
@@ -460,15 +462,20 @@ def spec_to_json(spec: AlgebraSpec) -> dict:
 
 
 def spec_from_json(data: dict) -> AlgebraSpec:
-    if data.get("kind") == "free":
-        return build_free_nilpotent(int(data["m"]), int(data["r"]))
-    table = {}
-    for entry in data.get("brackets", []):
-        a = tuple(entry["a"])
-        b = tuple(entry["b"])
-        combo = {
-            tuple(t["basis"]): Fraction(t["num"], t.get("den", 1))
-            for t in entry.get("out", [])
-        }
-        table[(a, b)] = combo
-    return build_from_table(data["layer_dims"], table)
+    """Inverse of :func:`spec_to_json`; ``ValueError`` on a missing entry or
+    a number that is not a JSON integer."""
+    try:
+        free = data.get("kind") == "free"
+        if free:
+            m, r = json_int(data["m"], "m"), json_int(data["r"], "r")
+        else:
+            table = {}
+            for entry in data.get("brackets", []):
+                table[(json_label(entry["a"]), json_label(entry["b"]))] = {
+                    json_label(t["basis"]): json_fraction(t["num"], t.get("den", 1))
+                    for t in entry.get("out", [])
+                }
+            layer_dims = [json_int(d, "a layer dimension") for d in data["layer_dims"]]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed group spec: {exc!r}") from None
+    return build_free_nilpotent(m, r) if free else build_from_table(layer_dims, table)

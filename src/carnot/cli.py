@@ -17,7 +17,7 @@ import click
 
 from . import algebra, group, numerics, regularity, rewrite
 from .catalog import resolve_group
-from .expressions import parse_poly, poly_from_json, poly_to_json
+from .expressions import parse_poly, parse_rational, poly_from_json, poly_to_json
 from .fields import (
     SystemCoefficients,
     commutator_check,
@@ -65,13 +65,21 @@ def _render_text(report):
 
 def _parse_point(spec, text):
     parts = [p.strip() for p in text.replace("[", "").replace("]", "").split(",")]
-    values = [Fraction(p) for p in parts if p]
+    values = [parse_rational(p) for p in parts if p]
     return group.Point.from_sequence(spec, values)
 
 
 def _point_json(point):
     exact = all(not isinstance(v, float) for v in point.coords.values())
-    out = {"coords": [float(v) for v in point.sequence()]}
+    coords = []
+    for lab, v in zip(point.spec.basis, point.sequence()):
+        try:
+            coords.append(float(v))
+        except OverflowError:
+            size = math.log10(abs(v.numerator)) - math.log10(v.denominator)
+            raise ValueError(f"coordinate {lab}, of size about 10**{size:.6g}, is "
+                             "beyond the float range") from None
+    out = {"coords": coords}
     if exact:
         out["exact"] = [str(Fraction(v)) for v in point.sequence()]
     return out
@@ -203,7 +211,7 @@ def group_inv(group_name, point_text):
 def group_dilate(group_name, factor, point_text):
     spec = resolve_group(group_name)
     p = _parse_point(spec, point_text)
-    _emit(_point_json(group.dilate(Fraction(factor), p)))
+    _emit(_point_json(group.dilate(parse_rational(factor), p)))
 
 
 @group_group.command("gauge")
@@ -247,7 +255,10 @@ def fields_group():
 @click.option("--label", required=True, help="basis label k,i")
 def fields_show(group_name, label):
     spec = resolve_group(group_name)
-    k, i = (int(x) for x in label.split(","))
+    parts = label.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"--label takes a basis label k,i, got {label!r}")
+    k, i = map(int, parts)
     op = left_invariant_field(spec, (k, i))
     _emit(
         {

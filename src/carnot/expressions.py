@@ -21,6 +21,34 @@ _TOKEN = re.compile(
 )
 
 
+def parse_rational(text):
+    """``Fraction(text)``, with a zero denominator a ``ValueError``."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text.strip()!r} has a zero denominator") from None
+
+
+def json_int(value, what):
+    """``value`` if it is a JSON integer; a boolean or a float such as
+    ``2.0`` is a ``ValueError`` naming ``what``."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_label(value):
+    """A basis label from a JSON list of integers."""
+    return tuple(json_int(x, "label index") for x in value)
+
+
+def json_fraction(num, den):
+    """``num / den`` from JSON integers, ``den`` nonzero."""
+    if json_int(den, "den") == 0:
+        raise ValueError("den must be nonzero, got 0")
+    return Fraction(json_int(num, "num"), den)
+
+
 def _tokenize(text):
     pos = 0
     out = []
@@ -30,7 +58,7 @@ def _tokenize(text):
             raise ValueError(f"cannot parse polynomial at: {text[pos:]!r}")
         pos = m.end()
         if m.group("num"):
-            out.append(("num", Fraction(m.group("num"))))
+            out.append(("num", parse_rational(m.group("num"))))
         elif m.group("op"):
             out.append(("op", m.group("op")))
         else:
@@ -132,13 +160,13 @@ def poly_to_json(poly: PolyFunction):
 
 def poly_from_json(data) -> PolyFunction:
     """Inverse of :func:`poly_to_json`; ``ValueError`` on a malformed term."""
-    out = PolyFunction.zero()
+    pieces = []
     for term in data:
         try:
-            piece = PolyFunction.constant(Fraction(term["num"], term.get("den", 1)))
+            piece = PolyFunction.constant(json_fraction(term["num"], term.get("den", 1)))
             for var, exp in term["mono"]:
-                piece = piece * PolyFunction.variable(tuple(var), exp)
-        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError):
-            raise ValueError(f"malformed polynomial term {term!r}") from None
-        out = out + piece
-    return out
+                piece = piece * PolyFunction.variable(json_label(var), json_int(exp, "exponent"))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed polynomial term {term!r}: {exc}") from None
+        pieces.append(piece)
+    return PolyFunction.sum(pieces)

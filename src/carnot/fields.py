@@ -33,12 +33,12 @@ class VectorFieldOperator:
         self.coeffs = {lab: c for lab, c in coeffs.items() if not c.is_zero()}
 
     def apply(self, u: PolyFunction) -> PolyFunction:
-        out = PolyFunction.zero()
+        parts = []
         for lab, coeff in self.coeffs.items():
             d = u.derivative(lab)
             if not d.is_zero():
-                out = out + coeff * d
-        return out
+                parts.append(coeff * d)
+        return PolyFunction.sum(parts)
 
     def __add__(self, other):
         out = dict(self.coeffs)
@@ -98,9 +98,9 @@ def commutator_check(spec: AlgebraSpec):
             for lab in spec.basis:
                 f = coordinate(lab)
                 lhs = xa.apply(xb.apply(f)) - xb.apply(xa.apply(f))
-                rhs = PolyFunction.zero()
-                for lc, c in expected.items():
-                    rhs = rhs + fields_by_label[lc].apply(f).scale(c)
+                rhs = PolyFunction.sum(
+                    fields_by_label[lc].apply(f).scale(c) for lc, c in expected.items()
+                )
                 if lhs != rhs:
                     ok = False
                     break
@@ -181,15 +181,15 @@ def system_residual(spec, A: SystemCoefficients, u, f_i=None, f=None):
     grads = [[fields_h[j].apply(u[beta]) for beta in range(n)] for j in range(m)]
     residual = []
     for alpha in range(n):
-        total = PolyFunction.zero()
+        divergence = []
         for i in range(m):
-            flux = PolyFunction.zero()
+            flux = []
             for j in range(m):
                 for beta in range(n):
                     c = A.entry(alpha, beta, i, j)
                     if c:
-                        flux = flux + grads[j][beta].scale(c)
-            flux = flux + f_i[i][alpha]
-            total = total + fields_h[i].apply(flux)
-        residual.append(total - f[alpha])
+                        flux.append(grads[j][beta].scale(c))
+            flux.append(f_i[i][alpha])
+            divergence.append(fields_h[i].apply(PolyFunction.sum(flux)))
+        residual.append(PolyFunction.sum(divergence) - f[alpha])
     return residual

@@ -208,9 +208,9 @@ def left_invariant_coefficients(spec, label):
     qfactor = [(("q",) + tuple(label), 1)]
     return {lab: PolyFunction({
         tuple((v[1:], e) for v, e in mono if v[0] == "p"): c
-        for mono, c in law[lab].terms.items()
+        for mono, c in law[lab].nums.items()
         if [f for f in mono if f[0][0] == "q"] == qfactor
-    }) for lab in spec.basis}
+    }).scale(Fraction(1, law[lab].den)) for lab in spec.basis}
 
 
 def inverse(p: Point) -> Point:
@@ -267,7 +267,11 @@ def gauge_norm(p: Point) -> float:
     e = num.bit_length() - den.bit_length()
     m = num / (den << e) if e >= 0 else (num << -e) / den
     whole, part = divmod(e, order)
-    return math.ldexp(2.0 ** (part / order) * m ** (1.0 / order), whole)
+    try:
+        return math.ldexp(2.0 ** (part / order) * m ** (1.0 / order), whole)
+    except OverflowError:
+        raise ValueError(f"the gauge norm, about 2**{e / order:.6g}, is beyond "
+                         "the float range") from None
 
 
 def gauge_distance(p: Point, q: Point) -> float:

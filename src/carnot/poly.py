@@ -5,6 +5,16 @@ Variables are opaque hashable keys (coordinate labels like ``(k, i)``, or
 the group law's tagged labels).  A monomial is a sorted tuple of
 ``(var, exponent)`` pairs with positive exponents; the zero polynomial has
 no terms.  Everything is immutable by convention.
+
+A polynomial stores integer numerators over one common denominator:
+``nums`` maps each monomial to a nonzero ``int`` and ``den`` is a positive
+``int`` with ``gcd(den, *nums.values()) == 1``.  The form is canonical, so
+``==`` and ``hash`` are those of the values.  Arithmetic runs on ``int``s
+and reduces each result once; ``terms`` gives ``{monomial: Fraction}`` on
+demand.  Every result keeps the term order of the ``Fraction`` arithmetic
+this form replaced (``+`` keeps the left terms, then appends the right
+one's new terms; a cancelled term is dropped and re-appended if it comes
+back), because the float program sums the terms in that order.
 """
 
 from __future__ import annotations
@@ -32,91 +42,143 @@ def _as_coeff(c):
         return c
     if isinstance(c, Rational):
         return Fraction(c)
-    if isinstance(c, int):
-        return Fraction(c)
     raise TypeError(f"not an exact coefficient: {c!r}")
+
+
+def _poly(nums, den):
+    # no reduction: ``nums`` over ``den`` must already be canonical
+    out = object.__new__(PolyFunction)
+    out.nums = nums
+    out.den = den
+    return out
+
+
+def _reduced(nums, den):
+    """The canonical polynomial ``nums / den`` (``den`` positive)."""
+    g = math.gcd(den, *nums.values())
+    if g != 1:
+        nums = {m: c // g for m, c in nums.items()}
+        den //= g
+    return _poly(nums, den)
 
 
 class PolyFunction:
     """A polynomial function of group coordinates, in canonical sparse form."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, terms=None):
-        if terms is None:
-            terms = {}
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        coeffs = {}
+        for m, c in (terms or {}).items():
+            c = _as_coeff(c)
+            if c:
+                coeffs[m] = c
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        self.nums = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
+        self.den = den
+
+    @property
+    def terms(self):
+        """``{monomial: Fraction}`` in term order, built on each call."""
+        den = self.den
+        return {m: Fraction(c, den) for m, c in self.nums.items()}
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def zero():
-        return PolyFunction()
+        return _poly({}, 1)
 
     @staticmethod
     def constant(c):
         c = _as_coeff(c)
-        return PolyFunction({_ONE_MONO: c} if c else {})
+        return _poly({_ONE_MONO: c.numerator}, c.denominator) if c else _poly({}, 1)
 
     @staticmethod
     def variable(var, exp=1):
-        if not isinstance(exp, int) or exp < 0:
+        if isinstance(exp, bool) or not isinstance(exp, int) or exp < 0:
             raise ValueError(f"exponent {exp!r} is not a non-negative integer")
         if exp == 0:
             return PolyFunction.constant(1)
-        return PolyFunction({((var, exp),): Fraction(1)})
+        return _poly({((var, exp),): 1}, 1)
+
+    @staticmethod
+    def sum(polys):
+        """The sum of ``polys`` in one dict, with the term order of ``+``
+        folded from the left."""
+        polys = list(polys)
+        if not polys:
+            return _poly({}, 1)
+        den = math.lcm(*(p.den for p in polys))
+        first = polys[0]
+        k = den // first.den
+        out = dict(first.nums) if k == 1 else {m: c * k for m, c in first.nums.items()}
+        get = out.get
+        for p in polys[1:]:
+            k = den // p.den
+            for m, c in p.nums.items():
+                s = get(m, 0) + c * k
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+        return _reduced(out, den)
 
     # -- basic queries -----------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Rational)):
+        if not isinstance(other, PolyFunction):
+            if not isinstance(other, Rational):
+                return NotImplemented
             other = PolyFunction.constant(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return PolyFunction(out)
+        return PolyFunction.sum((self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyFunction({m: -c for m, c in self.terms.items()})
+        return _poly({m: -c for m, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Rational)):
+        if not isinstance(other, PolyFunction):
+            if not isinstance(other, Rational):
+                return NotImplemented
             other = PolyFunction.constant(other)
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, Rational):
+            return NotImplemented
         return (-self) + other
 
     def scale(self, c):
         c = _as_coeff(c)
         if c == 0:
-            return PolyFunction()
-        return PolyFunction({m: c * v for m, v in self.terms.items()})
+            return _poly({}, 1)
+        k = c.numerator
+        return _reduced({m: v * k for m, v in self.nums.items()}, self.den * c.denominator)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Rational)):
+        if not isinstance(other, PolyFunction):
+            if not isinstance(other, Rational):
+                return NotImplemented
             return self.scale(other)
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        get = out.get
+        other_items = other.nums.items()
+        for m1, c1 in self.nums.items():
+            for m2, c2 in other_items:
                 m = _mul_mono(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
+                s = get(m, 0) + c1 * c2
                 if s:
                     out[m] = s
                 else:
-                    out.pop(m, None)
-        return PolyFunction(out)
+                    del out[m]
+        return _reduced(out, self.den * other.den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -134,36 +196,37 @@ class PolyFunction:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Rational)):
+        if isinstance(other, Rational):
             other = PolyFunction.constant(other)
         if not isinstance(other, PolyFunction):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.nums.items())))
 
     # -- calculus ------------------------------------------------------
 
     def derivative(self, var):
+        # distinct canonical monomials have distinct derivatives, so no
+        # term of the result collects or cancels
         out = {}
-        for mono, c in self.terms.items():
+        for mono, c in self.nums.items():
             for pos, (v, e) in enumerate(mono):
                 if v == var:
                     if e == 1:
-                        new = mono[:pos] + mono[pos + 1:]
+                        out[mono[:pos] + mono[pos + 1:]] = c
                     else:
-                        new = mono[:pos] + ((v, e - 1),) + mono[pos + 1:]
-                    out[new] = out.get(new, Fraction(0)) + c * e
+                        out[mono[:pos] + ((v, e - 1),) + mono[pos + 1:]] = c * e
                     break
-        return PolyFunction({m: c for m, c in out.items() if c})
+        return _reduced(out, self.den)
 
     # -- evaluation -----------------------------------------------------
 
     def evaluate(self, values):
         """Exact evaluation; ``values`` maps every needed variable to a scalar."""
-        total = None
-        for mono, c in self.terms.items():
+        total = 0
+        for mono, c in self.nums.items():
             term = c
             for v, e in mono:
                 if v not in values:
@@ -171,10 +234,8 @@ class PolyFunction:
                 x = values[v]
                 for _ in range(e):
                     term = term * x
-            total = term if total is None else total + term
-        if total is None:
-            return Fraction(0)
-        return total
+            total = total + term
+        return Fraction(total) / self.den
 
     def evaluate_arrays(self, arrays):
         """Float evaluation on numpy arrays (or numbers) per variable, as
@@ -185,11 +246,12 @@ class PolyFunction:
     # -- display --------------------------------------------------------
 
     def __repr__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         bits = []
-        for mono in sorted(self.terms, key=lambda m: (sum(e for _, e in m), str(m))):
-            c = self.terms[mono]
+        for mono in sorted(terms, key=lambda m: (sum(e for _, e in m), str(m))):
+            c = terms[mono]
             head = "*".join(
                 f"{v}" if e == 1 else f"{v}^{e}" for v, e in mono
             )
@@ -217,7 +279,7 @@ def _mul_mono(m1: Monomial, m2: Monomial) -> Monomial:
 
 def check_variables(polys, variables):
     """Raise ``ValueError`` naming each variable of ``polys`` not in ``variables``."""
-    outside = {v for p in polys for mono in p.terms for v, _ in mono} - set(variables)
+    outside = {v for p in polys for mono in p.nums for v, _ in mono} - set(variables)
     if outside:
         names = ", ".join(sorted(map(repr, outside)))
         raise ValueError(f"polynomial variables {names} not among {list(variables)}")
@@ -238,18 +300,16 @@ def compile_polys(polys, variables):
     index = {v: j for j, v in enumerate(variables)}
     exact, floating = [], []
     for poly in polys:
-        terms = poly.terms
-        common = math.lcm(*(c.denominator for c in terms.values()))
+        common = poly.den
         by_degree = {}
-        for mono, c in terms.items():
+        for mono, c in poly.nums.items():
             inputs = tuple(index[v] for v, e in mono for _ in range(e))
-            by_degree.setdefault(len(inputs), []).append(
-                (c.numerator * (common // c.denominator), inputs)
-            )
+            by_degree.setdefault(len(inputs), []).append((c, inputs))
         exact.append((common, sorted(by_degree.items())))
+        # int / int is the correctly rounded quotient, as float(Fraction)
         floating.append([
-            (float(c), tuple((index[v], e) for v, e in mono))
-            for mono, c in terms.items()
+            (c / common, tuple((index[v], e) for v, e in mono))
+            for mono, c in poly.nums.items()
         ])
     return exact, floating
 

@@ -789,14 +789,14 @@ class ExactContext:
 
     def evaluate(self, terms, u, f, f_i):
         """Sum of the terms applied to their targets."""
-        total = PolyFunction.zero()
+        parts = []
         for term in terms:
             if term.target == "fi":
                 data = f_i[term.slot - 1]
             else:
                 data = u if term.target == "u" else f
-            total = total + self.apply(term.word, data)
-        return total
+            parts.append(self.apply(term.word, data))
+        return PolyFunction.sum(parts)
 
 
 def verify_rewrite_identity(
@@ -835,9 +835,9 @@ def verify_rewrite_identity(
         word = _block(ctx, lower, q + k, k) + (mover,) + _block(ctx, lower, k)
         lhs = ctx.apply(word, u)
         principal, remainders = normalize_word(word, spec.r, ctx)
-        rhs = PolyFunction.zero()
-        for w in ([] if principal is None else [principal]) + remainders:
-            rhs = rhs + ctx.apply(w, u)
+        rhs = PolyFunction.sum(
+            ctx.apply(w, u) for w in ([] if principal is None else [principal]) + remainders
+        )
     elif rule in ("expand_fi", "expand_f"):
         if profile is None or l is None:
             raise ValueError("expansion checks need a profile and a level")
@@ -856,6 +856,6 @@ def verify_rewrite_identity(
     return {
         "rule": rule,
         "ok": lhs == rhs,
-        "lhs_terms": len(lhs.terms),
-        "rhs_terms": len(rhs.terms),
+        "lhs_terms": len(lhs.nums),
+        "rhs_terms": len(rhs.nums),
     }

@@ -328,6 +328,35 @@ def test_verify_constant_not_positive_exits_1(runner):
     # 4,457,399 profiles: refused before the domain is enumerated
     (["rewrite", "sweep", "--step", "12", "--max-total", "14"],
      "has 4,457,399 profiles, about 1.212e+09 bytes, over the 2.684e+08-byte limit"),
+    # zero denominators, in an expression, a point and a dilation factor
+    (["fields", "residual", "--u", "1/0"], "'1/0' has a zero denominator"),
+    (["group", "mul", "--p", "1/0,0,0", "--q", "0,0,0"], "'1/0' has a zero denominator"),
+    (["group", "dilate", "--point", "1,0,0", "--s", "1/0"],
+     "'1/0' has a zero denominator"),
+    # exact coordinates past the float range of the report
+    (["group", "mul", "--p", "1e400,0,0", "--q", "0,0,0"],
+     "coordinate (1, 1), of size about 10**400, is beyond the float range"),
+    (["group", "dilate", "--point", "1,0,0", "--s", "1e400"],
+     "coordinate (1, 1), of size about 10**400, is beyond the float range"),
+    (["group", "inv", "--point", "1e400,0,0"],
+     "coordinate (1, 1), of size about 10**400, is beyond the float range"),
+    (["group", "gauge", "--point", "1e400,0,0"],
+     "the gauge norm, about 2**1328.75, is beyond the float range"),
+    (["group", "dist", "--p", "1e400,0,0", "--q", "0,0,0"],
+     "the gauge norm, about 2**1328.75, is beyond the float range"),
+    # JSON booleans and zero denominators are not integers of a term
+    (["fields", "residual", "--u", '[{"num": true, "mono": [[[1, 1], 1]]}]'],
+     "num must be an integer, got True"),
+    (["fields", "residual", "--u", '[{"num": 1, "mono": [[[1, 1], true]]}]'],
+     "exponent must be an integer, got True"),
+    (["fields", "residual", "--u", '[{"num": 1, "mono": [[[1, 1], 1.0]]}]'],
+     "exponent must be an integer, got 1.0"),
+    (["fields", "residual", "--u", '[{"num": 1, "mono": [[[true, 1], 1]]}]'],
+     "label index must be an integer, got True"),
+    (["fields", "residual", "--u", '[{"num": 1, "den": 0, "mono": []}]'],
+     "den must be nonzero, got 0"),
+    # a label with the wrong number of parts
+    (["fields", "show", "--label", "1,1,1"], "--label takes a basis label k,i, got '1,1,1'"),
 ])
 def test_domain_errors_exit_2_with_one_line(runner, args, message):
     result = runner.invoke(main, args)
@@ -336,6 +365,35 @@ def test_domain_errors_exit_2_with_one_line(runner, args, message):
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and message in lines[0]
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"kind": "free", "m": 2.9, "r": 2}, "m must be an integer, got 2.9"),
+    ({"kind": "free", "m": True, "r": 2}, "m must be an integer, got True"),
+    ({"kind": "free", "m": 2, "r": False}, "r must be an integer, got False"),
+    ({"kind": "table", "layer_dims": [2, 1], "brackets": [
+        {"a": [1, 1], "b": [1, 2], "out": [{"basis": [2, 1], "num": 1, "den": 0}]}]},
+     "den must be nonzero, got 0"),
+    ({"kind": "table", "layer_dims": [2, 1], "brackets": [
+        {"a": [1, 1], "b": [1, 2], "out": [{"basis": [2, 1], "num": True}]}]},
+     "num must be an integer, got True"),
+    ({"kind": "table", "layer_dims": [True, 1], "brackets": []},
+     "a layer dimension must be an integer, got True"),
+    ({"kind": "table", "layer_dims": [2, 1], "brackets": [
+        {"a": [True, 1], "b": [1, 2], "out": [{"basis": [2, 1], "num": 1}]}]},
+     "label index must be an integer, got True"),
+    ({"kind": "table"}, "malformed group spec: KeyError('layer_dims')"),
+    ({"kind": "free", "r": 2}, "malformed group spec: KeyError('m')"),
+    ([2, 1], "malformed group spec: AttributeError"),
+])
+def test_spec_file_with_a_non_integer_exits_2(runner, tmp_path, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    result = runner.invoke(main, ["algebra", "check", "--group", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and message in lines[0]
 
 
 def test_solve_over_the_byte_limit_exits_2_with_one_line(runner, monkeypatch):
