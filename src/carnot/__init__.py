@@ -12,7 +12,6 @@ from .algebra import (
     bracket,
     build_free_nilpotent,
     build_from_table,
-    homogeneous_dimension,
     spec_from_json,
     spec_to_json,
     verify_stratification,

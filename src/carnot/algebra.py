@@ -159,25 +159,32 @@ class AlgebraElement:
         return " + ".join(f"{c}*X{lab}" for lab, c in sorted(self.coeffs.items()))
 
 
+def combination_bracket(spec: AlgebraSpec, a, b):
+    """``[a, b]`` of ``{label: coefficient}`` combinations through the
+    structure constants, with each product ``a[la] * b[lb]`` formed once.
+
+    The coefficients may be anything that multiplies together and by a
+    ``Fraction`` (rationals, polynomials).  An entry that cancels keeps its
+    place, as zero.
+    """
+    out = {}
+    for la, ca in a.items():
+        for lb, cb in b.items():
+            combo = spec.basis_bracket(la, lb)
+            if not combo:
+                continue
+            prod = ca * cb
+            for lc, s in combo.items():
+                cur = out.get(lc)
+                out[lc] = prod * s if cur is None else cur + prod * s
+    return out
+
+
 def bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of the structure constants; exact."""
     if a.spec is not b.spec and a.spec.basis != b.spec.basis:
         raise ValueError("elements live over different specs")
-    spec = a.spec
-    out = {}
-    for la, ca in a.coeffs.items():
-        for lb, cb in b.coeffs.items():
-            for lc, s in spec.basis_bracket(la, lb).items():
-                v = out.get(lc, Fraction(0)) + ca * cb * s
-                if v:
-                    out[lc] = v
-                else:
-                    out.pop(lc, None)
-    return AlgebraElement(spec, out)
-
-
-def homogeneous_dimension(spec: AlgebraSpec) -> int:
-    return spec.homogeneous_dimension()
+    return AlgebraElement(a.spec, combination_bracket(a.spec, a.coeffs, b.coeffs))
 
 
 # ---------------------------------------------------------------------------

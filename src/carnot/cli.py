@@ -119,11 +119,12 @@ class _Commands(click.Group):
     def invoke(self, ctx):
         # a domain error (a stencil leaving the box, a ball with no grid
         # nodes, a basis over the cap, a profile the certificate cannot
-        # classify) or a malformed value is the caller's input, not a crash
+        # classify), a malformed value or a path that cannot be opened is
+        # the caller's input, not a crash
         try:
             return super().invoke(ctx)
         except (numerics.NumericsError, rewrite.RewriteError,
-                algebra.AlgebraError, ValueError) as exc:
+                algebra.AlgebraError, ValueError, OSError) as exc:
             raise DomainError(str(exc)) from None
 
 

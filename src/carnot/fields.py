@@ -40,17 +40,6 @@ class VectorFieldOperator:
                 parts.append(coeff * d)
         return PolyFunction.sum(parts)
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for lab, c in other.coeffs.items():
-            out[lab] = out.get(lab, PolyFunction.zero()) + c
-        return VectorFieldOperator(self.spec, out)
-
-    def scale(self, c):
-        return VectorFieldOperator(
-            self.spec, {lab: coeff.scale(c) for lab, coeff in self.coeffs.items()}
-        )
-
     def __eq__(self, other):
         return isinstance(other, VectorFieldOperator) and self.coeffs == other.coeffs
 
@@ -75,10 +64,12 @@ def left_invariant_field(spec: AlgebraSpec, label) -> VectorFieldOperator:
 
 def field_of_element(spec: AlgebraSpec, elem: AlgebraElement) -> VectorFieldOperator:
     """Left-invariant field of an arbitrary algebra element (linear)."""
-    out = VectorFieldOperator(spec, {})
-    for lab, c in elem.coeffs.items():
-        out = out + left_invariant_field(spec, lab).scale(c)
-    return out
+    terms = [(left_invariant_field(spec, lab).coeffs, c) for lab, c in elem.coeffs.items()]
+    slots = dict.fromkeys(slot for coeffs, _ in terms for slot in coeffs)
+    return VectorFieldOperator(spec, {
+        slot: PolyFunction.sum(coeffs[slot].scale(c) for coeffs, c in terms if slot in coeffs)
+        for slot in slots
+    })
 
 
 def commutator_check(spec: AlgebraSpec):
@@ -121,8 +112,12 @@ class SystemCoefficients:
             ]
             for alpha_block in coefficients
         ]
-        self.n_components = len(a)
-        self.m = len(a[0][0]) if a else 0
+        n = self.n_components = len(a)
+        m = self.m = len(a[0][0]) if a and a[0] else 0
+        rows = [[[len(row) for row in block] for block in blocks] for blocks in a]
+        if not m or rows != [[[m] * m] * n] * n:
+            raise ValueError(f"coefficients must be N x N x m x m with m >= 1; the rows "
+                             f"of the (alpha, beta) blocks have lengths {rows}")
         self.A = a
 
     @staticmethod

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AlgebraSpec
+from .algebra import AlgebraSpec, combination_bracket
 from .poly import PolyFunction, compile_polys, run_arrays, run_exact, run_float
 
 
@@ -111,26 +111,6 @@ def _poly_element(spec, tag):
     }
 
 
-def _bracket_poly(spec, a, b):
-    """Bracket of {label: Poly} elements through the structure constants."""
-    out = {}
-    for la, pa in a.items():
-        if pa.is_zero():
-            continue
-        for lb, pb in b.items():
-            if pb.is_zero():
-                continue
-            combo = spec.basis_bracket(la, lb)
-            if not combo:
-                continue
-            prod = pa * pb
-            for lc, c in combo.items():
-                cur = out.get(lc)
-                piece = prod.scale(c)
-                out[lc] = piece if cur is None else cur + piece
-    return out
-
-
 def group_law(spec: AlgebraSpec):
     """Product coordinate polynomials ``z_label(p, q)``, memoized per spec.
 
@@ -152,19 +132,17 @@ def group_law(spec: AlgebraSpec):
         if len(word) == 1:
             val = x if word[0] == 0 else y
         else:
-            inner = word_value(word[1:])
             head = x if word[0] == 0 else y
-            val = _bracket_poly(spec, head, inner)
+            val = {lab: poly for lab, poly in
+                   combination_bracket(spec, head, word_value(word[1:])).items()
+                   if not poly.is_zero()}
         suffix_vals[word] = val
         return val
 
     for word, coeff in dynkin_terms(spec.r).items():
         if len(word) < 2:
             continue
-        val = word_value(word)
-        for lab, poly in val.items():
-            if poly.is_zero():
-                continue
+        for lab, poly in word_value(word).items():
             z[lab] = z[lab] + poly.scale(coeff)
     spec._cache["law"] = z
     spec._cache["law_program"] = compile_polys(
@@ -318,8 +296,10 @@ def ball_volume_estimate(spec, radius, samples, seed=0, shard=1 << 16):
     Sampling is sharded with per-shard generators seeded by (seed, shard
     index), so a partition across workers would reproduce the same estimate.
     """
-    if radius <= 0 or samples < 1:
-        raise ValueError("need radius > 0 and samples >= 1")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"the radius must be finite and positive, got {radius}")
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     box_vol = 1.0
     for lab in spec.basis:
         box_vol *= 2.0 * radius ** lab[0]

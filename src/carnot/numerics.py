@@ -71,6 +71,8 @@ class Grid:
         if isinstance(n, int):
             n = (n,) * d
         self.shape = tuple(int(x) for x in n)
+        if len(self.shape) != d:
+            raise ValueError(f"need {d} node counts, one per axis, got {list(self.shape)}")
         needed = math.prod(self.shape) * d * 8
         if needed > GRID_BYTE_LIMIT:
             raise NumericsError(
@@ -80,10 +82,10 @@ class Grid:
             )
         if isinstance(half_widths, (int, float, Fraction)):
             widths = [float(half_widths)] * d
-        elif isinstance(half_widths, dict):
-            widths = [float(half_widths[lab[0]]) for lab in self.axes]
         else:
             widths = [float(w) for w in half_widths]
+        if len(widths) != d:
+            raise ValueError(f"need {d} half widths, one per axis, got {widths}")
         if not all(math.isfinite(w) and w > 0 for w in widths):
             raise ValueError(f"half widths must be finite and positive, got {widths}")
         self.half_widths = tuple(widths)
@@ -123,14 +125,6 @@ class Grid:
             sl[ax] = -1
             mask[tuple(sl)] = True
         return mask
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Grid)
-            and self.spec is other.spec
-            and self.shape == other.shape
-            and self.half_widths == other.half_widths
-        )
 
 
 class GridField:
@@ -315,8 +309,11 @@ def gauge_distance_arrays(grid: Grid, center=None):
 
 def gauge_balls(grid: Grid, center, radii):
     """Masks of the gauge balls about ``center`` of the given radii, from
-    one distance pass; raises ``ValueError`` when the smallest holds no
-    node."""
+    one distance pass; raises ``ValueError`` on a radius that is not
+    finite and positive, and when the smallest ball holds no node."""
+    for r in radii:
+        if not (math.isfinite(r) and r > 0):
+            raise ValueError(f"a ball radius must be finite and positive, got {r}")
     dist = gauge_distance_arrays(grid, center)
     balls = [dist < r for r in radii]
     if not balls[int(np.argmin(radii))].any():
@@ -336,10 +333,7 @@ def integrate(field_values, grid: Grid, mask=None):
     """Equal-weight quadrature of nodal values over a masked region."""
     vals = np.asarray(field_values, dtype=float)
     if mask is not None:
-        if vals.shape != mask.shape:
-            vals = np.where(mask[..., None], vals, 0.0)
-        else:
-            vals = np.where(mask, vals, 0.0)
+        vals = np.where(mask, vals, 0.0)
     return float(vals.sum()) * grid.cell_volume
 
 
@@ -639,17 +633,17 @@ def _dot(u, v, out=None):
     return float(np.add.reduce(np.multiply(u, v, out=out)))
 
 
-def _cg(A, b, x0=None, *, rtol, atol, maxiter, M, callback=None):
+def _cg(A, b, x0=None, *, rtol, maxiter, M, callback=None):
     """Preconditioned conjugate gradients, the loop of scipy's ``cg`` with
     every inner product taken by :func:`_dot`.
 
     ``M`` is a callable applied once per iteration and ``callback(x)`` runs
     after each one.  Returns ``(x, info)``: info is 0 once the residual
-    norm is below ``max(atol, rtol * |b|)``, else ``maxiter``.
+    norm is below ``rtol * |b|``, else ``maxiter``.
     """
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     work = np.empty_like(x)     # every product and scaled vector of the loop
-    tol = max(atol, rtol * math.sqrt(_dot(b, b, work)))
+    tol = rtol * math.sqrt(_dot(b, b, work))
     r = b - A @ x if x.any() else b.copy()
     p, rho_prev = None, None
     for _ in range(maxiter):
@@ -826,10 +820,9 @@ def assemble_and_solve(
 ) -> GridField:
     """Solve the discrete weak form with Dirichlet data on the box faces.
 
-    ``boundary``, ``f`` and the ``f_i`` may be polynomials (lists for
-    several components) or grid fields.  Returns the solution field with a
-    ``solve_report`` attribute carrying residual, conditioning and solver
-    data.
+    ``boundary``, ``f`` and the ``f_i`` are polynomials (lists for several
+    components).  Returns the solution field with a ``solve_report``
+    attribute carrying residual, conditioning and solver data.
     """
     if not A.is_coercive():
         raise SolverDiverged(
@@ -852,14 +845,13 @@ def assemble_and_solve(
             f"{GRID_BYTE_LIMIT:.3e}-byte limit"
         )
 
-    def as_field(obj, name):
-        if obj is None:
+    def as_field(polys, name):
+        if polys is None:
             return GridField.zeros(grid, ncomp)
-        if not isinstance(obj, GridField):
-            obj = GridField.from_polys(grid, obj, name)
-        if obj.n_components != ncomp:
-            raise ValueError(f"{name} has {obj.n_components} components; need {ncomp}")
-        return obj
+        field = GridField.from_polys(grid, polys, name)
+        if field.n_components != ncomp:
+            raise ValueError(f"{name} has {field.n_components} components; need {ncomp}")
+        return field
 
     g = as_field(boundary, "the boundary data")
     f_field = as_field(f, "f")
@@ -899,8 +891,7 @@ def assemble_and_solve(
 
     sol = None
     for rtol in CG_RTOLS:
-        sol, info = _cg(k_ff, rhs, x0=sol, rtol=rtol, atol=0.0, maxiter=CG_MAXITER,
-                        M=precond)
+        sol, info = _cg(k_ff, rhs, x0=sol, rtol=rtol, maxiter=CG_MAXITER, M=precond)
         if not np.all(np.isfinite(sol)):
             raise SolverDiverged(f"conjugate gradient failed (info={info})")
         rel_residual = componentwise_residual(sol)
@@ -927,13 +918,6 @@ def assemble_and_solve(
     return field
 
 
-def manufactured_source(spec, A: SystemCoefficients, u_polys, fi_polys=None):
-    """Source polynomials making the given polynomials an exact solution."""
-    if isinstance(u_polys, PolyFunction):
-        u_polys = [u_polys]
-    return system_residual(spec, A, u_polys, f_i=fi_polys, f=None)
-
-
 def convergence_study(spec, A, u_polys, sizes=(16, 32, 64)):
     """Solve with manufactured data on a sequence of grids; least-squares
     fit of the L2 error order."""
@@ -941,7 +925,8 @@ def convergence_study(spec, A, u_polys, sizes=(16, 32, 64)):
         raise ValueError(f"need at least two distinct sizes, got {list(sizes)}")
     if isinstance(u_polys, PolyFunction):
         u_polys = [u_polys]
-    f = manufactured_source(spec, A, u_polys)
+    # the source that makes u an exact solution
+    f = system_residual(spec, A, u_polys)
     errors = []
     spacings = []
     for n in sizes:

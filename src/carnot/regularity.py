@@ -40,7 +40,7 @@ def excess(u: GridField, center, radius) -> float:
     return total / count
 
 
-def excess_decay_check(u: GridField, center, tau, radius, radii=None):
+def excess_decay_check(u: GridField, center, tau, radius, radii):
     """Decay ratios of the excess under radius shrinking.
 
     Reports the mean-form ratio against ``tau**2``, the integral-form ratio
@@ -51,11 +51,11 @@ def excess_decay_check(u: GridField, center, tau, radius, radii=None):
     """
     if not (0 < tau < 1):
         raise ValueError("shrink factor must lie in (0, 1)")
-    if radii and len(set(radii)) < 2:
-        raise ValueError(f"the decay fit needs two distinct radii, got {list(radii)}")
+    radii = list(radii)
+    if len(set(radii)) < 2:
+        raise ValueError(f"the decay fit needs two distinct radii, got {radii}")
     grid = u.grid
     q_hom = grid.spec.homogeneous_dimension()
-    radii = list(radii or [])
     small, large, *fit = gauge_balls(grid, center, [tau * radius, radius] + radii)
     total_s, _, count_s = ball_oscillation(u, small)
     total_l, _, count_l = ball_oscillation(u, large)
@@ -77,13 +77,12 @@ def excess_decay_check(u: GridField, center, tau, radius, radii=None):
         "integral_constant": integral_ratio / tau ** (q_hom + 2),
         "Q": q_hom,
     }
-    if radii:
-        integrals = [ball_oscillation(u, ball)[0] * grid.cell_volume for ball in fit]
-        logs_r = np.log(np.asarray(radii, dtype=float))
-        logs_i = np.log(np.maximum(np.asarray(integrals), 1e-300))
-        report["radii"] = [float(r) for r in radii]
-        report["fitted_exponent"] = float(np.polyfit(logs_r, logs_i, 1)[0])
-        report["integral_values"] = integrals
+    integrals = [ball_oscillation(u, ball)[0] * grid.cell_volume for ball in fit]
+    logs_r = np.log(np.asarray(radii, dtype=float))
+    logs_i = np.log(np.maximum(np.asarray(integrals), 1e-300))
+    report["radii"] = [float(r) for r in radii]
+    report["fitted_exponent"] = float(np.polyfit(logs_r, logs_i, 1)[0])
+    report["integral_values"] = integrals
     return report
 
 

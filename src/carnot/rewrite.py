@@ -75,7 +75,6 @@ def word_str(word) -> str:
 class SymbolicTerm:
     word: Word
     target: str  # "u" | "f" | "fi"
-    kind: str    # "V" | "f-term" | "fi-term" | "commutator-remainder"
     family: str
     slot: object = None  # index i of Y_i and f_i; None outside any slot
 
@@ -206,9 +205,7 @@ def _stack(letters, profile, from_layer, to_layer):
 
 
 def _prefixed(head, term, family=None):
-    return SymbolicTerm(
-        head + term.word, term.target, term.kind, family or term.family, term.slot
-    )
+    return SymbolicTerm(head + term.word, term.target, family or term.family, term.slot)
 
 
 def _collapse_sites(letters, l, profile):
@@ -236,9 +233,9 @@ def _closed_fi(letters, l, profile, slot):
     for s, k, head, tail in _collapse_sites(letters, l, profile):
         word = head + (letters.flux(s - 1, k + 1, slot),) + tail
         family = "fi-V" if s == l else "fi-T"
-        terms.append(SymbolicTerm(word, "u", "V", family, slot))
+        terms.append(SymbolicTerm(word, "u", family, slot))
     data = _stack(letters, profile, l - 1, profile.r)
-    terms.append(SymbolicTerm(data, "fi", "fi-term", "fi-data", slot))
+    terms.append(SymbolicTerm(data, "fi", "fi-data", slot))
     return terms
 
 
@@ -269,13 +266,13 @@ def expand_f(l, profile, letters=ABSTRACT):
     the flux-side terms behind each collapse (P5/P6 above, P3/P4 last).
     """
     data = _stack(letters, profile, l - 1, profile.r)
-    terms = [SymbolicTerm(data, "f", "f-term", "f-data")]
+    terms = [SymbolicTerm(data, "f", "f-data")]
     lowest = []
     for slot in letters.slots:
         for s, k, head, tail in _collapse_sites(letters, l, profile):
             head += (letters.source(s - 1, k + 1, slot),)
             word = head + (letters.horizontal(slot),) + tail
-            terms.append(SymbolicTerm(word, "u", "V", "P1" if s == l else "P2", slot))
+            terms.append(SymbolicTerm(word, "u", "P1" if s == l else "P2", slot))
             side = "l" if s == l else "s"
             (lowest if s == l else terms).extend(
                 _prefixed(head, t, _INNER_FAMILY[t.family][side])
@@ -295,11 +292,11 @@ def _recursive_fi(letters, l, profile, slot):
         if b == 0:
             if level == r:
                 data = _stack(letters, profile, r, r)
-                return [SymbolicTerm(data, "fi", "fi-term", "recursion", slot)]
+                return [SymbolicTerm(data, "fi", "recursion", slot)]
             return rec(level + 1, profile.count(level))
         rest = _block(letters, level - 1, b - 1) + _stack(letters, profile, level, r)
         collapsed = (letters.flux(level - 1, b, slot),) + rest
-        terms = [SymbolicTerm(collapsed, "u", "V", "recursion", slot)]
+        terms = [SymbolicTerm(collapsed, "u", "recursion", slot)]
         letter = (letters.letter(level - 1, b),)
         return terms + [_prefixed(letter, t) for t in rec(level, b - 1)]
 
@@ -314,7 +311,7 @@ def _recursive_f(letters, l, profile):
         if b == 0:
             if level == r:
                 data = _stack(letters, profile, r, r)
-                return [SymbolicTerm(data, "f", "f-term", "recursion")]
+                return [SymbolicTerm(data, "f", "recursion")]
             return rec(level + 1, profile.count(level))
         letter = (letters.letter(level - 1, b),)
         terms = [_prefixed(letter, t) for t in rec(level, b - 1)]
@@ -323,7 +320,7 @@ def _recursive_f(letters, l, profile):
         for slot in letters.slots:
             collapsed = (letters.source(level - 1, b, slot),)
             word = collapsed + (letters.horizontal(slot),) + rest
-            terms.append(SymbolicTerm(word, "u", "V", "recursion", slot))
+            terms.append(SymbolicTerm(word, "u", "recursion", slot))
             terms += [
                 _prefixed(collapsed, t)
                 for t in _recursive_fi(letters, level, shorter, slot)
@@ -458,11 +455,11 @@ def _expansion_successors(profile):
             word = ((prefix,) if prefix else ()) + term.word
             principal, remainders = normalize_word(word, r)
             if principal is not None:
-                p_term = SymbolicTerm(principal, "u", term.kind, term.family)
+                p_term = SymbolicTerm(principal, "u", term.family)
                 prof, _ = classify_successor(profile, p_term)
                 succ.append(Successor(prof, _RULE_OF_FAMILY[term.family]))
             for rem in remainders:
-                r_term = SymbolicTerm(rem, "u", "commutator-remainder", "L4-shift")
+                r_term = SymbolicTerm(rem, "u", "L4-shift")
                 prof, _ = classify_successor(profile, r_term)
                 succ.append(Successor(prof, "L4-shift"))
     return succ
@@ -571,21 +568,12 @@ class ReductionTrace:
         return ReductionTrace(LayerProfile(r, data["initial"]), steps)
 
     def replay(self):
-        """True only when the steps are the chain :func:`reduce_to_base`
-        takes from ``initial``, each through the previous step's first
-        out-profile, with W dropping at every step, down to zero."""
-        profile = self.initial
-        for step in self.steps:
-            # a chain starts without horizontal letters and stops at zero
-            if profile.lowest_layer() in (None, 1) or step.in_profile != profile:
-                return False
-            try:
-                if step != _step(profile) or step.w_out >= step.w_in:
-                    return False
-            except ClassificationFailure:
-                return False
-            profile = step.out_profiles[0]
-        return profile.is_zero()
+        """True only when the steps are those :func:`reduce_to_base` takes
+        from ``initial``; False where it refuses ``initial`` or fails."""
+        try:
+            return reduce_to_base(self.initial).steps == self.steps
+        except (ClassificationFailure, ValueError):
+            return False
 
 
 def reduce_to_base(initial: LayerProfile) -> ReductionTrace:

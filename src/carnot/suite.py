@@ -107,7 +107,7 @@ def check_exact_algebra(config: RunConfig):
             entry["witt_dims"] = witt
             entry["ok"] &= entry["layer_dims"] == witt
     ok = all(entry["ok"] for entry in groups.values())
-    return {"id": 1, "name": "exact_algebra", "pass": ok, "groups": groups}
+    return {"pass": ok, "groups": groups}
 
 
 def check_group_exactness(config: RunConfig):
@@ -135,8 +135,6 @@ def check_group_exactness(config: RunConfig):
             "gauge_homogeneity": gauge,
         }
     return {
-        "id": 2,
-        "name": "exact_group",
         "pass": all(all(flags.values()) for flags in per_group.values()),
         "triples": config.assoc_triples,
         "groups": per_group,
@@ -155,8 +153,6 @@ def check_ball_volume(config: RunConfig):
     half = 0.5 * THRESHOLDS["ball_volume_rel_error"]
     tight = all(e["ci"][1] - e["estimate"] <= half * e["estimate"] for e in (small, big))
     return {
-        "id": 3,
-        "name": "ball_volume_scaling",
         "pass": ratio is not None and tight and abs(ratio - 2 ** q_hom) <= tolerance,
         "Q": q_hom,
         "ratio": ratio,
@@ -178,7 +174,7 @@ def check_fields(config: RunConfig):
         for p in system_residual(heis, ident, [PolyFunction.variable(lab)])
     )
     ok = all(reports.values())
-    return {"id": 4, "name": "vector_fields", "pass": ok, "checks": reports}
+    return {"pass": ok, "checks": reports}
 
 
 def check_rewrite_soundness(config: RunConfig):
@@ -208,8 +204,6 @@ def check_rewrite_soundness(config: RunConfig):
         nontrivial += res["lhs_terms"] > 0
     enough = nontrivial >= THRESHOLDS["nontrivial_share"] * config.soundness_cases
     return {
-        "id": 5,
-        "name": "rewrite_soundness",
         "pass": failures == 0 and enough,
         "cases": config.soundness_cases,
         "failures": failures,
@@ -227,8 +221,6 @@ def check_rewrite_termination(config: RunConfig):
         for rep in reports.values()
     )
     return {
-        "id": 6,
-        "name": "rewrite_termination",
         "pass": ok,
         "max_total": config.sweep_total,
         "sweeps": reports,
@@ -238,7 +230,7 @@ def check_rewrite_termination(config: RunConfig):
 def check_obstruction(config: RunConfig):
     rep = rewrite.naive_order_obstruction()
     ok = rep["obstructed_directions"] == [[2, 1]]
-    return {"id": 7, "name": "naive_order_obstruction", "pass": ok, "report": rep}
+    return {"pass": ok, "report": rep}
 
 
 def check_solver(config: RunConfig):
@@ -248,8 +240,6 @@ def check_solver(config: RunConfig):
     sizes = tuple(ladder(SOLVER_COARSEST, config.n)[-3:])
     study = numerics.convergence_study(spec, ident, [u_star], sizes=sizes)
     return {
-        "id": 8,
-        "name": "solver_convergence",
         "pass": study["order"] >= THRESHOLDS["convergence_order"],
         "order": study["order"],
         "sizes": study["sizes"],
@@ -269,8 +259,6 @@ def check_caccioppoli(config: RunConfig):
         constants.append(rep["empirical_constant"])
     spread = max(constants) / min(constants) if min(constants) > 0 else float("inf")
     return {
-        "id": 9,
-        "name": "caccioppoli_stability",
         "pass": spread <= THRESHOLDS["caccioppoli_spread"],
         "sizes": sizes,
         "constants": constants,
@@ -288,8 +276,6 @@ def check_excess_decay(config: RunConfig):
     rep = regularity.excess_decay_check(sol, center, 0.5, 1.0, radii=[0.25, 0.5, 1.0])
     threshold = decay_threshold(rep["Q"])
     return {
-        "id": 10,
-        "name": "excess_decay",
         "pass": rep["fitted_exponent"] >= threshold,
         "n": n,
         "fitted_exponent": rep["fitted_exponent"],
@@ -313,8 +299,6 @@ def check_determinism(config: RunConfig):
         _rand_point(spec, rng_a) == _rand_point(spec, rng_b) for _ in range(10)
     )
     return {
-        "id": 11,
-        "name": "determinism",
         "pass": first == second and pts_equal,
         "estimate": first["estimate"],
         "replayed_equal": first == second,
@@ -322,18 +306,19 @@ def check_determinism(config: RunConfig):
     }
 
 
+# (name, check) per acceptance criterion; a criterion's id is its place
 ALL_CHECKS = [
-    check_exact_algebra,
-    check_group_exactness,
-    check_ball_volume,
-    check_fields,
-    check_rewrite_soundness,
-    check_rewrite_termination,
-    check_obstruction,
-    check_solver,
-    check_caccioppoli,
-    check_excess_decay,
-    check_determinism,
+    ("exact_algebra", check_exact_algebra),
+    ("exact_group", check_group_exactness),
+    ("ball_volume_scaling", check_ball_volume),
+    ("vector_fields", check_fields),
+    ("rewrite_soundness", check_rewrite_soundness),
+    ("rewrite_termination", check_rewrite_termination),
+    ("naive_order_obstruction", check_obstruction),
+    ("solver_convergence", check_solver),
+    ("caccioppoli_stability", check_caccioppoli),
+    ("excess_decay", check_excess_decay),
+    ("determinism", check_determinism),
 ]
 
 
@@ -341,13 +326,12 @@ def run_suite(config: RunConfig | None = None):
     """Run every check; partial failures still produce the full report."""
     config = config or RunConfig()
     entries = []
-    for check in ALL_CHECKS:
+    for number, (name, check) in enumerate(ALL_CHECKS, 1):
         try:
-            entries.append(check(config))
+            entry = check(config)
         except Exception as exc:  # a falsified invariant should surface, not abort
-            error = f"{type(exc).__name__}: {exc}"
-            entries.append({"id": len(entries) + 1, "name": check.__name__,
-                            "pass": False, "error": error})
+            entry = {"pass": False, "error": f"{type(exc).__name__}: {exc}"}
+        entries.append({"id": number, "name": name, **entry})
     return {
         "version": __version__,
         "config": asdict(config),

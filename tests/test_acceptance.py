@@ -17,8 +17,8 @@ from click.testing import CliRunner
 from carnot import suite
 from carnot.catalog import heisenberg
 from carnot.cli import main as cli_main
-from carnot.fields import SystemCoefficients
-from carnot.numerics import GridField, assemble_and_solve, l2_norm_sq, manufactured_source
+from carnot.fields import SystemCoefficients, system_residual
+from carnot.numerics import GridField, assemble_and_solve, l2_norm_sq
 from carnot.poly import PolyFunction
 
 
@@ -128,7 +128,7 @@ def test_criterion_8_solver_convergence():
         + PolyFunction.variable((1, 1)) ** 3
     )
     ident = SystemCoefficients.identity(1, heis.m)
-    sol = assemble_and_solve(heis, ident, [u3], f=manufactured_source(heis, ident, [u3]),
+    sol = assemble_and_solve(heis, ident, [u3], f=system_residual(heis, ident, [u3]),
                              n=16)
     exact = GridField.from_polys(sol.grid, [u3])
     error = math.sqrt(l2_norm_sq(GridField(sol.grid, sol.values - exact.values)))

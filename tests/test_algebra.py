@@ -12,7 +12,6 @@ from carnot.algebra import (
     bracket,
     build_free_nilpotent,
     build_from_table,
-    homogeneous_dimension,
     spec_from_json,
     spec_to_json,
     validate_spec,
@@ -52,20 +51,20 @@ def test_free_nilpotent_layer_dims_match_witt_oracle(m, r):
 
 def test_heisenberg_dimensions(heis):
     assert list(heis.layer_dims) == [2, 1]
-    assert homogeneous_dimension(heis) == 4
+    assert heis.homogeneous_dimension() == 4
 
 
 def test_abelian_case():
     spec = build_free_nilpotent(3, 1)
     assert list(spec.layer_dims) == [3]
-    assert homogeneous_dimension(spec) == 3
+    assert spec.homogeneous_dimension() == 3
     x, y = AlgebraElement.basis(spec, (1, 1)), AlgebraElement.basis(spec, (1, 2))
     assert bracket(x, y).is_zero()
 
 
 def test_homogeneous_dimension_free23(free23):
     assert list(free23.layer_dims) == [2, 1, 2]
-    assert homogeneous_dimension(free23) == 2 + 2 + 6
+    assert free23.homogeneous_dimension() == 2 + 2 + 6
 
 
 def test_basis_cap():
@@ -123,7 +122,7 @@ def test_center_brackets_vanish(heis):
 def test_engel_table_valid(engel_spec):
     assert validate_spec(engel_spec) == []
     assert list(engel_spec.layer_dims) == [2, 1, 1]
-    assert homogeneous_dimension(engel_spec) == 2 + 2 + 3
+    assert engel_spec.homogeneous_dimension() == 2 + 2 + 3
 
 
 def test_grading_violation_detected():

@@ -357,6 +357,24 @@ def test_verify_constant_not_positive_exits_1(runner):
      "den must be nonzero, got 0"),
     # a label with the wrong number of parts
     (["fields", "show", "--label", "1,1,1"], "--label takes a basis label k,i, got '1,1,1'"),
+    # paths that cannot be opened, for reading and for writing
+    (["algebra", "check", "--group", "/missing.json"],
+     "No such file or directory: '/missing.json'"),
+    (["verify", "decay", "--group", "/missing.json"],
+     "No such file or directory: '/missing.json'"),
+    (["fields", "residual", "--u", "@/missing.json"],
+     "No such file or directory: '/missing.json'"),
+    (["solve", "--n", "5", "--bc", "p11", "--out", "/missing/dir/u.csv"],
+     "No such file or directory: '/missing/dir/u.csv'"),
+    (["rewrite", "trace", "--step", "3", "--profile", "1,0", "--json", "/missing/dir/t.json"],
+     "No such file or directory: '/missing/dir/t.json'"),
+    # radii that are not finite and positive, named as given
+    (["group", "ballvol", "--radius", "nan"], "the radius must be finite and positive, got nan"),
+    (["group", "ballvol", "--radius", "inf"], "the radius must be finite and positive, got inf"),
+    (["verify", "caccioppoli", "--n", "12", "--radius", "-1"],
+     "a ball radius must be finite and positive, got -1.0"),
+    (["verify", "decay", "--n", "12", "--radii", "0.25,nan,1"],
+     "a ball radius must be finite and positive, got nan"),
 ])
 def test_domain_errors_exit_2_with_one_line(runner, args, message):
     result = runner.invoke(main, args)
@@ -500,10 +518,32 @@ def test_ball_volume_gate_fails_on_too_few_samples():
         assert est["ci"][1] - est["ci"][0] == pytest.approx(6.0 * est["box_volume"])
 
 
+def test_a_check_that_raises_keeps_its_criterion_id_and_name(monkeypatch):
+    # the solver fails inside criterion 9; the other checks are stubbed
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver down")
+
+    monkeypatch.setattr(suite.numerics, "assemble_and_solve", broken)
+    monkeypatch.setattr(suite, "ALL_CHECKS", [
+        (name, check if name == "caccioppoli_stability" else lambda config: {"pass": True})
+        for name, check in suite.ALL_CHECKS
+    ])
+    entries = suite.run_suite()["checks"]
+    assert [(e["id"], e["name"]) for e in entries] == [
+        (1, "exact_algebra"), (2, "exact_group"), (3, "ball_volume_scaling"),
+        (4, "vector_fields"), (5, "rewrite_soundness"), (6, "rewrite_termination"),
+        (7, "naive_order_obstruction"), (8, "solver_convergence"),
+        (9, "caccioppoli_stability"), (10, "excess_decay"), (11, "determinism"),
+    ]
+    assert entries[8] == {"id": 9, "name": "caccioppoli_stability", "pass": False,
+                          "error": "RuntimeError: solver down"}
+
+
 def test_ball_volume_without_small_ball_hits_fails_without_error(monkeypatch):
     # at one sample some seeds put no point in the unit ball: the ratio is
     # undefined and the gate fails with its numbers, not with an exception
-    monkeypatch.setattr(suite, "ALL_CHECKS", [suite.check_ball_volume])
+    monkeypatch.setattr(suite, "ALL_CHECKS",
+                        [("ball_volume_scaling", suite.check_ball_volume)])
     undefined = 0
     for seed in range(10):
         (rep,) = suite.run_suite(suite.RunConfig(mc_samples=1, seed=seed))["checks"]

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,19 @@ def test_coercivity_margin():
     assert skew.coercivity_margin() == pytest.approx(1.0)
     negative = SystemCoefficients([[[[-1, 0], [0, -1]]]])
     assert not negative.is_coercive()
+
+
+@pytest.mark.parametrize("coefficients,rows", [
+    ([[[[1, 5]]]], "[[[2]]]"),                  # one row of two entries
+    ([[[[1], [0]]]], "[[[1, 1]]]"),             # two rows of one entry
+    ([[[[1]], [[0]]]], "[[[1], [1]]]"),         # two beta blocks for one component
+    ([], "[]"),                                 # no component
+    ([[[]]], "[[[]]]"),                         # an empty block
+])
+def test_system_coefficients_refuse_a_block_that_is_not_square(coefficients, rows):
+    message = r"must be N x N x m x m with m >= 1; .* lengths " + re.escape(rows)
+    with pytest.raises(ValueError, match=message):
+        SystemCoefficients(coefficients)
 
 
 def test_field_of_element_linearity(heis):

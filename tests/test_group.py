@@ -214,6 +214,12 @@ def test_ball_volume_scaling_constant(heis):
     assert all(abs(v - mid) / mid < 0.05 for v in values)
 
 
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -1.0])
+def test_ball_volume_refuses_a_radius_not_finite_and_positive(heis, radius):
+    with pytest.raises(ValueError, match=f"finite and positive, got {radius}$"):
+        ball_volume_estimate(heis, radius, 100)
+
+
 def test_ball_volume_deterministic(heis):
     a = ball_volume_estimate(heis, 1.0, 30_000, seed=7)
     b = ball_volume_estimate(heis, 1.0, 30_000, seed=7)

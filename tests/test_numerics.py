@@ -14,7 +14,7 @@ from scipy.sparse.linalg import cg
 from carnot import numerics, regularity
 from carnot.algebra import build_free_nilpotent
 from carnot.catalog import resolve_group
-from carnot.fields import SystemCoefficients, left_invariant_field
+from carnot.fields import SystemCoefficients, left_invariant_field, system_residual
 from carnot.group import Point, bch_product, product_arrays
 from carnot.numerics import (
     GRID_BYTE_LIMIT,
@@ -35,7 +35,6 @@ from carnot.numerics import (
     hormander_ratio,
     integrate,
     l2_norm_sq,
-    manufactured_source,
     peetre_seminorm,
     sample_at,
     sobolev_norm,
@@ -479,9 +478,7 @@ def test_solver_rejects_noncoercive(heis):
 def test_manufactured_source_consistency(heis):
     ident = SystemCoefficients.identity(1, 2)
     u_star = P11 ** 3 + P11 * P12
-    from carnot.fields import system_residual
-
-    f = manufactured_source(heis, ident, [u_star])
+    f = system_residual(heis, ident, [u_star])
     residual = system_residual(heis, ident, [u_star], f=f)
     assert all(p.is_zero() for p in residual)
 
@@ -496,7 +493,7 @@ def test_degree_three_solutions_reproduced(heis):
     # the symmetrized scheme reproduces low-degree polynomial solutions
     ident = SystemCoefficients.identity(1, 2)
     u_star = P11 * P12 * P21 + P11 ** 2 * P12
-    f = manufactured_source(heis, ident, [u_star])
+    f = system_residual(heis, ident, [u_star])
     sol = assemble_and_solve(heis, ident, [u_star], f=f, n=10)
     exact = GridField.from_polys(sol.grid, [u_star])
     assert math.sqrt(l2_norm_sq(GridField(sol.grid, sol.values - exact.values))) <= 1e-9
@@ -547,7 +544,7 @@ def test_caccioppoli_dilation_rescaling_invariance(heis):
     rep = caccioppoli_check(sol, radius=0.45)
 
     s = 2.0
-    big = Grid(heis, n, {1: s, 2: s ** 2})
+    big = Grid(heis, n, [s, s, s ** 2])
     values = sol.values.copy()
     rescaled = GridField(big, values)
     rep_scaled = caccioppoli_check(rescaled, radius=s * 0.45)
@@ -573,9 +570,22 @@ def test_ball_mask_and_gauge_distance(heis):
     assert np.array_equal(wider, gauge_distance_arrays(grid, [0.25, 0.0, 0.0]) < 0.6)
     # the center node itself lies inside
     assert mask[10, 8, 8] or mask[9, 8, 8]
-    # the smallest ball must hold a node, whatever the order of the radii
-    with pytest.raises(ValueError, match="no grid nodes inside the ball of radius 0.0"):
-        gauge_balls(grid, [0.25, 0.0, 0.0], [0.3, 0.0])
+    # the smallest ball must hold a node, whatever the order of the radii;
+    # (0.3, 0, 0) is 0.05 from its nearest node
+    with pytest.raises(ValueError, match="no grid nodes inside the ball of radius 0.01"):
+        gauge_balls(grid, [0.3, 0.0, 0.0], [0.3, 0.01])
+
+
+@pytest.mark.parametrize("radii,named", [
+    ((-1.0, -2.0), "-1.0"),
+    ((0.5, 1.0, 0.25, float("nan"), 1.0), "nan"),
+    ((0.3, 0.0), "0.0"),
+    ((float("inf"), 0.5), "inf"),
+])
+def test_gauge_balls_name_the_first_radius_not_finite_and_positive(heis, radii, named):
+    grid = Grid(heis, 9, 1.0)
+    with pytest.raises(ValueError, match=f"ball radius must be finite and positive, got {named}$"):
+        gauge_balls(grid, None, radii)
 
 
 # -- the array law paths against the scalar product, node by node
@@ -666,6 +676,18 @@ def test_grid_data_has_the_bits_of_the_scalar_evaluation(heis):
         want[idx] = total
     got = GridField.from_polys(grid, [poly]).component()
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n,half_widths,message", [
+    (9, [1.0, 1.0], r"need 3 half widths, one per axis, got \[1.0, 1.0\]"),
+    (9, [1.0] * 4, r"need 3 half widths, one per axis"),
+    ((9, 9), 1.0, r"need 3 node counts, one per axis, got \[9, 9\]"),
+])
+def test_grid_refuses_a_node_count_or_half_width_list_of_another_length(
+        heis, n, half_widths, message):
+    # a short list would leave the last axis out of the grid
+    with pytest.raises(ValueError, match=message):
+        Grid(heis, n, half_widths)
 
 
 def test_grid_refuses_oversized_node_arrays_before_allocating():
@@ -1013,18 +1035,16 @@ def test_cg_matches_scipy_and_counts_its_iterations():
     mat = sparse.csr_matrix(root @ root.T + 40 * np.eye(40))
     rhs = rng.standard_normal(40)
     calls = []
-    x, info = numerics._cg(mat, rhs, rtol=1e-12, atol=0.0, maxiter=200,
+    x, info = numerics._cg(mat, rhs, rtol=1e-12, maxiter=200,
                            M=lambda r: r / mat.diagonal(), callback=calls.append)
     want, want_info = cg(mat, rhs, rtol=1e-12, atol=0.0, maxiter=200,
                          M=sparse.diags(1 / mat.diagonal()))
     assert info == want_info == 0
     assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
     assert 0 < len(calls) < 200
-    _, info = numerics._cg(mat, rhs, rtol=1e-12, atol=0.0, maxiter=2,
-                           M=lambda r: r)
+    _, info = numerics._cg(mat, rhs, rtol=1e-12, maxiter=2, M=lambda r: r)
     assert info == 2
-    x, info = numerics._cg(mat, np.zeros(40), rtol=1e-12, atol=0.0, maxiter=5,
-                           M=lambda r: r)
+    x, info = numerics._cg(mat, np.zeros(40), rtol=1e-12, maxiter=5, M=lambda r: r)
     assert info == 0 and not x.any()
 
 

@@ -103,16 +103,17 @@ def test_excess_decay_ratios(harmonic32):
 
 
 def test_excess_decay_scale_invariance(harmonic32):
-    rep1 = excess_decay_check(harmonic32, [0.0, 0.0, 0.0], 0.5, 1.0)
+    radii = [0.25, 0.5, 1.0]
+    rep1 = excess_decay_check(harmonic32, [0.0, 0.0, 0.0], 0.5, 1.0, radii)
     scaled = GridField(harmonic32.grid, 5.0 * harmonic32.values)
-    rep2 = excess_decay_check(scaled, [0.0, 0.0, 0.0], 0.5, 1.0)
+    rep2 = excess_decay_check(scaled, [0.0, 0.0, 0.0], 0.5, 1.0, radii)
     assert rep1["integral_ratio"] == pytest.approx(rep2["integral_ratio"], rel=1e-12)
     assert rep1["mean_ratio"] == pytest.approx(rep2["mean_ratio"], rel=1e-12)
 
 
 def test_excess_decay_validates_tau(harmonic32):
     with pytest.raises(ValueError):
-        excess_decay_check(harmonic32, [0, 0, 0], 1.5, 1.0)
+        excess_decay_check(harmonic32, [0, 0, 0], 1.5, 1.0, [0.5, 1.0])
 
 
 def test_blowup_normalization(harmonic32):

@@ -247,7 +247,7 @@ def test_exact_normalization_is_an_identity_on_the_abstract_words(name):
 
 def test_classify_case_i():
     profile = LayerProfile(3, (0, 2, 1))
-    term = SymbolicTerm((Letter(2, 1), Letter(3), Letter(3, 1)), "u", "V", "P1")
+    term = SymbolicTerm((Letter(2, 1), Letter(3), Letter(3, 1)), "u", "P1")
     succ, tag = classify_successor(profile, term)
     assert tag == "case-i"
     assert succ.counts == (0, 1, 2)
@@ -255,7 +255,7 @@ def test_classify_case_i():
 
 def test_classify_case_ii():
     profile = LayerProfile(4, (0, 1, 1, 1))
-    term = SymbolicTerm((Letter(2, 1), Letter(4), Letter(4, 1)), "u", "V", "fi-T")
+    term = SymbolicTerm((Letter(2, 1), Letter(4), Letter(4, 1)), "u", "fi-T")
     succ, tag = classify_successor(profile, term)
     assert tag == "case-ii"
     assert succ.counts == (0, 1, 0, 2)
@@ -264,7 +264,7 @@ def test_classify_case_ii():
 def test_classify_total_decrease_for_remainder():
     profile = LayerProfile(3, (0, 2, 1))
     term = SymbolicTerm(
-        (Letter(3), Letter(3, 1)), "u", "commutator-remainder", "L4-shift"
+        (Letter(3), Letter(3, 1)), "u", "L4-shift"
     )
     succ, tag = classify_successor(profile, term)
     assert tag == "total-decrease"
@@ -272,7 +272,7 @@ def test_classify_total_decrease_for_remainder():
 
 def test_classify_failure_on_growth():
     profile = LayerProfile(3, (0, 1, 0))
-    term = SymbolicTerm((Letter(2, 1), Letter(2, 2), Letter(3, 1)), "u", "V", "P1")
+    term = SymbolicTerm((Letter(2, 1), Letter(2, 2), Letter(3, 1)), "u", "P1")
     with pytest.raises(ClassificationFailure):
         classify_successor(profile, term)
 
@@ -280,7 +280,7 @@ def test_classify_failure_on_growth():
 def test_classify_absorbs_one_leading_horizontal():
     profile = LayerProfile(3, (0, 2, 1))
     term = SymbolicTerm(
-        (Letter(1), Letter(2, 1), Letter(3), Letter(3, 1)), "u", "V", "P2"
+        (Letter(1), Letter(2, 1), Letter(3), Letter(3, 1)), "u", "P2"
     )
     succ, tag = classify_successor(profile, term)
     assert succ.counts == (0, 1, 2)
