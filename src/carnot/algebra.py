@@ -23,7 +23,7 @@ class AlgebraError(Exception):
 
 
 class BasisSizeExceeded(AlgebraError):
-    """Free nilpotent basis would exceed the configured cap."""
+    """Free nilpotent basis would exceed ``BASIS_CAP`` elements."""
 
 
 class GradingViolation(AlgebraError):
@@ -55,8 +55,9 @@ class AlgebraSpec:
     """Immutable description of a stratified algebra.
 
     ``brackets`` maps ordered basis-label pairs (a, b) with a < b
-    (lexicographically) to ``{label: Fraction}`` combinations; the other
-    order is implied by antisymmetry and diagonal brackets vanish.
+    (lexicographically) to ``{label: Fraction}`` combinations of nonzero
+    coefficients, as :func:`build_from_table` writes them; the other order
+    is implied by antisymmetry and diagonal brackets vanish.
     """
 
     def __init__(self, layer_dims, brackets, name=None):
@@ -70,16 +71,9 @@ class AlgebraSpec:
             for i in range(1, self.layer_dims[k - 1] + 1)
         )
         self.index = {lab: n for n, lab in enumerate(self.basis)}
-        table = {}
-        for (a, b), combo in brackets.items():
-            if a == b:
-                continue
-            combo = {lab: Fraction(c) for lab, c in combo.items() if c}
-            if a > b:
-                a, b = b, a
-                combo = {lab: -c for lab, c in combo.items()}
-            table[(a, b)] = combo
-        self._table = table
+        if any(a >= b for a, b in brackets):
+            raise ValueError("bracket keys must be ordered pairs (a, b) with a < b")
+        self._table = dict(brackets)
         self._cache = {}
 
     # -- lookups --------------------------------------------------------
@@ -97,9 +91,6 @@ class AlgebraSpec:
 
     def homogeneous_dimension(self):
         return sum(k * mk for k, mk in enumerate(self.layer_dims, start=1))
-
-    def dimension(self):
-        return len(self.basis)
 
     def __repr__(self):
         tag = self.name or "table"
@@ -133,16 +124,6 @@ class AlgebraElement:
             else:
                 out.pop(lab, None)
         return AlgebraElement(self.spec, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return AlgebraElement(self.spec, {lab: c * v for lab, v in self.coeffs.items()})
 
     def __eq__(self, other):
         return isinstance(other, AlgebraElement) and self.coeffs == other.coeffs
@@ -191,7 +172,7 @@ def bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 # free nilpotent construction (Hall basis)
 # ---------------------------------------------------------------------------
 
-def _hall_trees(m, r, cap):
+def _hall_trees(m, r):
     """Hall trees per degree; a tree is a generator int or a pair of trees.
 
     A pair (a, b) belongs to the basis iff idx(a) < idx(b) and b is either a
@@ -217,20 +198,20 @@ def _hall_trees(m, r, cap):
                     t = (a, b)
                     idx[t] = count
                     count += 1
-                    if count > cap:
+                    if count > BASIS_CAP:
                         raise BasisSizeExceeded(
-                            f"free nilpotent basis for m={m}, r={r} exceeds cap {cap}"
+                            f"free nilpotent basis for m={m}, r={r} exceeds cap {BASIS_CAP}"
                         )
                     by_degree[d].append(t)
         by_degree[d].sort(key=idx.get)
     return by_degree, idx
 
 
-def build_free_nilpotent(m: int, r: int, cap: int = BASIS_CAP) -> AlgebraSpec:
+def build_free_nilpotent(m: int, r: int) -> AlgebraSpec:
     """Free nilpotent algebra on ``m`` generators of step ``r``."""
     if m < 1 or r < 1:
         raise ValueError("need m >= 1 and r >= 1")
-    by_degree, idx = _hall_trees(m, r, cap)
+    by_degree, idx = _hall_trees(m, r)
     trees = [t for d in range(1, r + 1) for t in by_degree[d]]
     degree = {idx[t]: d for d in range(1, r + 1) for t in by_degree[d]}
     layer_dims = [len(by_degree[d]) for d in range(1, r + 1)]

@@ -7,11 +7,11 @@ seed; the ``CARNOT_SEED`` environment variable overrides any seed option.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 import click
 
@@ -33,13 +33,27 @@ def _seed(value):
 
 
 def _emit(data, out=None):
-    text = json.dumps(data, sort_keys=True, indent=2, default=str) + "\n"
+    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
         click.echo(f"wrote {out}")
     else:
         click.echo(text, nl=False)
+
+
+def _writable(ctx, param, path):
+    """Option callback: refuse an output path that cannot be written before
+    any work is done; an existing file keeps its bytes."""
+    if path is not None:
+        folder = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(folder):
+            raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES), path)
+    return path
 
 
 def _sig6(value):
@@ -70,7 +84,6 @@ def _parse_point(spec, text):
 
 
 def _point_json(point):
-    exact = all(not isinstance(v, float) for v in point.coords.values())
     coords = []
     for lab, v in zip(point.spec.basis, point.sequence()):
         try:
@@ -79,10 +92,7 @@ def _point_json(point):
             size = math.log10(abs(v.numerator)) - math.log10(v.denominator)
             raise ValueError(f"coordinate {lab}, of size about 10**{size:.6g}, is "
                              "beyond the float range") from None
-    out = {"coords": coords}
-    if exact:
-        out["exact"] = [str(Fraction(v)) for v in point.sequence()]
-    return out
+    return {"coords": coords, "exact": [str(v) for v in point.sequence()]}
 
 
 def _parse_polys(text):
@@ -143,7 +153,7 @@ def algebra_group():
 @algebra_group.command("new")
 @click.option("--m", type=int, required=True, help="generator count")
 @click.option("--r", type=int, required=True, help="step")
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(), default=None, callback=_writable)
 def algebra_new(m, r, out):
     spec = algebra.build_free_nilpotent(m, r)
     _emit(algebra.spec_to_json(spec), out)
@@ -322,7 +332,7 @@ def rewrite_group():
 @click.option("--step", "step_r", type=int, required=True)
 @click.option("--profile", "profile_text", required=True,
               help="comma counts for layers 2..r")
-@click.option("--json", "out", type=click.Path(), default=None)
+@click.option("--json", "out", type=click.Path(), default=None, callback=_writable)
 def rewrite_trace(step_r, profile_text, out):
     if step_r < 2:
         raise DomainError(f"the step must be at least 2, got {step_r}")
@@ -357,7 +367,8 @@ def rewrite_sweep(step_r, max_total):
 @click.option("--bc", "bc_text", default="poly:p11", show_default=True)
 @click.option("--f", "f_text", default=None)
 @click.option("--half-width", type=float, default=1.0, show_default=True)
-@click.option("--out", type=click.Path(), default=None, help="CSV output path")
+@click.option("--out", type=click.Path(), default=None, callback=_writable,
+              help="CSV output path")
 def solve_cmd(group_name, n, bc_text, f_text, half_width, out):
     """Solve the weak form with Dirichlet data on the box faces."""
     _, sol = _solve(group_name, n, bc_text, f_text, half_width)
@@ -520,9 +531,11 @@ def verify_estimate(group_name, n, bc_text, radius):
 @click.option("--sweep-total", type=int, default=5, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
               default="json", show_default=True)
-@click.option("--json", "out", type=click.Path(), default=None)
+@click.option("--json", "out", type=click.Path(), default=None, callback=_writable)
 def suite_cmd(n, seed, triples, samples, sweep_total, fmt, out):
     """Aggregated verification report over every module."""
+    if fmt == "text" and out:
+        raise DomainError("--format text and --json exclude each other: give one")
     config = RunConfig(
         n=n,
         seed=_seed(seed),
@@ -531,7 +544,7 @@ def suite_cmd(n, seed, triples, samples, sweep_total, fmt, out):
         sweep_total=sweep_total,
     )
     report = run_suite(config)
-    if fmt == "text" and not out:
+    if fmt == "text":
         click.echo(_render_text(report), nl=False)
     else:
         _emit(report, out)

@@ -5,7 +5,8 @@ Coordinate variables are written ``p<i><k>`` (one digit each) or
 layer ``k``; they map to the internal label ``(k, i)``.  A digit directly
 after a variable is an error (``p111`` raises rather than reading as
 ``p11 * 1``).  Supported syntax: ``+ - * ^``, integer and rational
-constants (``3``, ``1/2``), parentheses.
+constants (``3``, ``1/2``), parentheses.  A sign binds looser than ``^``:
+``-p11^2`` is -(p11²), ``2*-p11^2`` is -2 p11², and ``p11^-1`` is an error.
 """
 
 from __future__ import annotations
@@ -94,16 +95,21 @@ class _Parser:
         return value
 
     def parse_product(self):
-        value = self.parse_power()
+        value = self.parse_signed()
         while True:
             kind, tok = self.peek()
             if (kind, tok) == ("op", "*"):
                 self.take()
-                value = value * self.parse_power()
+                value = value * self.parse_signed()
             elif kind in ("var", "num") or (kind, tok) == ("op", "("):
                 value = value * self.parse_power()
             else:
                 return value
+
+    def parse_signed(self):
+        if self.peek() in (("op", "-"), ("op", "+")):
+            return -self.parse_signed() if self.take()[1] == "-" else self.parse_signed()
+        return self.parse_power()
 
     def parse_power(self):
         base = self.parse_atom()
@@ -126,10 +132,6 @@ class _Parser:
             if self.take() != ("op", ")"):
                 raise ValueError("unbalanced parentheses")
             return inner
-        if (kind, tok) == ("op", "-"):
-            return -self.parse_atom()
-        if (kind, tok) == ("op", "+"):
-            return self.parse_atom()
         raise ValueError(f"unexpected token {tok!r}")
 
 

@@ -40,9 +40,6 @@ class VectorFieldOperator:
                 parts.append(coeff * d)
         return PolyFunction.sum(parts)
 
-    def __eq__(self, other):
-        return isinstance(other, VectorFieldOperator) and self.coeffs == other.coeffs
-
     def __repr__(self):
         if not self.coeffs:
             return "0"

@@ -23,7 +23,7 @@ from .poly import PolyFunction, compile_polys, run_arrays, run_exact, run_float
 
 
 class Point:
-    """Group element in exponential coordinates ``p_{i,k}``."""
+    """Group element in exponential coordinates; ``Point(spec)`` is the identity."""
 
     __slots__ = ("spec", "coords")
 
@@ -31,10 +31,6 @@ class Point:
         self.spec = spec
         coords = coords or {}
         self.coords = {lab: coords.get(lab, 0) for lab in spec.basis}
-
-    @staticmethod
-    def identity(spec):
-        return Point(spec)
 
     @staticmethod
     def from_sequence(spec, values):
@@ -87,11 +83,8 @@ def dynkin_terms(max_degree: int):
                 yield from blocks(remaining - rr - ss, seq)
                 seq.pop()
 
-    seen = set()
+    # blocks yields each sequence once
     for seq in blocks(max_degree, []):
-        if seq in seen:
-            continue
-        seen.add(seq)
         n = len(seq)
         total = sum(rr + ss for rr, ss in seq)
         denom = total

@@ -37,7 +37,6 @@ import numpy as np
 from .algebra import AlgebraSpec
 from .fields import SystemCoefficients, left_invariant_field, system_residual
 from .group import gauge_norm_arrays, product_arrays
-from .poly import PolyFunction
 
 
 class NumericsError(Exception):
@@ -152,22 +151,11 @@ class GridField:
 
     @staticmethod
     def from_polys(grid, polys, name="the data"):
-        if isinstance(polys, PolyFunction):
-            polys = [polys]
         if not polys:
             raise ValueError(f"{name} has no polynomial")
         nodes = grid.node_arrays()
         comps = [p.evaluate_arrays(nodes) for p in polys]
         return GridField(grid, np.stack(comps, axis=-1))
-
-    def component(self, alpha=0):
-        return self.values[..., alpha]
-
-    def scale(self, c):
-        return GridField(self.grid, self.values * float(c), self.mask.copy())
-
-    def shift(self, c):
-        return GridField(self.grid, self.values + float(c), self.mask.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +330,14 @@ def l2_norm_sq(u: GridField, mask=None):
     return integrate(density, u.grid, mask)
 
 
-def sobolev_norm(u: GridField, order=1, region=None):
+def sobolev_norm(u: GridField, order, region):
     """Discrete horizontal Sobolev norm: L2 plus all horizontal derivative
-    words up to the given order, over the region mask (or the whole box).
+    words up to the given order, over the region mask.
 
     Raises :class:`MarginTooSmall` when the derivative stencils do not
     cover the region.
     """
     spec = u.grid.spec
-    if region is None:
-        region = np.ones(u.grid.shape, dtype=bool)
     total = math.sqrt(l2_norm_sq(u, region))
     level = {(): u}
     for _ in range(order):
@@ -820,8 +806,8 @@ def assemble_and_solve(
 ) -> GridField:
     """Solve the discrete weak form with Dirichlet data on the box faces.
 
-    ``boundary``, ``f`` and the ``f_i`` are polynomials (lists for several
-    components).  Returns the solution field with a ``solve_report``
+    ``boundary``, ``f`` and the ``f_i`` are lists of polynomials, one per
+    component.  Returns the solution field with a ``solve_report``
     attribute carrying residual, conditioning and solver data.
     """
     if not A.is_coercive():
@@ -883,8 +869,6 @@ def assemble_and_solve(
 
     def componentwise_residual(vec):
         # largest row residual, relative to the backward-error scale
-        if vec.size == 0:
-            return 0.0
         residual = k_ff @ vec - rhs
         scale = k_inf * float(np.max(np.abs(vec))) + float(np.max(np.abs(rhs)))
         return float(np.max(np.abs(residual))) / max(scale, 1e-300)
@@ -923,8 +907,6 @@ def convergence_study(spec, A, u_polys, sizes=(16, 32, 64)):
     fit of the L2 error order."""
     if len(set(sizes)) < 2:
         raise ValueError(f"need at least two distinct sizes, got {list(sizes)}")
-    if isinstance(u_polys, PolyFunction):
-        u_polys = [u_polys]
     # the source that makes u an exact solution
     f = system_residual(spec, A, u_polys)
     errors = []

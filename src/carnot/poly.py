@@ -196,8 +196,6 @@ class PolyFunction:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, Rational):
-            other = PolyFunction.constant(other)
         if not isinstance(other, PolyFunction):
             return NotImplemented
         return self.den == other.den and self.nums == other.nums

@@ -82,19 +82,20 @@ class SymbolicTerm:
         return f"<{self.family}: {word_str(self.word)} {self.target}>"
 
 
+@dataclass(frozen=True, slots=True)
 class LayerProfile:
     """Per-layer letter counts ``h_1..h_r`` with the termination measure W."""
 
-    __slots__ = ("r", "counts")
+    r: int
+    counts: tuple
 
-    def __init__(self, r, counts):
-        counts = tuple(int(c) for c in counts)
-        if len(counts) != r:
-            raise ValueError(f"need {r} layer counts, got {len(counts)}")
+    def __post_init__(self):
+        counts = tuple(int(c) for c in self.counts)
+        if len(counts) != self.r:
+            raise ValueError(f"need {self.r} layer counts, got {len(counts)}")
         if any(c < 0 for c in counts):
             raise ValueError("negative layer count")
-        self.r = r
-        self.counts = counts
+        object.__setattr__(self, "counts", counts)
 
     def count(self, layer):
         return self.counts[layer - 1]
@@ -127,16 +128,6 @@ class LayerProfile:
         if low is None or low == self.r:
             return True
         return not any(self.counts[low: self.r - 1])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LayerProfile)
-            and self.r == other.r
-            and self.counts == other.counts
-        )
-
-    def __hash__(self):
-        return hash((self.r, self.counts))
 
     def __repr__(self):
         return f"P{list(self.counts)}"
@@ -541,9 +532,6 @@ class ReductionTrace:
     def __init__(self, initial, steps):
         self.initial = initial
         self.steps = list(steps)
-
-    def __len__(self):
-        return len(self.steps)
 
     def to_json(self):
         return {

@@ -5,6 +5,7 @@ import pytest
 
 from carnot.algebra import (
     AlgebraElement,
+    AlgebraSpec,
     BasisSizeExceeded,
     GradingViolation,
     JacobiViolation,
@@ -69,7 +70,7 @@ def test_homogeneous_dimension_free23(free23):
 
 def test_basis_cap():
     with pytest.raises(BasisSizeExceeded):
-        build_free_nilpotent(3, 4, cap=10)
+        build_free_nilpotent(7, 4)    # 728 basis elements, over BASIS_CAP
 
 
 @pytest.mark.parametrize("m,r", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
@@ -192,3 +193,10 @@ def test_bracket_bilinearity(free23):
     rhs = bracket(x, y) + bracket(z, y)
     assert lhs == rhs
     assert bracket(x, x).is_zero()
+
+
+@pytest.mark.parametrize("key", [((1, 2), (1, 1)), ((1, 1), (1, 1))])
+def test_spec_refuses_a_bracket_key_that_is_not_an_ordered_pair(key):
+    # build_from_table orders a user table; the spec takes only that form
+    with pytest.raises(ValueError, match="ordered pairs"):
+        AlgebraSpec([2, 1], {key: {(2, 1): Fraction(1)}})

@@ -552,3 +552,65 @@ def test_ball_volume_without_small_ball_hits_fails_without_error(monkeypatch):
             assert rep["ratio"] is None
             undefined += 1
     assert undefined > 0
+
+
+def _work_not_expected(*args, **kwargs):
+    pytest.fail("the command started its work before it checked its output path")
+
+
+@pytest.mark.parametrize("args,work", [
+    (["suite", "--json"], "carnot.cli.run_suite"),
+    (["solve", "--n", "5", "--out"], "carnot.numerics.assemble_and_solve"),
+    (["rewrite", "trace", "--step", "3", "--profile", "1,0", "--json"],
+     "carnot.rewrite.reduce_to_base"),
+    (["algebra", "new", "--m", "2", "--r", "2", "--out"],
+     "carnot.algebra.build_free_nilpotent"),
+])
+@pytest.mark.parametrize("where", ["missing directory", "directory", "unwritable file"])
+def test_an_output_path_is_refused_before_the_work(runner, monkeypatch, tmp_path,
+                                                    args, work, where):
+    monkeypatch.setattr(work, _work_not_expected)
+    kept = tmp_path / "kept.json"
+    kept.write_text("kept\n")
+    real_access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: real_access(path, mode) and not (
+        path == str(kept) and mode & os.W_OK))
+    path, message = {
+        "missing directory": (tmp_path / "missing" / "out.json", "No such file or directory"),
+        "directory": (tmp_path, "Is a directory"),
+        "unwritable file": (kept, "Permission denied"),
+    }[where]
+    result = runner.invoke(main, args + [str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and message in lines[0] and str(path) in lines[0]
+    assert kept.read_text() == "kept\n"
+
+
+def test_an_existing_output_file_keeps_its_bytes_when_the_work_fails(runner, tmp_path):
+    out = tmp_path / "u.csv"
+    out.write_text("kept\n")
+    result = runner.invoke(main, ["solve", "--n", "5", "--bc", "p31", "--out", str(out)])
+    assert result.exit_code == 2
+    assert "polynomial variables (1, 3) not among" in result.stderr
+    assert out.read_text() == "kept\n"
+
+
+def test_suite_text_format_with_a_json_path_is_a_usage_error(runner, monkeypatch, tmp_path):
+    monkeypatch.setattr("carnot.cli.run_suite", _work_not_expected)
+    out = tmp_path / "r.json"
+    result = runner.invoke(main, ["suite", "--format", "text", "--json", str(out)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and "--format text" in lines[0] and "--json" in lines[0]
+    assert not out.exists()
+
+
+def test_fields_residual_reads_a_leading_minus_outside_the_power(runner):
+    # -p11^2 is -(p11^2), whose sub-Laplacian is -2
+    result = runner.invoke(main, ["fields", "residual", "--group", "heisenberg",
+                                  "--u", "-p11^2"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["residual"][0] == [{"mono": [], "num": -2, "den": 1}]

@@ -42,3 +42,22 @@ def test_products_powers_and_constants():
     want = var(1, 1) ** 2 * 3 - (var(1, 2) + var(3, 1)).scale(Fraction(1, 2))
     assert got == want
 
+
+
+@pytest.mark.parametrize("text,want", [
+    ("-p11^2", -(var(1, 1) ** 2)),
+    ("-2^2", PolyFunction.constant(-4)),
+    ("2*-p11^2", (var(1, 1) ** 2).scale(-2)),
+    ("(-p11^2)", -(var(1, 1) ** 2)),
+    ("0-p11^2", -(var(1, 1) ** 2)),
+    ("--p11", var(1, 1)),
+    ("+p11", var(1, 1)),
+    ("(-p11)^2", var(1, 1) ** 2),
+])
+def test_a_leading_sign_binds_looser_than_a_power(text, want):
+    assert parse_poly(text) == want
+
+
+def test_an_exponent_takes_no_sign():
+    with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+        parse_poly("p11^-1")

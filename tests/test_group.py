@@ -39,7 +39,7 @@ def rand_point(spec, rng, span=2, den=3):
 
 def test_identity_is_neutral(heis):
     p = Point.from_sequence(heis, [Fraction(1, 2), Fraction(-2), Fraction(7, 3)])
-    e = Point.identity(heis)
+    e = Point(heis)
     assert bch_product(p, e) == p
     assert bch_product(e, p) == p
 
@@ -77,7 +77,7 @@ def test_group_law_is_symbolic_heisenberg(heis):
 
 
 def test_inverse_examples(heis):
-    e = Point.identity(heis)
+    e = Point(heis)
     assert inverse(e) == e
     p = Point.from_sequence(heis, [1, 0, 0])
     assert inverse(p).sequence() == [-1, 0, 0]
@@ -85,7 +85,7 @@ def test_inverse_examples(heis):
 
 def test_inverse_property_random(free24):
     rng = random.Random(3)
-    e = Point.identity(free24)
+    e = Point(free24)
     for _ in range(100):
         p = rand_point(free24, rng)
         assert bch_product(inverse(p), p) == e
@@ -126,7 +126,7 @@ def test_dilation_homomorphism(free23):
 
 
 def test_gauge_norm_examples(heis):
-    assert gauge_norm(Point.identity(heis)) == 0.0
+    assert gauge_norm(Point(heis)) == 0.0
     assert gauge_norm(Point.from_sequence(heis, [1, 0, 0])) == 1.0
 
 

@@ -317,20 +317,20 @@ def test_t2_step_rejects_middle_mass():
 
 def test_reduce_zero_profile_empty_trace():
     trace = reduce_to_base(LayerProfile(3, (0, 0, 0)))
-    assert len(trace) == 0
+    assert len(trace.steps) == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
 def test_reduce_step2_top_layer_strips(n):
     trace = reduce_to_base(LayerProfile(2, (0, n)))
-    assert len(trace) <= n
+    assert len(trace.steps) <= n
     assert all(step.rule == "A" for step in trace.steps)
 
 
 def test_reduce_step4_example_profile():
     profile = LayerProfile(4, (0, 1, 1, 1))
     trace = reduce_to_base(profile)
-    assert len(trace) <= profile.w_measure() == 6
+    assert len(trace.steps) <= profile.w_measure() == 6
     for step in trace.steps:
         assert step.w_out < step.w_in
     last = trace.steps[-1]
@@ -404,7 +404,7 @@ def _sweep_oracle(r, max_total):
         except ClassificationFailure:
             report["classification_failures"] += 1
             continue
-        report["max_trace"] = max(report["max_trace"], len(trace))
+        report["max_trace"] = max(report["max_trace"], len(trace.steps))
     return report
 
 
