@@ -1,8 +1,8 @@
 """Command-line entry point wiring all modules.
 
-Exit codes: 0 success, 1 failed check, 2 usage or domain error (one line
-on stderr, no traceback).  Numeric output is deterministic for a fixed
-seed; the ``CARNOT_SEED`` environment variable overrides any seed option.
+Exit codes: 0 success, 1 failed check (``_report``), 2 usage or domain
+error (one line on stderr, no traceback; ``_Commands``).  Numeric output is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import os
 import sys
 
 import click
+from click.exceptions import NoArgsIsHelpError
 
 from . import algebra, group, numerics, regularity, rewrite
 from .catalog import resolve_group
@@ -27,19 +28,18 @@ from .fields import (
 from .suite import RunConfig, decay_threshold, run_suite
 
 
-def _seed(value):
-    env = os.environ.get("CARNOT_SEED")
-    return int(env) if env else int(value)
-
-
-def _emit(data, out=None):
-    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+def _report(data, passed=True, out=None, render=None):
+    """Write the report, as sorted JSON or through ``render``, to ``out`` or
+    to stdout; exit 1 when its verdict ``passed`` is false."""
+    text = render(data) if render else json.dumps(data, sort_keys=True, indent=2) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
         click.echo(f"wrote {out}")
     else:
         click.echo(text, nl=False)
+    if not passed:
+        sys.exit(1)
 
 
 def _writable(ctx, param, path):
@@ -54,6 +54,16 @@ def _writable(ctx, param, path):
         if not os.access(path if os.path.exists(path) else folder, os.W_OK):
             raise OSError(errno.EACCES, os.strerror(errno.EACCES), path)
     return path
+
+
+def _label(ctx, param, text):
+    """Option callback: a basis label ``k,i`` as a pair of integers."""
+    try:
+        k, i = map(int, text.split(","))
+    except ValueError:
+        raise ValueError(f"{param.opts[0]} takes a basis label k,i, got {text!r}, "
+                         "which is not a coordinate axis") from None
+    return k, i
 
 
 def _sig6(value):
@@ -114,28 +124,37 @@ def _parse_polys(text):
     return [poly_from_json(t) for t in data]
 
 
-group_option = click.option("--group", "group_name", default="heisenberg",
-                            show_default=True,
-                            help="builtin name (heisenberg|engel|free:m,r|abelian:n) or spec JSON path")
-
-
-class DomainError(click.ClickException):
-    """Input a command cannot work with; shown as one line, exit code 2."""
-
-    exit_code = 2
+_GROUP_HELP = "builtin name (heisenberg|engel|free:m,r|abelian:n) or spec JSON path"
+# the option hands each command the group spec, resolved before any work
+group_option = click.option("--group", "spec", default="heisenberg", show_default=True,
+                            callback=lambda ctx, param, name: resolve_group(name),
+                            help=_GROUP_HELP)
 
 
 class _Commands(click.Group):
+    """The top-level group, where every refusal becomes one line and exit 2:
+    a domain error (a stencil leaving the box, a ball with no grid nodes, a
+    profile the certificate cannot classify), a malformed value, a path that
+    cannot be opened or a click usage error, shown without the usage block.
+    A bare group still prints its help."""
+
+    def make_context(self, *args, **kwargs):
+        return self._refusing(super().make_context, *args, **kwargs)
+
     def invoke(self, ctx):
-        # a domain error (a stencil leaving the box, a ball with no grid
-        # nodes, a basis over the cap, a profile the certificate cannot
-        # classify), a malformed value or a path that cannot be opened is
-        # the caller's input, not a crash
+        return self._refusing(super().invoke, ctx)
+
+    @staticmethod
+    def _refusing(step, *args, **kwargs):
         try:
-            return super().invoke(ctx)
+            return step(*args, **kwargs)
+        except NoArgsIsHelpError:
+            raise
+        except click.UsageError as exc:
+            raise click.UsageError(exc.format_message()) from None
         except (numerics.NumericsError, rewrite.RewriteError,
                 algebra.AlgebraError, ValueError, OSError) as exc:
-            raise DomainError(str(exc)) from None
+            raise click.UsageError(str(exc)) from None
 
 
 @click.group(cls=_Commands)
@@ -156,36 +175,33 @@ def algebra_group():
 @click.option("--out", type=click.Path(), default=None, callback=_writable)
 def algebra_new(m, r, out):
     spec = algebra.build_free_nilpotent(m, r)
-    _emit(algebra.spec_to_json(spec), out)
+    _report(algebra.spec_to_json(spec), out=out)
 
 
 @algebra_group.command("check")
-@group_option
+@click.option("--group", "group_name", default="heisenberg", show_default=True,
+              help=_GROUP_HELP)
 def algebra_check(group_name):
     try:
         spec = resolve_group(group_name)
     except algebra.AlgebraError as exc:
         # a table that cannot be built fails the check on its first violation
-        _emit({"group": group_name, "violations": [str(exc)], "ok": False})
-        sys.exit(1)
+        _report({"group": group_name, "violations": [str(exc)], "ok": False}, False)
     problems = algebra.validate_spec(spec)
     strat = algebra.verify_stratification(spec)
-    report = {
+    ok = not problems and strat["ok"]
+    _report({
         "group": spec.name or group_name,
         "layer_dims": list(spec.layer_dims),
         "violations": [str(p) for p in problems],
         "stratification": strat,
-        "ok": not problems and strat["ok"],
-    }
-    _emit(report)
-    if not report["ok"]:
-        sys.exit(1)
+        "ok": ok,
+    }, ok)
 
 
 @algebra_group.command("dims")
 @group_option
-def algebra_dims(group_name):
-    spec = resolve_group(group_name)
+def algebra_dims(spec):
     click.echo(json.dumps(list(spec.layer_dims)))
 
 
@@ -200,36 +216,32 @@ def group_group():
 @group_option
 @click.option("--p", "p_text", required=True)
 @click.option("--q", "q_text", required=True)
-def group_mul(group_name, p_text, q_text):
-    spec = resolve_group(group_name)
+def group_mul(spec, p_text, q_text):
     p = _parse_point(spec, p_text)
     q = _parse_point(spec, q_text)
-    _emit(_point_json(group.bch_product(p, q)))
+    _report(_point_json(group.bch_product(p, q)))
 
 
 @group_group.command("inv")
 @group_option
 @click.option("--point", "point_text", required=True)
-def group_inv(group_name, point_text):
-    spec = resolve_group(group_name)
-    _emit(_point_json(group.inverse(_parse_point(spec, point_text))))
+def group_inv(spec, point_text):
+    _report(_point_json(group.inverse(_parse_point(spec, point_text))))
 
 
 @group_group.command("dilate")
 @group_option
 @click.option("--s", "factor", required=True)
 @click.option("--point", "point_text", required=True)
-def group_dilate(group_name, factor, point_text):
-    spec = resolve_group(group_name)
+def group_dilate(spec, factor, point_text):
     p = _parse_point(spec, point_text)
-    _emit(_point_json(group.dilate(parse_rational(factor), p)))
+    _report(_point_json(group.dilate(parse_rational(factor), p)))
 
 
 @group_group.command("gauge")
 @group_option
 @click.option("--point", "point_text", required=True)
-def group_gauge(group_name, point_text):
-    spec = resolve_group(group_name)
+def group_gauge(spec, point_text):
     click.echo(json.dumps(group.gauge_norm(_parse_point(spec, point_text))))
 
 
@@ -237,8 +249,7 @@ def group_gauge(group_name, point_text):
 @group_option
 @click.option("--p", "p_text", required=True)
 @click.option("--q", "q_text", required=True)
-def group_dist(group_name, p_text, q_text):
-    spec = resolve_group(group_name)
+def group_dist(spec, p_text, q_text):
     p = _parse_point(spec, p_text)
     q = _parse_point(spec, q_text)
     click.echo(json.dumps(group.gauge_distance(p, q)))
@@ -249,9 +260,8 @@ def group_dist(group_name, p_text, q_text):
 @click.option("--radius", type=float, default=1.0, show_default=True)
 @click.option("--samples", type=int, default=200_000, show_default=True)
 @click.option("--seed", type=int, default=12345, show_default=True)
-def group_ballvol(group_name, radius, samples, seed):
-    spec = resolve_group(group_name)
-    _emit(group.ball_volume_estimate(spec, radius, samples, seed=_seed(seed)))
+def group_ballvol(spec, radius, samples, seed):
+    _report(group.ball_volume_estimate(spec, radius, samples, seed=seed))
 
 
 # ---------------------------------------------------------------- fields
@@ -263,23 +273,12 @@ def fields_group():
 
 @fields_group.command("show")
 @group_option
-@click.option("--label", required=True, help="basis label k,i")
-def fields_show(group_name, label):
-    spec = resolve_group(group_name)
-    parts = label.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"--label takes a basis label k,i, got {label!r}")
-    k, i = map(int, parts)
-    op = left_invariant_field(spec, (k, i))
-    _emit(
-        {
-            "label": [k, i],
-            "display": repr(op),
-            "coefficients": {
-                str(list(lab)): poly_to_json(poly) for lab, poly in sorted(op.coeffs.items())
-            },
-        }
-    )
+@click.option("--label", required=True, callback=_label, help="basis label k,i")
+def fields_show(spec, label):
+    op = left_invariant_field(spec, label)
+    coefficients = {str(list(lab)): poly_to_json(poly)
+                    for lab, poly in sorted(op.coeffs.items())}
+    _report({"label": list(label), "display": repr(op), "coefficients": coefficients})
 
 
 @fields_group.command("residual")
@@ -289,36 +288,29 @@ def fields_show(group_name, label):
 @click.option("--f", "f_text", default=None)
 @click.option("--fi", "fi_text", default=None,
               help="semicolon-separated flux data, one per horizontal slot")
-def fields_residual(group_name, u_text, f_text, fi_text):
-    spec = resolve_group(group_name)
+def fields_residual(spec, u_text, f_text, fi_text):
     u = _parse_polys(u_text)
     ident = SystemCoefficients.identity(len(u), spec.m)
     f = _parse_polys(f_text) if f_text else None
     f_i = None
     if fi_text:
         if len(u) != 1:
-            raise click.UsageError("flux data input supports one component")
+            raise ValueError(f"--fi takes flux data for one component; --u has {len(u)}")
         per_slot = _parse_polys(fi_text)
         if len(per_slot) != spec.m:
-            raise click.UsageError(f"need {spec.m} flux polynomials")
+            raise ValueError(f"--fi needs {spec.m} flux polynomials, one per horizontal "
+                             f"slot; got {len(per_slot)}")
         f_i = [[p] for p in per_slot]
     res = system_residual(spec, ident, u, f_i=f_i, f=f)
-    _emit(
-        {
-            "residual": [poly_to_json(p) for p in res],
-            "is_zero": all(p.is_zero() for p in res),
-        }
-    )
+    _report({"residual": [poly_to_json(p) for p in res],
+             "is_zero": all(p.is_zero() for p in res)})
 
 
 @fields_group.command("commutators")
 @group_option
-def fields_commutators(group_name):
-    spec = resolve_group(group_name)
+def fields_commutators(spec):
     rep = commutator_check(spec)
-    _emit(rep)
-    if not rep["ok"]:
-        sys.exit(1)
+    _report(rep, rep["ok"])
 
 
 # ---------------------------------------------------------------- rewrite
@@ -335,18 +327,19 @@ def rewrite_group():
 @click.option("--json", "out", type=click.Path(), default=None, callback=_writable)
 def rewrite_trace(step_r, profile_text, out):
     if step_r < 2:
-        raise DomainError(f"the step must be at least 2, got {step_r}")
+        raise ValueError(f"the step must be at least 2, got {step_r}")
     counts = [int(x) for x in profile_text.split(",")]
     if len(counts) != step_r - 1:
-        raise click.UsageError(f"need {step_r - 1} counts for layers 2..{step_r}")
+        raise ValueError(f"--profile needs {step_r - 1} counts for layers 2..{step_r}, "
+                         f"got {len(counts)}")
     profile = rewrite.LayerProfile(step_r, [0] + counts)
     trace = rewrite.reduce_to_base(profile)
-    _emit(trace.to_json(), out)
+    _report(trace.to_json(), out=out)
 
 
 @rewrite_group.command("obstruction")
 def rewrite_obstruction():
-    _emit(rewrite.naive_order_obstruction())
+    _report(rewrite.naive_order_obstruction())
 
 
 @rewrite_group.command("sweep")
@@ -354,9 +347,7 @@ def rewrite_obstruction():
 @click.option("--max-total", type=int, default=6, show_default=True)
 def rewrite_sweep(step_r, max_total):
     rep = rewrite.termination_sweep(step_r, max_total)
-    _emit(rep)
-    if rep["classification_failures"] or rep["w_violations"]:
-        sys.exit(1)
+    _report(rep, not (rep["classification_failures"] or rep["w_violations"]))
 
 
 # ---------------------------------------------------------------- solve
@@ -369,24 +360,21 @@ def rewrite_sweep(step_r, max_total):
 @click.option("--half-width", type=float, default=1.0, show_default=True)
 @click.option("--out", type=click.Path(), default=None, callback=_writable,
               help="CSV output path")
-def solve_cmd(group_name, n, bc_text, f_text, half_width, out):
+def solve_cmd(spec, n, bc_text, f_text, half_width, out):
     """Solve the weak form with Dirichlet data on the box faces."""
-    _, sol = _solve(group_name, n, bc_text, f_text, half_width)
+    sol = _solve(spec, n, bc_text, f_text, half_width)
     if out:
         _write_csv(sol, out)
         click.echo(f"wrote {out}")
-    _emit({"solve_report": sol.solve_report})
+    _report({"solve_report": sol.solve_report})
 
 
-def _solve(group_name, n, bc_text, f_text=None, half_width=1.0):
-    """The group spec and the identity-coefficient solution for the data."""
-    spec = resolve_group(group_name)
+def _solve(spec, n, bc_text, f_text=None, half_width=1.0):
+    """The identity-coefficient solution for the data."""
     bc = _parse_polys(bc_text)
     f = _parse_polys(f_text) if f_text else None
     ident = SystemCoefficients.identity(len(bc), spec.m)
-    return spec, numerics.assemble_and_solve(
-        spec, ident, bc, f=f, n=n, half_widths=half_width
-    )
+    return numerics.assemble_and_solve(spec, ident, bc, f=f, n=n, half_widths=half_width)
 
 
 def _write_csv(field, path):
@@ -411,12 +399,10 @@ def verify_group():
     """Desk-scale estimate checks; exit 1 when a check fails."""
 
 
-def _emit_verdict(rep, constant):
-    """Emit the report; exit 1 unless the constant is finite and positive."""
+def _report_stable(rep, constant):
+    """Report a check that passes when its constant is finite and positive."""
     rep["stable"] = math.isfinite(constant) and constant > 0
-    _emit(rep)
-    if not rep["stable"]:
-        sys.exit(1)
+    _report(rep, rep["stable"])
 
 
 @verify_group.command("caccioppoli")
@@ -424,26 +410,24 @@ def _emit_verdict(rep, constant):
 @click.option("--n", type=int, default=32, show_default=True)
 @click.option("--bc", "bc_text", default="poly:p11*p21", show_default=True)
 @click.option("--radius", type=float, default=0.45, show_default=True)
-def verify_caccioppoli(group_name, n, bc_text, radius):
-    _, sol = _solve(group_name, n, bc_text)
+def verify_caccioppoli(spec, n, bc_text, radius):
+    sol = _solve(spec, n, bc_text)
     rep = numerics.caccioppoli_check(sol, radius=radius)
-    _emit_verdict(rep, rep["empirical_constant"])
+    _report_stable(rep, rep["empirical_constant"])
 
 
 @verify_group.command("peetre")
 @group_option
 @click.option("--n", type=int, default=17, show_default=True)
-@click.option("--direction", default="1,1", show_default=True)
+@click.option("--direction", default="1,1", show_default=True, callback=_label)
 @click.option("--alpha", type=float, default=1.0, show_default=True)
 @click.option("--beta", type=float, default=0.5, show_default=True)
-def verify_peetre(group_name, n, direction, alpha, beta):
-    spec = resolve_group(group_name)
+def verify_peetre(spec, n, direction, alpha, beta):
     u = _bump_field(spec, n)
-    d = tuple(int(x) for x in direction.split(","))
-    high = numerics.peetre_seminorm(u, d, alpha)
-    low = numerics.peetre_seminorm(u, d, beta)
+    high = numerics.peetre_seminorm(u, direction, alpha)
+    low = numerics.peetre_seminorm(u, direction, beta)
     rep = {
-        "direction": list(d),
+        "direction": list(direction),
         "alpha": alpha,
         "beta": beta,
         "seminorm_alpha": high,
@@ -451,21 +435,17 @@ def verify_peetre(group_name, n, direction, alpha, beta):
         "sandwich_constant": low / high if high > 0 else 0.0,
         "ok": low <= high or high == 0.0,
     }
-    _emit(rep)
-    if not rep["ok"]:
-        sys.exit(1)
+    _report(rep, rep["ok"])
 
 
 @verify_group.command("hormander")
 @group_option
 @click.option("--n", type=int, default=17, show_default=True)
-@click.option("--direction", default="2,1", show_default=True)
-def verify_hormander(group_name, n, direction):
-    spec = resolve_group(group_name)
+@click.option("--direction", default="2,1", show_default=True, callback=_label)
+def verify_hormander(spec, n, direction):
     u = _bump_field(spec, n)
-    d = tuple(int(x) for x in direction.split(","))
-    ratio = numerics.hormander_ratio(u, d)
-    _emit_verdict({"direction": list(d), "ratio": ratio}, ratio)
+    ratio = numerics.hormander_ratio(u, direction)
+    _report_stable({"direction": list(direction), "ratio": ratio}, ratio)
 
 
 def _bump_field(spec, n, support=0.8):
@@ -484,8 +464,8 @@ def _bump_field(spec, n, support=0.8):
 @click.option("--bc", "bc_text", default="poly:p11", show_default=True)
 @click.option("--tau", type=float, default=0.5, show_default=True)
 @click.option("--radii", default="0.25,0.5,1", show_default=True)
-def verify_decay(group_name, n, bc_text, tau, radii):
-    spec, sol = _solve(group_name, n, bc_text)
+def verify_decay(spec, n, bc_text, tau, radii):
+    sol = _solve(spec, n, bc_text)
     center = [0.0] * len(spec.basis)
     radii_list = [float(x) for x in radii.split(",")]
     rep = regularity.excess_decay_check(sol, center, tau, max(radii_list),
@@ -493,9 +473,7 @@ def verify_decay(group_name, n, bc_text, tau, radii):
     rep["resolutions"] = [n]
     rep["threshold"] = decay_threshold(rep["Q"])
     rep["stable"] = rep["fitted_exponent"] >= rep["threshold"]
-    _emit(rep)
-    if not rep["stable"]:
-        sys.exit(1)
+    _report(rep, rep["stable"])
 
 
 @verify_group.command("supbound")
@@ -503,11 +481,11 @@ def verify_decay(group_name, n, bc_text, tau, radii):
 @click.option("--n", type=int, default=32, show_default=True)
 @click.option("--bc", "bc_text", default="poly:p11*p21", show_default=True)
 @click.option("--radius", type=float, default=0.4, show_default=True)
-def verify_supbound(group_name, n, bc_text, radius):
-    spec, sol = _solve(group_name, n, bc_text)
+def verify_supbound(spec, n, bc_text, radius):
+    sol = _solve(spec, n, bc_text)
     center = [0.0] * len(spec.basis)
     rep = regularity.sup_estimate_check(sol, center, radius)
-    _emit_verdict(rep, rep["ratio"])
+    _report_stable(rep, rep["ratio"])
 
 
 @verify_group.command("estimate")
@@ -515,10 +493,10 @@ def verify_supbound(group_name, n, bc_text, radius):
 @click.option("--n", type=int, default=32, show_default=True)
 @click.option("--bc", "bc_text", default="poly:p12", show_default=True)
 @click.option("--radius", type=float, default=0.4, show_default=True)
-def verify_estimate(group_name, n, bc_text, radius):
-    spec, sol = _solve(group_name, n, bc_text)
+def verify_estimate(spec, n, bc_text, radius):
+    sol = _solve(spec, n, bc_text)
     rep = regularity.higher_order_estimate_check(sol, radius=radius)
-    _emit_verdict(rep, rep["empirical_constant"])
+    _report_stable(rep, rep["empirical_constant"])
 
 
 # ---------------------------------------------------------------- suite
@@ -535,21 +513,10 @@ def verify_estimate(group_name, n, bc_text, radius):
 def suite_cmd(n, seed, triples, samples, sweep_total, fmt, out):
     """Aggregated verification report over every module."""
     if fmt == "text" and out:
-        raise DomainError("--format text and --json exclude each other: give one")
-    config = RunConfig(
-        n=n,
-        seed=_seed(seed),
-        assoc_triples=triples,
-        mc_samples=samples,
-        sweep_total=sweep_total,
-    )
-    report = run_suite(config)
-    if fmt == "text":
-        click.echo(_render_text(report), nl=False)
-    else:
-        _emit(report, out)
-    if not report["all_pass"]:
-        sys.exit(1)
+        raise ValueError("--format text and --json exclude each other: give one")
+    report = run_suite(RunConfig(n=n, seed=seed, assoc_triples=triples,
+                                 mc_samples=samples, sweep_total=sweep_total))
+    _report(report, report["all_pass"], out, _render_text if fmt == "text" else None)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,9 @@ after a variable is an error (``p111`` raises rather than reading as
 ``p11 * 1``).  Supported syntax: ``+ - * ^``, integer and rational
 constants (``3``, ``1/2``), parentheses.  A sign binds looser than ``^``:
 ``-p11^2`` is -(p11²), ``2*-p11^2`` is -2 p11², and ``p11^-1`` is an error.
+Juxtaposition multiplies (``3p11``, ``p11 2``, ``(p11)(p21)``,
+``2(p11+1)``), except that a number directly after a number is an error
+(``2 3``, ``1/2 3`` and ``p11^2 3`` raise rather than multiply).
 """
 
 from __future__ import annotations
@@ -59,6 +62,9 @@ def _tokenize(text):
             raise ValueError(f"cannot parse polynomial at: {text[pos:]!r}")
         pos = m.end()
         if m.group("num"):
+            if out and out[-1][0] == "num":
+                raise ValueError(f"a number directly after a number at position "
+                                 f"{m.start('num')} of {text!r}")
             out.append(("num", parse_rational(m.group("num"))))
         elif m.group("op"):
             out.append(("op", m.group("op")))

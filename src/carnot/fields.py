@@ -135,25 +135,38 @@ class SystemCoefficients:
     def entry(self, alpha, beta, i, j):
         return self.A[alpha][beta][i][j]
 
+    def _form_rows(self):
+        """The exact (mN) x (mN) form on xi, rows and columns in the slots
+        (alpha, i)."""
+        n, m = self.n_components, self.m
+        return [[self.A[alpha][beta][i][j] for beta in range(n) for j in range(m)]
+                for alpha in range(n) for i in range(m)]
+
     def quadratic_form_matrix(self):
         """The (mN) x (mN) matrix of the form on xi with slots (alpha, i)."""
-        n, m = self.n_components, self.m
-        mat = np.zeros((m * n, m * n))
-        for alpha in range(n):
-            for beta in range(n):
-                for i in range(m):
-                    for j in range(m):
-                        mat[alpha * m + i, beta * m + j] = float(self.A[alpha][beta][i][j])
-        return mat
+        return np.array(self._form_rows(), dtype=float)
 
     def coercivity_margin(self):
-        """Smallest eigenvalue of the symmetric part of the form."""
+        """Smallest eigenvalue of the symmetric part of the form, in floats;
+        a report, not the decision (see :meth:`is_coercive`)."""
         mat = self.quadratic_form_matrix()
         sym = 0.5 * (mat + mat.T)
         return float(np.linalg.eigvalsh(sym).min())
 
     def is_coercive(self):
-        return self.coercivity_margin() > 1e-10
+        """The Legendre condition, decided exactly: the symmetric part of the
+        form is positive definite, so every pivot of its LDL^T
+        factorisation over the rationals, taken in order, is positive."""
+        rows = self._form_rows()
+        sym = [[(a + b) / 2 for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))]
+        for k, pivot_row in enumerate(sym):
+            if pivot_row[k] <= 0:
+                return False
+            for row in sym[k + 1:]:
+                factor = row[k] / pivot_row[k]
+                for q in range(k + 1, len(row)):
+                    row[q] -= factor * pivot_row[q]
+        return True
 
 
 def system_residual(spec, A: SystemCoefficients, u, f_i=None, f=None):

@@ -293,9 +293,19 @@ def ball_volume_estimate(spec, radius, samples, seed=0, shard=1 << 16):
         raise ValueError(f"the radius must be finite and positive, got {radius}")
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
-    box_vol = 1.0
-    for lab in spec.basis:
-        box_vol *= 2.0 * radius ** lab[0]
+    # a half width or a box volume that overflows, underflows or is
+    # subnormal would sample, or scale by, a box the floats do not hold
+    try:
+        halves = {lab: radius ** lab[0] for lab in spec.basis}
+        box_vol = math.prod(2.0 * half for half in halves.values())
+        in_range = all(math.isfinite(v) and v >= sys.float_info.min
+                       for v in (*halves.values(), box_vol))
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise ValueError(f"the radius {radius} puts the sampling box outside the float "
+                         "range: its half widths r^k and its volume must be finite "
+                         "normal floats")
     hits = 0
     done = 0
     index = 0
@@ -303,8 +313,7 @@ def ball_volume_estimate(spec, radius, samples, seed=0, shard=1 << 16):
         n = min(shard, samples - done)
         rng = np.random.default_rng([int(seed), index])
         coords = {}
-        for lab in spec.basis:
-            half = radius ** lab[0]
+        for lab, half in halves.items():
             coords[lab] = rng.uniform(-half, half, size=n)
         norms = gauge_norm_arrays(spec, coords)
         hits += int(np.count_nonzero(norms < radius))

@@ -812,7 +812,8 @@ def assemble_and_solve(
     """
     if not A.is_coercive():
         raise SolverDiverged(
-            f"coefficients are not coercive (margin {A.coercivity_margin():.3e})"
+            "the coefficients fail the Legendre condition: the symmetric part of the "
+            f"form is not positive definite (smallest eigenvalue {A.coercivity_margin():.3e})"
         )
     grid = Grid(spec, n, half_widths)
     if min(grid.shape) < 3:

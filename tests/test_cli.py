@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -211,16 +212,6 @@ def test_suite_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_env_seed_override(runner, monkeypatch):
-    monkeypatch.setenv("CARNOT_SEED", "777")
-    args = ["group", "ballvol", "--samples", "10000", "--seed", "1"]
-    with_env = runner.invoke(main, args)
-    monkeypatch.delenv("CARNOT_SEED")
-    explicit = runner.invoke(main, ["group", "ballvol", "--samples", "10000",
-                                    "--seed", "777"])
-    assert with_env.output == explicit.output
-
-
 def test_fields_residual_json_input(runner, tmp_path):
     poly_json = [[{"mono": [[[1, 1], 1]], "num": 1, "den": 1}]]
     path = tmp_path / "u.json"
@@ -375,6 +366,30 @@ def test_verify_constant_not_positive_exits_1(runner):
      "a ball radius must be finite and positive, got -1.0"),
     (["verify", "decay", "--n", "12", "--radii", "0.25,nan,1"],
      "a ball radius must be finite and positive, got nan"),
+    # click's own usage errors: a missing option, a bad value, an unknown
+    # command or main-level option
+    (["group", "mul"], "Missing option '--p'"),
+    (["solve", "--n", "x"], "Invalid value for '--n': 'x' is not a valid integer"),
+    (["suite", "--format", "xml"], "Invalid value for '--format': 'xml' is not one of"),
+    (["frobnicate"], "No such command 'frobnicate'"),
+    (["--bogus"], "No such option '--bogus'"),
+    # counts that do not fit the step or the group
+    (["rewrite", "trace", "--step", "3", "--profile", "1"],
+     "--profile needs 2 counts for layers 2..3, got 1"),
+    (["fields", "residual", "--u", "p11", "--fi", "p11"],
+     "--fi needs 2 flux polynomials, one per horizontal slot; got 1"),
+    (["fields", "residual", "--u", "p11;p21", "--fi", "p11;p21"],
+     "--fi takes flux data for one component; --u has 2"),
+    # a direction that is not a pair of integers, named by its option
+    (["verify", "hormander", "--n", "5", "--direction", "a,1"],
+     "--direction takes a basis label k,i, got 'a,1'"),
+    # radii whose sampling box leaves the normal floats
+    (["group", "ballvol", "--radius", "1e200"], "the radius 1e+200 puts the sampling box"),
+    (["group", "ballvol", "--radius", "1e80"], "the radius 1e+80 puts the sampling box"),
+    (["group", "ballvol", "--radius", "1e-80"], "the radius 1e-80 puts the sampling box"),
+    (["group", "ballvol", "--radius", "1e-120"], "the radius 1e-120 puts the sampling box"),
+    # two numbers in a row
+    (["fields", "residual", "--u", "2 3"], "a number directly after a number at position 2"),
 ])
 def test_domain_errors_exit_2_with_one_line(runner, args, message):
     result = runner.invoke(main, args)
@@ -421,6 +436,23 @@ def test_solve_over_the_byte_limit_exits_2_with_one_line(runner, monkeypatch):
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and "to assemble the stiffness matrix" in lines[0]
+
+
+@pytest.mark.parametrize("args", [[], ["verify"]])
+def test_a_bare_group_prints_its_help(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.output.startswith("Usage: ") and "Commands:" in result.output
+
+
+def test_default_suite_json_keeps_its_bytes(tmp_path):
+    # any change to these bytes comes with a version bump and a new digest
+    out = tmp_path / "report.json"
+    done = _run_python("-m", "carnot", "suite", "--json", str(out), timeout=300,
+                       OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "efed9b28280b39d28ead1d1d209ed35814e4a01a59c3ee5be96bd2df27edfa2e")
 
 
 def test_package_runs_as_a_module():

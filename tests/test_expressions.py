@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,26 @@ def test_products_powers_and_constants():
 ])
 def test_a_leading_sign_binds_looser_than_a_power(text, want):
     assert parse_poly(text) == want
+
+
+@pytest.mark.parametrize("text,want", [
+    ("p11 2", var(1, 1).scale(2)),
+    ("p1_2 0", PolyFunction.zero()),
+    ("3p11", var(1, 1).scale(3)),
+    ("(p11)(p21)", var(1, 1) * var(1, 2)),
+    ("2(p11+1)", var(1, 1).scale(2) + PolyFunction.constant(2)),
+    ("2 3", "position 2 of '2 3'"),
+    ("12 5", "position 3 of '12 5'"),
+    ("1/2 3", "position 4 of '1/2 3'"),
+    ("p11^2 3", "position 6 of 'p11^2 3'"),
+])
+def test_juxtaposition_multiplies_except_two_numbers_in_a_row(text, want):
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=re.escape(
+                f"a number directly after a number at {want}")):
+            parse_poly(text)
+    else:
+        assert parse_poly(text) == want
 
 
 def test_an_exponent_takes_no_sign():

@@ -475,6 +475,36 @@ def test_solver_rejects_noncoercive(heis):
         assemble_and_solve(heis, bad, [P11], n=7)
 
 
+def test_a_tiny_multiple_of_the_identity_solves_like_the_identity(heis):
+    # coercivity is decided exactly, with no cutoff: the solve is scale-invariant
+    tiny = SystemCoefficients([[[[Fraction(1, 10 ** 12), 0], [0, Fraction(1, 10 ** 12)]]]])
+    assert tiny.coercivity_margin() == pytest.approx(1e-12)
+    reports = [assemble_and_solve(heis, A, [P11], n=9).solve_report
+               for A in (SystemCoefficients.identity(1, 2), tiny)]
+    assert reports[1]["iterations"] == reports[0]["iterations"]
+    assert reports[1]["relative_weak_residual"] <= 1e-10
+
+
+def _legendre_family(t):
+    """A = d_ab d_ij + t (d_ai d_bj - d_aj d_bi), N = m = 2: Legendre margin
+    1 - |t|, rank-one margin 1 for every t."""
+    def d(x, y):
+        return int(x == y)
+    return SystemCoefficients([[[[d(a, b) * d(i, j) + t * (d(a, i) * d(b, j) - d(a, j) * d(b, i))
+                                  for j in range(2)] for i in range(2)]
+                                for b in range(2)] for a in range(2)])
+
+
+def test_the_legendre_condition_accepts_t_one_half_and_refuses_t_three_halves(heis):
+    half, three_halves = _legendre_family(Fraction(1, 2)), _legendre_family(Fraction(3, 2))
+    assert half.coercivity_margin() == pytest.approx(0.5)
+    assert three_halves.coercivity_margin() == pytest.approx(-0.5)
+    sol = assemble_and_solve(heis, half, [P11, P12], n=7)
+    assert sol.solve_report["relative_weak_residual"] <= 1e-10
+    with pytest.raises(SolverDiverged, match="fail the Legendre condition"):
+        assemble_and_solve(heis, three_halves, [P11, P12], n=7)
+
+
 def test_manufactured_source_consistency(heis):
     ident = SystemCoefficients.identity(1, 2)
     u_star = P11 ** 3 + P11 * P12
