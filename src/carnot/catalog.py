@@ -39,5 +39,9 @@ def resolve_group(name_or_path: str) -> AlgebraSpec:
     m = re.fullmatch(r"abelian:(\d+)", name)
     if m:
         return build_free_nilpotent(int(m.group(1)), 1)
-    with open(name_or_path) as fh:
-        return spec_from_json(json.load(fh))
+    try:
+        with open(name_or_path) as fh:
+            return spec_from_json(json.load(fh))
+    except OSError as exc:
+        raise type(exc)(exc.errno, f"{exc.strerror}: {name_or_path!r}, and not a builtin "
+                        "group (heisenberg, engel, free:m,r, abelian:n)") from None

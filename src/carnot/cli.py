@@ -56,14 +56,34 @@ def _writable(ctx, param, path):
     return path
 
 
-def _label(ctx, param, text):
-    """Option callback: a basis label ``k,i`` as a pair of integers."""
-    try:
-        k, i = map(int, text.split(","))
-    except ValueError:
-        raise ValueError(f"{param.opts[0]} takes a basis label k,i, got {text!r}, "
-                         "which is not a coordinate axis") from None
-    return k, i
+def _option(read, what):
+    """Option callback factory: ``read`` the given text before any work (a
+    missing value stays ``None``); a refusal is one ``ValueError`` that names
+    the option, what it takes and the text, and keeps the reader's reason."""
+    def callback(ctx, param, text):
+        try:
+            return None if text is None else read(text)
+        except (algebra.AlgebraError, ValueError, OSError) as exc:
+            raise ValueError(f"{param.opts[0]} takes {what}, got {text!r}: {exc}") from None
+    return callback
+
+
+def _comma_list(convert, count=None):
+    """A reader of comma lists, each entry trimmed and read by ``convert``; the
+    empty text is the empty list, and an empty entry or a length other than
+    ``count`` (given only for basis labels, the coordinate axes) is refused."""
+    def read(text):
+        entries = [entry.strip() for entry in text.split(",")] if text.strip() else []
+        if "" in entries:
+            raise ValueError(f"entry {entries.index('') + 1} is empty")
+        if count is not None and len(entries) != count:
+            raise ValueError(f"not a coordinate axis, which has {count} entries")
+        return tuple(convert(entry) for entry in entries)
+    return read
+
+
+_LABEL = _option(_comma_list(int, count=2), "a basis label k,i")
+_POINT = _option(_comma_list(parse_rational), "comma-separated coordinates")
 
 
 def _sig6(value):
@@ -85,12 +105,6 @@ def _render_text(report):
         lines.append(f"[{entry['id']:>2}] {status} {entry['name']}  {detail}")
     lines.append("all_pass: " + str(report["all_pass"]))
     return "\n".join(lines) + "\n"
-
-
-def _parse_point(spec, text):
-    parts = [p.strip() for p in text.replace("[", "").replace("]", "").split(",")]
-    values = [parse_rational(p) for p in parts if p]
-    return group.Point.from_sequence(spec, values)
 
 
 def _point_json(point):
@@ -124,10 +138,10 @@ def _parse_polys(text):
     return [poly_from_json(t) for t in data]
 
 
+_POLYS = _option(_parse_polys, "polynomials")
 _GROUP_HELP = "builtin name (heisenberg|engel|free:m,r|abelian:n) or spec JSON path"
-# the option hands each command the group spec, resolved before any work
 group_option = click.option("--group", "spec", default="heisenberg", show_default=True,
-                            callback=lambda ctx, param, name: resolve_group(name),
+                            callback=_option(resolve_group, "a group name or spec file"),
                             help=_GROUP_HELP)
 
 
@@ -214,44 +228,42 @@ def group_group():
 
 @group_group.command("mul")
 @group_option
-@click.option("--p", "p_text", required=True)
-@click.option("--q", "q_text", required=True)
-def group_mul(spec, p_text, q_text):
-    p = _parse_point(spec, p_text)
-    q = _parse_point(spec, q_text)
+@click.option("--p", required=True, callback=_POINT)
+@click.option("--q", required=True, callback=_POINT)
+def group_mul(spec, p, q):
+    p, q = group.Point.from_sequence(spec, p), group.Point.from_sequence(spec, q)
     _report(_point_json(group.bch_product(p, q)))
 
 
 @group_group.command("inv")
 @group_option
-@click.option("--point", "point_text", required=True)
-def group_inv(spec, point_text):
-    _report(_point_json(group.inverse(_parse_point(spec, point_text))))
+@click.option("--point", required=True, callback=_POINT)
+def group_inv(spec, point):
+    _report(_point_json(group.inverse(group.Point.from_sequence(spec, point))))
 
 
 @group_group.command("dilate")
 @group_option
-@click.option("--s", "factor", required=True)
-@click.option("--point", "point_text", required=True)
-def group_dilate(spec, factor, point_text):
-    p = _parse_point(spec, point_text)
-    _report(_point_json(group.dilate(parse_rational(factor), p)))
+@click.option("--s", "factor", required=True,
+              callback=_option(parse_rational, "a rational factor"))
+@click.option("--point", required=True, callback=_POINT)
+def group_dilate(spec, factor, point):
+    _report(_point_json(group.dilate(factor, group.Point.from_sequence(spec, point))))
 
 
 @group_group.command("gauge")
 @group_option
-@click.option("--point", "point_text", required=True)
-def group_gauge(spec, point_text):
-    click.echo(json.dumps(group.gauge_norm(_parse_point(spec, point_text))))
+@click.option("--point", required=True, callback=_POINT)
+def group_gauge(spec, point):
+    click.echo(json.dumps(group.gauge_norm(group.Point.from_sequence(spec, point))))
 
 
 @group_group.command("dist")
 @group_option
-@click.option("--p", "p_text", required=True)
-@click.option("--q", "q_text", required=True)
-def group_dist(spec, p_text, q_text):
-    p = _parse_point(spec, p_text)
-    q = _parse_point(spec, q_text)
+@click.option("--p", required=True, callback=_POINT)
+@click.option("--q", required=True, callback=_POINT)
+def group_dist(spec, p, q):
+    p, q = group.Point.from_sequence(spec, p), group.Point.from_sequence(spec, q)
     click.echo(json.dumps(group.gauge_distance(p, q)))
 
 
@@ -273,7 +285,7 @@ def fields_group():
 
 @fields_group.command("show")
 @group_option
-@click.option("--label", required=True, callback=_label, help="basis label k,i")
+@click.option("--label", required=True, callback=_LABEL, help="basis label k,i")
 def fields_show(spec, label):
     op = left_invariant_field(spec, label)
     coefficients = {str(list(lab)): poly_to_json(poly)
@@ -283,20 +295,17 @@ def fields_show(spec, label):
 
 @fields_group.command("residual")
 @group_option
-@click.option("--u", "u_text", required=True,
+@click.option("--u", required=True, callback=_POLYS,
               help="solution polynomial(s): expression, JSON, or @file")
-@click.option("--f", "f_text", default=None)
-@click.option("--fi", "fi_text", default=None,
+@click.option("--f", callback=_POLYS)
+@click.option("--fi", "per_slot", callback=_POLYS,
               help="semicolon-separated flux data, one per horizontal slot")
-def fields_residual(spec, u_text, f_text, fi_text):
-    u = _parse_polys(u_text)
+def fields_residual(spec, u, f, per_slot):
     ident = SystemCoefficients.identity(len(u), spec.m)
-    f = _parse_polys(f_text) if f_text else None
     f_i = None
-    if fi_text:
+    if per_slot is not None:
         if len(u) != 1:
             raise ValueError(f"--fi takes flux data for one component; --u has {len(u)}")
-        per_slot = _parse_polys(fi_text)
         if len(per_slot) != spec.m:
             raise ValueError(f"--fi needs {spec.m} flux polynomials, one per horizontal "
                              f"slot; got {len(per_slot)}")
@@ -322,17 +331,16 @@ def rewrite_group():
 
 @rewrite_group.command("trace")
 @click.option("--step", "step_r", type=int, required=True)
-@click.option("--profile", "profile_text", required=True,
-              help="comma counts for layers 2..r")
+@click.option("--profile", "counts", required=True, help="comma counts for layers 2..r",
+              callback=_option(_comma_list(int), "comma-separated layer counts"))
 @click.option("--json", "out", type=click.Path(), default=None, callback=_writable)
-def rewrite_trace(step_r, profile_text, out):
+def rewrite_trace(step_r, counts, out):
     if step_r < 2:
         raise ValueError(f"the step must be at least 2, got {step_r}")
-    counts = [int(x) for x in profile_text.split(",")]
     if len(counts) != step_r - 1:
         raise ValueError(f"--profile needs {step_r - 1} counts for layers 2..{step_r}, "
                          f"got {len(counts)}")
-    profile = rewrite.LayerProfile(step_r, [0] + counts)
+    profile = rewrite.LayerProfile(step_r, [0, *counts])
     trace = rewrite.reduce_to_base(profile)
     _report(trace.to_json(), out=out)
 
@@ -355,24 +363,22 @@ def rewrite_sweep(step_r, max_total):
 @main.command("solve")
 @group_option
 @click.option("--n", type=int, default=32, show_default=True)
-@click.option("--bc", "bc_text", default="poly:p11", show_default=True)
-@click.option("--f", "f_text", default=None)
+@click.option("--bc", default="poly:p11", show_default=True, callback=_POLYS)
+@click.option("--f", callback=_POLYS)
 @click.option("--half-width", type=float, default=1.0, show_default=True)
 @click.option("--out", type=click.Path(), default=None, callback=_writable,
               help="CSV output path")
-def solve_cmd(spec, n, bc_text, f_text, half_width, out):
+def solve_cmd(spec, n, bc, f, half_width, out):
     """Solve the weak form with Dirichlet data on the box faces."""
-    sol = _solve(spec, n, bc_text, f_text, half_width)
+    sol = _solve(spec, n, bc, f, half_width)
     if out:
         _write_csv(sol, out)
         click.echo(f"wrote {out}")
     _report({"solve_report": sol.solve_report})
 
 
-def _solve(spec, n, bc_text, f_text=None, half_width=1.0):
+def _solve(spec, n, bc, f=None, half_width=1.0):
     """The identity-coefficient solution for the data."""
-    bc = _parse_polys(bc_text)
-    f = _parse_polys(f_text) if f_text else None
     ident = SystemCoefficients.identity(len(bc), spec.m)
     return numerics.assemble_and_solve(spec, ident, bc, f=f, n=n, half_widths=half_width)
 
@@ -408,10 +414,10 @@ def _report_stable(rep, constant):
 @verify_group.command("caccioppoli")
 @group_option
 @click.option("--n", type=int, default=32, show_default=True)
-@click.option("--bc", "bc_text", default="poly:p11*p21", show_default=True)
+@click.option("--bc", default="poly:p11*p21", show_default=True, callback=_POLYS)
 @click.option("--radius", type=float, default=0.45, show_default=True)
-def verify_caccioppoli(spec, n, bc_text, radius):
-    sol = _solve(spec, n, bc_text)
+def verify_caccioppoli(spec, n, bc, radius):
+    sol = _solve(spec, n, bc)
     rep = numerics.caccioppoli_check(sol, radius=radius)
     _report_stable(rep, rep["empirical_constant"])
 
@@ -419,7 +425,7 @@ def verify_caccioppoli(spec, n, bc_text, radius):
 @verify_group.command("peetre")
 @group_option
 @click.option("--n", type=int, default=17, show_default=True)
-@click.option("--direction", default="1,1", show_default=True, callback=_label)
+@click.option("--direction", default="1,1", show_default=True, callback=_LABEL)
 @click.option("--alpha", type=float, default=1.0, show_default=True)
 @click.option("--beta", type=float, default=0.5, show_default=True)
 def verify_peetre(spec, n, direction, alpha, beta):
@@ -441,7 +447,7 @@ def verify_peetre(spec, n, direction, alpha, beta):
 @verify_group.command("hormander")
 @group_option
 @click.option("--n", type=int, default=17, show_default=True)
-@click.option("--direction", default="2,1", show_default=True, callback=_label)
+@click.option("--direction", default="2,1", show_default=True, callback=_LABEL)
 def verify_hormander(spec, n, direction):
     u = _bump_field(spec, n)
     ratio = numerics.hormander_ratio(u, direction)
@@ -455,21 +461,23 @@ def _bump_field(spec, n, support=0.8):
     bump = np.ones(grid.shape)
     for lab, arr in grid.node_arrays().items():
         bump = bump * np.clip(1.0 - (arr / support) ** 2, 0.0, None) ** 2
+    if not bump.any():
+        raise ValueError(f"no grid nodes inside the bump's support at --n {n}: "
+                         f"every node has a coordinate of size {support} or more")
     return numerics.GridField(grid, bump)
 
 
 @verify_group.command("decay")
 @group_option
 @click.option("--n", type=int, default=32, show_default=True)
-@click.option("--bc", "bc_text", default="poly:p11", show_default=True)
+@click.option("--bc", default="poly:p11", show_default=True, callback=_POLYS)
 @click.option("--tau", type=float, default=0.5, show_default=True)
-@click.option("--radii", default="0.25,0.5,1", show_default=True)
-def verify_decay(spec, n, bc_text, tau, radii):
-    sol = _solve(spec, n, bc_text)
+@click.option("--radii", default="0.25,0.5,1", show_default=True,
+              callback=_option(_comma_list(float), "comma-separated radii"))
+def verify_decay(spec, n, bc, tau, radii):
+    sol = _solve(spec, n, bc)
     center = [0.0] * len(spec.basis)
-    radii_list = [float(x) for x in radii.split(",")]
-    rep = regularity.excess_decay_check(sol, center, tau, max(radii_list),
-                                        radii=radii_list)
+    rep = regularity.excess_decay_check(sol, center, tau, max(radii, default=0.0), radii=radii)
     rep["resolutions"] = [n]
     rep["threshold"] = decay_threshold(rep["Q"])
     rep["stable"] = rep["fitted_exponent"] >= rep["threshold"]
@@ -479,10 +487,10 @@ def verify_decay(spec, n, bc_text, tau, radii):
 @verify_group.command("supbound")
 @group_option
 @click.option("--n", type=int, default=32, show_default=True)
-@click.option("--bc", "bc_text", default="poly:p11*p21", show_default=True)
+@click.option("--bc", default="poly:p11*p21", show_default=True, callback=_POLYS)
 @click.option("--radius", type=float, default=0.4, show_default=True)
-def verify_supbound(spec, n, bc_text, radius):
-    sol = _solve(spec, n, bc_text)
+def verify_supbound(spec, n, bc, radius):
+    sol = _solve(spec, n, bc)
     center = [0.0] * len(spec.basis)
     rep = regularity.sup_estimate_check(sol, center, radius)
     _report_stable(rep, rep["ratio"])
@@ -491,10 +499,10 @@ def verify_supbound(spec, n, bc_text, radius):
 @verify_group.command("estimate")
 @group_option
 @click.option("--n", type=int, default=32, show_default=True)
-@click.option("--bc", "bc_text", default="poly:p12", show_default=True)
+@click.option("--bc", default="poly:p12", show_default=True, callback=_POLYS)
 @click.option("--radius", type=float, default=0.4, show_default=True)
-def verify_estimate(spec, n, bc_text, radius):
-    sol = _solve(spec, n, bc_text)
+def verify_estimate(spec, n, bc, radius):
+    sol = _solve(spec, n, bc)
     rep = regularity.higher_order_estimate_check(sol, radius=radius)
     _report_stable(rep, rep["empirical_constant"])
 

@@ -604,11 +604,11 @@ def _diagonals_to_csr(acc, steps):
     values = acc.reshape(len(steps) * ncomp, -1).T
     keep = values != 0.0
     rows = values.shape[0]
-    index = np.int32 if keep.size < 2 ** 31 else np.int64
-    offsets = np.array([_flat_offset(inner, step) for step in steps], dtype=index)
-    columns = (offsets[:, None] * ncomp + np.arange(ncomp, dtype=index)).ravel()
-    indices = (np.arange(rows, dtype=index) // ncomp * ncomp)[:, None] + columns
-    indptr = np.zeros(rows + 1, dtype=index)
+    # int32 indices: GRID_BYTE_LIMIT at 25 bytes an entry keeps every count below 2**31
+    offsets = np.array([_flat_offset(inner, step) for step in steps], dtype=np.int32)
+    columns = (offsets[:, None] * ncomp + np.arange(ncomp, dtype=np.int32)).ravel()
+    indices = (np.arange(rows, dtype=np.int32) // ncomp * ncomp)[:, None] + columns
+    indptr = np.zeros(rows + 1, dtype=np.int32)
     np.cumsum(keep.sum(axis=1), out=indptr[1:])
     return sparse.csr_matrix((values[keep], indices[keep], indptr), shape=(rows, rows))
 

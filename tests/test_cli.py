@@ -390,6 +390,34 @@ def test_verify_constant_not_positive_exits_1(runner):
     (["group", "ballvol", "--radius", "1e-120"], "the radius 1e-120 puts the sampling box"),
     # two numbers in a row
     (["fields", "residual", "--u", "2 3"], "a number directly after a number at position 2"),
+    # comma lists: an empty entry, an entry that does not read or a bracket
+    # is refused, named by its option, never read as a shorter list
+    (["group", "gauge", "--point", "1,,0,0"],
+     "--point takes comma-separated coordinates, got '1,,0,0': entry 2 is empty"),
+    (["group", "mul", "--p", "1,2,,3", "--q", "0,0,0"],
+     "--p takes comma-separated coordinates, got '1,2,,3': entry 3 is empty"),
+    (["group", "mul", "--p", "[1,2],3", "--q", "0,0,0"],
+     "--p takes comma-separated coordinates, got '[1,2],3': Invalid literal for Fraction"),
+    (["group", "inv", "--point", "1/0,0,0"],
+     "--point takes comma-separated coordinates, got '1/0,0,0': '1/0' has a zero denominator"),
+    (["rewrite", "trace", "--step", "3", "--profile", "a,1"],
+     "--profile takes comma-separated layer counts, got 'a,1': invalid literal for int()"),
+    (["verify", "decay", "--radii", "0.5,x"],
+     "--radii takes comma-separated radii, got '0.5,x': could not convert string to float"),
+    (["verify", "decay", "--radii", "0.5,"],
+     "--radii takes comma-separated radii, got '0.5,': entry 2 is empty"),
+    (["verify", "hormander", "--direction", "1"],
+     "--direction takes a basis label k,i, got '1': not a coordinate axis, which has 2 entries"),
+    # a grid with no node inside the bump's support
+    (["verify", "peetre", "--n", "2"], "no grid nodes inside the bump's support at --n 2"),
+    (["verify", "hormander", "--n", "2"], "no grid nodes inside the bump's support at --n 2"),
+    # a group name that is neither a builtin nor a readable file
+    (["solve", "--group", "heisenburg"],
+     "--group takes a group name or spec file, got 'heisenburg': [Errno 2] No such file or "
+     "directory: 'heisenburg', and not a builtin group (heisenberg, engel, free:m,r, "
+     "abelian:n)"),
+    (["group", "gauge", "--group", "free:2,", "--point", "0"],
+     "No such file or directory: 'free:2,', and not a builtin group"),
 ])
 def test_domain_errors_exit_2_with_one_line(runner, args, message):
     result = runner.invoke(main, args)
@@ -618,6 +646,18 @@ def test_an_output_path_is_refused_before_the_work(runner, monkeypatch, tmp_path
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and message in lines[0] and str(path) in lines[0]
     assert kept.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("args,work", [
+    (["verify", "decay", "--radii", "0.5,x"], "carnot.numerics.assemble_and_solve"),
+    (["solve", "--f", "p11;"], "carnot.numerics.assemble_and_solve"),
+    (["rewrite", "trace", "--step", "3", "--profile", "1,"], "carnot.rewrite.reduce_to_base"),
+])
+def test_an_option_value_is_read_before_the_work(runner, monkeypatch, args, work):
+    monkeypatch.setattr(work, _work_not_expected)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert len(result.stderr.splitlines()) == 1
 
 
 def test_an_existing_output_file_keeps_its_bytes_when_the_work_fails(runner, tmp_path):

@@ -345,3 +345,12 @@ def test_float_product_keeps_zero_times_inf_as_nan(heis):
     got = bch_product(p, q).coords
     assert math.isnan(got[(2, 1)])
     assert math.isnan(_replica_float_product(p, q)[(2, 1)])
+
+
+@pytest.mark.parametrize("name", ["heisenburg", "free:2,", "abelian:"])
+def test_a_misspelt_group_name_lists_the_builtin_forms(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(FileNotFoundError) as refused:
+        resolve_group(name)
+    assert str(refused.value) == (f"[Errno 2] No such file or directory: {name!r}, and not "
+                                  "a builtin group (heisenberg, engel, free:m,r, abelian:n)")
