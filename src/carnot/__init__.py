@@ -50,4 +50,4 @@ from .rewrite import (
     verify_rewrite_identity,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

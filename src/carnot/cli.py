@@ -128,7 +128,11 @@ def _parse_polys(text):
     elif text.startswith(("[", "{")):
         data = json.loads(text)
     else:
-        return [parse_poly(piece) for piece in text.split(";")]
+        pieces = text.split(";")
+        empty = [k for k, piece in enumerate(pieces, 1) if not piece.strip()]
+        if empty and len(pieces) > 1:
+            raise ValueError(f"component {empty[0]} is empty")
+        return [parse_poly(piece) for piece in pieces]
     if not isinstance(data, list):
         raise ValueError("JSON polynomial input is a list of terms or of term lists")
     if not data:
@@ -471,13 +475,15 @@ def _bump_field(spec, n, support=0.8):
 @group_option
 @click.option("--n", type=int, default=32, show_default=True)
 @click.option("--bc", default="poly:p11", show_default=True, callback=_POLYS)
-@click.option("--tau", type=float, default=0.5, show_default=True)
+@click.option("--tau", type=float, default=0.5, show_default=True,
+              callback=_option(regularity.shrink_factor, "a shrink factor"))
 @click.option("--radii", default="0.25,0.5,1", show_default=True,
-              callback=_option(_comma_list(float), "comma-separated radii"))
+              callback=_option(lambda text: regularity.fit_radii(_comma_list(float)(text)),
+                               "comma-separated radii"))
 def verify_decay(spec, n, bc, tau, radii):
     sol = _solve(spec, n, bc)
     center = [0.0] * len(spec.basis)
-    rep = regularity.excess_decay_check(sol, center, tau, max(radii, default=0.0), radii=radii)
+    rep = regularity.excess_decay_check(sol, center, tau, max(radii), radii=radii)
     rep["resolutions"] = [n]
     rep["threshold"] = decay_threshold(rep["Q"])
     rep["stable"] = rep["fitted_exponent"] >= rep["threshold"]

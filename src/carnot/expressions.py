@@ -145,6 +145,8 @@ def parse_poly(text: str) -> PolyFunction:
     text = text.strip()
     if text.startswith("poly:"):
         text = text[len("poly:"):]
+    if not text.strip():
+        raise ValueError("the text is empty")
     parser = _Parser(_tokenize(text))
     value = parser.parse_sum()
     if parser.pos != len(parser.tokens):

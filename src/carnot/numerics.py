@@ -19,9 +19,10 @@ over the axes they move: a flow along a layer-k direction leaves the lower
 layers and the other layer-k axes on their nodes, and those axes are read
 at their node index.
 
-scipy is imported only inside the functions that build or factor sparse
-matrices, so importing the package, and every exact computation, leaves
-it unloaded; the first solve loads it.
+scipy is imported only inside the functions that build sparse matrices,
+so importing the package, and every exact computation, leaves it
+unloaded; the first solve loads ``scipy.sparse`` and no other scipy
+package: the solver factors no sparse matrix.
 """
 
 from __future__ import annotations
@@ -669,8 +670,8 @@ def _interpolation(size):
     return sparse.csr_matrix((vals, (rows, cols)), shape=(size, coarse))
 
 
-# power steps behind each level's estimate of the spectral radius of D^-1 K
-POWER_STEPS = 12
+# Lanczos steps behind each level's estimate of the spectral radius of D^-1 K
+LANCZOS_STEPS = 4
 
 # bytes that one slab of the product K P may take while a Galerkin level
 # is formed (see _galerkin_product); smaller slabs cost time, since each
@@ -718,16 +719,25 @@ def _galerkin_product(k, prolong, restrict, planes):
 
 
 def _jacobi_weights(k):
-    """omega / diag(K) with omega = 4 / (3 rho), rho a power-iteration
-    estimate of the spectral radius of D^-1 K from a fixed start vector."""
+    """omega / diag(K) with omega = 4 / (3 rho), rho the largest Ritz value
+    of LANCZOS_STEPS Lanczos steps on D^-1/2 K D^-1/2 (the spectrum of
+    D^-1 K) from a fixed start vector: a lower bound on rho."""
     dinv = 1.0 / k.diagonal()
+    scale = np.sqrt(dinv)
     v = np.random.default_rng(0).standard_normal(k.shape[0])
-    for _ in range(POWER_STEPS):
-        kv = k @ v
-        # Rayleigh quotient in the D inner product: a lower bound on rho
-        rho = _dot(v, kv) / _dot(v, v / dinv)
-        v = dinv * kv
-        v /= np.abs(v).max()
+    v /= math.sqrt(_dot(v, v))
+    v_prev, beta, alphas, betas = 0.0, 0.0, [], []
+    for _ in range(min(LANCZOS_STEPS, k.shape[0])):
+        w = scale * (k @ (scale * v)) - beta * v_prev
+        alphas.append(_dot(v, w))
+        w -= alphas[-1] * v
+        beta = math.sqrt(_dot(w, w))
+        if beta == 0.0:         # v spans an invariant subspace
+            break
+        betas.append(beta)
+        v_prev, v = v, w / beta
+    off = betas[:len(alphas) - 1]
+    rho = np.linalg.eigvalsh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))[-1]
     return (4.0 / (3.0 * rho)) * dinv
 
 
@@ -738,27 +748,29 @@ class VCycle:
     :func:`_interpolation`, while the upper layers keep every node: the
     sub-Laplacian reaches them only through its coefficients, so it couples
     strongly only along the horizontal axes.  Once no horizontal axis has
-    more than two interior nodes the upper-layer axes are coarsened too, so
-    that the LU at the bottom sees at most two interior nodes per axis.
+    more than two interior nodes the upper-layer axes are coarsened too,
+    and once no axis has more than two, every axis halves to one node: the
+    bottom is an ncomp x ncomp block, applied as its dense inverse.
     Coarse operators are Galerkin products P^T K P, with P the Kronecker
     product of the axis interpolations and the identity on the components,
     formed by slabs of coarse x-planes (:func:`_galerkin_product`) so that
     no level holds the whole product K P; each level smooths with one
-    damped Jacobi sweep before and one after.
+    damped Jacobi sweep before and one after, weighted by
+    :func:`_jacobi_weights`.
     Calling the cycle on a residual returns the correction; ``applications``
     counts the calls.
     """
 
     def __init__(self, k, grid: Grid, ncomp):
         from scipy import sparse
-        from scipy.sparse.linalg import splu
 
         shape = [s - 2 for s in grid.shape]
         horizontal = [grid.axis_of((1, i)) for i in range(1, grid.spec.m + 1)]
-        self.levels = []        # (K, omega D^-1, P, P^T) per level above the LU
-        while any(s > 2 for s in shape):
+        self.levels = []        # (K, omega D^-1, P, P^T) per level above the bottom
+        while any(s > 1 for s in shape):
             axes = ([ax for ax in horizontal if shape[ax] > 2]
-                    or [ax for ax, s in enumerate(shape) if s > 2])
+                    or [ax for ax, s in enumerate(shape) if s > 2]
+                    or [ax for ax, s in enumerate(shape) if s > 1])
             factors = [sparse.identity(s, format="csr") for s in shape + [ncomp]]
             for ax in axes:
                 factors[ax] = _interpolation(shape[ax])
@@ -768,7 +780,7 @@ class VCycle:
             self.levels.append((k, _jacobi_weights(k), prolong, restrict))
             k = _galerkin_product(k, prolong, restrict, shape[0])
             _release_freed_memory()
-        self.coarsest = splu(k.tocsc())
+        self.coarsest = np.linalg.inv(k.toarray())     # ncomp x ncomp
         self.applications = 0
 
     def __call__(self, r):
@@ -779,7 +791,7 @@ class VCycle:
             down.append((x, r))
             kx = k @ x
             r = restrict @ np.subtract(r, kx, out=kx)
-        x = self.coarsest.solve(r)
+        x = self.coarsest @ r
         for (k, weights, prolong, _), (x_pre, r) in zip(self.levels[::-1], down[::-1]):
             x = prolong @ x
             x += x_pre

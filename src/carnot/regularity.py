@@ -40,6 +40,21 @@ def excess(u: GridField, center, radius) -> float:
     return total / count
 
 
+def shrink_factor(tau):
+    """``tau``, refused unless it lies in (0, 1)."""
+    if not (0 < tau < 1):
+        raise ValueError("shrink factor must lie in (0, 1)")
+    return tau
+
+
+def fit_radii(radii):
+    """The radii as a list, refused unless at least two are distinct."""
+    radii = list(radii)
+    if len(set(radii)) < 2:
+        raise ValueError(f"the decay fit needs two distinct radii, got {radii}")
+    return radii
+
+
 def excess_decay_check(u: GridField, center, tau, radius, radii):
     """Decay ratios of the excess under radius shrinking.
 
@@ -49,11 +64,7 @@ def excess_decay_check(u: GridField, center, tau, radius, radii):
     (excess times ball volume) against ``log`` radius.  Every ball is read
     off one gauge distance pass.
     """
-    if not (0 < tau < 1):
-        raise ValueError("shrink factor must lie in (0, 1)")
-    radii = list(radii)
-    if len(set(radii)) < 2:
-        raise ValueError(f"the decay fit needs two distinct radii, got {radii}")
+    tau, radii = shrink_factor(tau), fit_radii(radii)
     grid = u.grid
     q_hom = grid.spec.homogeneous_dimension()
     small, large, *fit = gauge_balls(grid, center, [tau * radius, radius] + radii)

@@ -1,8 +1,10 @@
-"""The benchmark's span tracer still finds every name it wraps.
+"""The benchmark's span tracer still finds every name it wraps, and its
+``exact`` passes keep their bits.
 
 ``perfbench/spans.py`` re-binds named ``carnot`` functions and methods; a
 rename or deletion in the package would otherwise only show up in a traced
-benchmark run.
+benchmark run.  ``perfbench/workloads.py`` digests everything an ``exact``
+pass computes; the digests below pin the exact layers' results.
 """
 
 import importlib
@@ -13,11 +15,11 @@ import carnot.cli  # noqa: F401  (imports every carnot module)
 from carnot.algebra import AlgebraElement
 from carnot.catalog import heisenberg
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -32,7 +34,7 @@ def _target(modname, attr):
 
 
 def test_tracer_installs_and_restores_every_target():
-    spans = _load_spans()
+    spans = _load("spans")
     before = {(mod, attr): _target(mod, attr) for mod, attr, _, _ in spans.TARGETS}
     spec = heisenberg()
     x, y = (AlgebraElement.basis(spec, (1, i)) for i in (1, 2))
@@ -48,3 +50,22 @@ def test_tracer_installs_and_restores_every_target():
         tracer.uninstall()
     for key, original in before.items():
         assert _target(*key) is original, key
+
+
+# the PassResult digests (SHA-256) of exact passes 0-2 at seed 1: they hash
+# exact results only (Fractions, term counts and sweep reports), so no
+# numpy or BLAS build moves them
+EXACT_PASS_DIGESTS = [
+    "3a0184ef2ed033d7a256ed7bf6f137d0d819e00c7821395fb13901303edc79f9",
+    "b9e31303f39907137d7e91e4d035e25e134f3f229c2db58cd43c99e16e7982c6",
+    "59be70b03ad90261d48254b07bf3f830f897fe8c0df6b291058c8d2bf1d45dc3",
+]
+
+
+def test_exact_passes_keep_their_digests():
+    workloads = _load("workloads")
+    state = workloads.exact_setup(1)
+    for index, want in enumerate(EXACT_PASS_DIGESTS):
+        result = workloads.exact_pass(state, 1, index)
+        assert (result.attempted, result.failed) == (1405, 0)
+        assert result.digest() == want, index

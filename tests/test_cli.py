@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -418,6 +419,11 @@ def test_verify_constant_not_positive_exits_1(runner):
      "abelian:n)"),
     (["group", "gauge", "--group", "free:2,", "--point", "0"],
      "No such file or directory: 'free:2,', and not a builtin group"),
+    # empty polynomial text, whole or one component of a list
+    (["solve", "--f", "p11;"], "--f takes polynomials, got 'p11;': component 2 is empty"),
+    (["solve", "--bc", ""], "--bc takes polynomials, got '': the text is empty"),
+    (["fields", "residual", "--u", "poly:"], "got 'poly:': the text is empty"),
+    (["fields", "residual", "--u", "p11; ;p21"], "component 2 is empty"),
 ])
 def test_domain_errors_exit_2_with_one_line(runner, args, message):
     result = runner.invoke(main, args)
@@ -480,7 +486,7 @@ def test_default_suite_json_keeps_its_bytes(tmp_path):
                        OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     assert done.returncode == 0, done.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "efed9b28280b39d28ead1d1d209ed35814e4a01a59c3ee5be96bd2df27edfa2e")
+        "efba5783b108654349e0923a1529d504f88dc45647c69adf3408bcdcdef6e859")
 
 
 def test_package_runs_as_a_module():
@@ -506,13 +512,35 @@ from carnot.poly import PolyFunction
 spec = heisenberg()
 carnot.numerics.assemble_and_solve(spec, SystemCoefficients.identity(1, spec.m),
                                    [PolyFunction.variable((1, 1))], n=6)
-print("scipy.sparse" in sys.modules)
+print(json.dumps(sorted(sys.modules)))
 """
     done = _run_python("-c", script)
     assert done.returncode == 0, done.stderr
-    imported, solved = done.stdout.splitlines()
-    assert _scipy_modules(json.loads(imported)) == []
-    assert solved == "True"
+    imported, solved = (json.loads(line) for line in done.stdout.splitlines())
+    assert _scipy_modules(imported) == []
+    # the solve needs scipy's sparse matrices but none of its linear algebra
+    assert "scipy.sparse" in solved
+    assert "scipy.sparse.linalg" not in solved and "scipy.linalg" not in solved
+
+
+def _imported_names(path):
+    """Every module an import statement of the file names, with each name
+    a ``from`` import takes appended to its module."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_no_module_imports_scipy_linear_algebra():
+    package = Path(carnot.__file__).resolve().parent
+    imports = {(path.name, name) for path in package.glob("*.py")
+               for name in _imported_names(path)}
+    assert ("numerics.py", "scipy.sparse") in imports
+    assert [(file, name) for file, name in sorted(imports)
+            if re.match(r"scipy(\.sparse)?\.linalg\b", name)] == []
 
 
 def test_exact_cli_command_loads_no_scipy():
@@ -652,6 +680,8 @@ def test_an_output_path_is_refused_before_the_work(runner, monkeypatch, tmp_path
     (["verify", "decay", "--radii", "0.5,x"], "carnot.numerics.assemble_and_solve"),
     (["solve", "--f", "p11;"], "carnot.numerics.assemble_and_solve"),
     (["rewrite", "trace", "--step", "3", "--profile", "1,"], "carnot.rewrite.reduce_to_base"),
+    (["verify", "decay", "--n", "48", "--tau", "2"], "carnot.numerics.assemble_and_solve"),
+    (["verify", "decay", "--n", "48", "--radii", "1"], "carnot.numerics.assemble_and_solve"),
 ])
 def test_an_option_value_is_read_before_the_work(runner, monkeypatch, args, work):
     monkeypatch.setattr(work, _work_not_expected)

@@ -81,10 +81,10 @@ ROWS = [
      "b4673b51a1619f5211ffef80afabef8f2601d277bd2a4e920af13cb0c005be35",
      {}),
     ("solve --group heisenberg --n 16 --bc poly:p11 --out u.csv", 0,
-     "23254e242c39e030a840522ca306ecc1e5ed6b33ee9720ff113fa93a38ef45b7",
-     {"u.csv": "7db676ac771aaedd8fa19015055dec8857414cc83e493cc84b4b577842bc0443"}),
+     "dfa0c6a7a7c5cf7f9253f21a813feb5268e67c1ff783ae521da7d99c60c74a22",
+     {"u.csv": "d1ffd59a1ba568365cf15863e343f084a7897c62475c78cf9a7be790f68b21c9"}),
     ("verify caccioppoli --n 12", 0,
-     "1cf5b4d9d71c48b5f16e337b320d6cf7506198565973c86bbda3ebe046f4669d",
+     "79b7c7c02e300a6618db79d952ec05cbfcd1303b91bb31dabc7550a1d8a1140a",
      {}),
     ("verify peetre --n 9", 0,
      "493c60f4e7df952544dfddf33b1b599eec00f1a881dd6986a36d08897654b553",
@@ -93,13 +93,13 @@ ROWS = [
      "0475de558509e63f58ba31c241ee0046114b296afd4b9388f95530d3f50d32ee",
      {}),
     ("verify decay --n 24 --tau 0.5 --radii 0.25,0.5,1", 0,
-     "d4af4ee0783a6c131d987476b7e6db3ad1f8ab97ccb88c87aeee6981bf6df025",
+     "0270882fc1a39b8afd73524b67550587c892e5b480d9877c65d1315973ae5417",
      {}),
     ("verify supbound --n 12", 0,
-     "2e57c9d24be1b85b8e4cd6ab53e74fe7edbfa6d2171b0defcbf12dfccb4b9a91",
+     "2c0cbda833dcf6fffb137b746649e34cc1888859caa7d4ee551cbfc83f81f00e",
      {}),
     ("verify estimate --n 12", 0,
-     "ec0f7b3537f8a8116435c3edf94783c71bccb79ab60f889326489941008484e8",
+     "24f036f07ef57aacc18a4b971c12367496a0dd0e45b8bc47c42b980d88080cc9",
      {}),
 ]
 

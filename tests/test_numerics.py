@@ -1096,9 +1096,25 @@ def test_vcycle_is_symmetric_positive_definite(name, n, ncomp, monkeypatch):
         assert abs(float(mx @ y) - float(x @ my)) <= 1e-12 * math.sqrt(x_mx * y_my)
 
 
-# levels: the horizontal axes halve down to two interior nodes, then the
-# upper-layer axes do (Heisenberg n = 16: 14, 7, 4, 2 horizontally, then
-# 7, 4, 2 vertically, one LU level)
+@pytest.mark.parametrize("name,n,ncomp", [("engel", 10, 1), ("heisenberg", 10, 2)])
+def test_lanczos_estimate_keeps_every_jacobi_sweep_contracting(name, n, ncomp, monkeypatch):
+    # rho-hat is a Ritz value, so at most rho; at 3/4 rho or more, omega rho
+    # is at most 16/9 < 2 and the damped sweep contracts
+    spec, A, boundary, f, f_i = _system_case(name, ncomp)
+    _, _, kwargs = _captured_cg_call(monkeypatch, spec, A, boundary, f, f_i, n)
+    checked = 0
+    for k, weights, *_ in kwargs["M"].levels:
+        if k.shape[0] > 1024:
+            continue
+        diag = k.diagonal()
+        scale = 1.0 / np.sqrt(diag)
+        rho = np.linalg.eigvalsh(scale[:, None] * k.toarray() * scale)[-1]
+        rho_hat = 4.0 / (3.0 * weights * diag)
+        assert np.all((0.75 * rho <= rho_hat) & (rho_hat <= rho * (1 + 1e-12)))
+        checked += 1
+    assert checked >= 4
+
+
 @pytest.mark.parametrize("name,n", [("heisenberg", 9), ("free:2,3", 7)])
 def test_vcycle_depends_on_the_values_of_k_only(name, n, monkeypatch):
     # the solver hands the cycle K with sorted indices, and a cycle built
@@ -1190,8 +1206,13 @@ def test_galerkin_slabs_have_the_bits_of_the_whole_product(name, n, ncomp, monke
     assert slab_sol.solve_report == whole_sol.solve_report
 
 
+# levels: the horizontal axes halve down to two interior nodes, then the
+# upper-layer axes do, then every axis halves to one node, whose
+# ncomp x ncomp block is the bottom (Heisenberg n = 16: 14, 7, 4, 2
+# horizontally, then 7, 4, 2 vertically, then 1 on all three axes: seven
+# smoothed levels and the bottom)
 @pytest.mark.parametrize("name,n,levels", [
-    ("heisenberg", 16, 7), ("heisenberg", 32, 9), ("engel", 12, 7), ("free:2,3", 8, 5),
+    ("heisenberg", 16, 8), ("heisenberg", 32, 10), ("engel", 12, 8), ("free:2,3", 8, 6),
 ])
 def test_vcycle_iterations_stay_bounded(name, n, levels):
     spec = resolve_group(name)

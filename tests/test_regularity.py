@@ -242,12 +242,12 @@ def _report_digest(report):
 # values and mask bytes, then its epsilon and normalization); a numpy or
 # scipy upgrade may move these bits without any change to the package
 ESTIMATE_DIGESTS = {
-    "caccioppoli": "88d8c79efc4e3d23fa1fe1276b3c719f55354c71f8aa89caa9cb1807d4237633",
-    "excess_decay_origin": "984e364d4c241a1ab5527bd033bc6659894648652d142a793830ad9b4780a41b",
-    "excess_decay_offset": "90018777973a36f04194194d4ed21932a0952817dbbd87491ececf0a1072aaf2",
-    "sup": "833741d5bfbbc95c7d3c28550e96d3e82e08d512a84cc9a509e3c0a5522c3fda",
-    "higher_order": "dcd8f872d46191555404070bf4b5d4c1d823cbc952101b19d26f533930dfe493",
-    "blowup": "8b8c0a0df7c8722128c5aad365b350ddd22d66d2c0f2722aaa7da72de8b94b54",
+    "caccioppoli": "1f4bac7b8009bfa091eb2877234e73980bf13da6c3ac83e16a0a65df112e8317",
+    "excess_decay_origin": "b649901287179ca0e39c447ed0a9955dfc2cb835e24a9e057eb301c8b0333d2a",
+    "excess_decay_offset": "b61215d1ff7e7dd9f2c6d88f0a6f9e5c59d1849cfb8ad754a9add52a52527d8e",
+    "sup": "b72b1fb9bf9cb1f9c62a15a527fa03eb0310bf5dfa7c9d28da6802f6e0843f3c",
+    "higher_order": "b92cd85c5fae025345fdbe558efa5d8014b5598249d5ef48d5427ad3e407223d",
+    "blowup": "66e192a0cb48ad7fd9f1bea62b67d6d8de68315323dbe76f9a97ea42a21e29be",
     "hormander": "bbe79e17f44049576f87f0bfae7f93628c9b41be845d0daca4f76678c5219d88",
 }
 
