@@ -45,7 +45,6 @@ from .rewrite import (
     expand_fi,
     naive_order_obstruction,
     reduce_to_base,
-    t2_step,
     termination_sweep,
     verify_rewrite_identity,
 )

@@ -84,6 +84,7 @@ def _comma_list(convert, count=None):
 
 _LABEL = _option(_comma_list(int, count=2), "a basis label k,i")
 _POINT = _option(_comma_list(parse_rational), "comma-separated coordinates")
+_RADIUS = _option(numerics.ball_radius, "a ball radius")
 
 
 def _sig6(value):
@@ -419,7 +420,7 @@ def _report_stable(rep, constant):
 @group_option
 @click.option("--n", type=int, default=32, show_default=True)
 @click.option("--bc", default="poly:p11*p21", show_default=True, callback=_POLYS)
-@click.option("--radius", type=float, default=0.45, show_default=True)
+@click.option("--radius", type=float, default=0.45, show_default=True, callback=_RADIUS)
 def verify_caccioppoli(spec, n, bc, radius):
     sol = _solve(spec, n, bc)
     rep = numerics.caccioppoli_check(sol, radius=radius)
@@ -478,8 +479,8 @@ def _bump_field(spec, n, support=0.8):
 @click.option("--tau", type=float, default=0.5, show_default=True,
               callback=_option(regularity.shrink_factor, "a shrink factor"))
 @click.option("--radii", default="0.25,0.5,1", show_default=True,
-              callback=_option(lambda text: regularity.fit_radii(_comma_list(float)(text)),
-                               "comma-separated radii"))
+              callback=_option(lambda text: regularity.fit_radii(map(
+                  numerics.ball_radius, _comma_list(float)(text))), "comma-separated radii"))
 def verify_decay(spec, n, bc, tau, radii):
     sol = _solve(spec, n, bc)
     center = [0.0] * len(spec.basis)
@@ -494,7 +495,7 @@ def verify_decay(spec, n, bc, tau, radii):
 @group_option
 @click.option("--n", type=int, default=32, show_default=True)
 @click.option("--bc", default="poly:p11*p21", show_default=True, callback=_POLYS)
-@click.option("--radius", type=float, default=0.4, show_default=True)
+@click.option("--radius", type=float, default=0.4, show_default=True, callback=_RADIUS)
 def verify_supbound(spec, n, bc, radius):
     sol = _solve(spec, n, bc)
     center = [0.0] * len(spec.basis)
@@ -506,7 +507,7 @@ def verify_supbound(spec, n, bc, radius):
 @group_option
 @click.option("--n", type=int, default=32, show_default=True)
 @click.option("--bc", default="poly:p12", show_default=True, callback=_POLYS)
-@click.option("--radius", type=float, default=0.4, show_default=True)
+@click.option("--radius", type=float, default=0.4, show_default=True, callback=_RADIUS)
 def verify_estimate(spec, n, bc, radius):
     sol = _solve(spec, n, bc)
     rep = regularity.higher_order_estimate_check(sol, radius=radius)
@@ -516,11 +517,11 @@ def verify_estimate(spec, n, bc, radius):
 # ---------------------------------------------------------------- suite
 
 @main.command("suite")
-@click.option("--n", type=int, default=32, show_default=True)
-@click.option("--seed", type=int, default=12345, show_default=True)
-@click.option("--triples", type=int, default=200, show_default=True)
-@click.option("--samples", type=int, default=200_000, show_default=True)
-@click.option("--sweep-total", type=int, default=5, show_default=True)
+@click.option("--n", type=int, default=RunConfig.n, show_default=True)
+@click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
+@click.option("--triples", type=int, default=RunConfig.assoc_triples, show_default=True)
+@click.option("--samples", type=int, default=RunConfig.mc_samples, show_default=True)
+@click.option("--sweep-total", type=int, default=RunConfig.sweep_total, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
               default="json", show_default=True)
 @click.option("--json", "out", type=click.Path(), default=None, callback=_writable)

@@ -115,7 +115,10 @@ class SystemCoefficients:
         if not m or rows != [[[m] * m] * n] * n:
             raise ValueError(f"coefficients must be N x N x m x m with m >= 1; the rows "
                              f"of the (alpha, beta) blocks have lengths {rows}")
-        self.A = a
+        # the exact (mN) x (mN) form on xi, rows and columns in the slots
+        # (alpha, i)
+        self._rows = [[a[alpha][beta][i][j] for beta in range(n) for j in range(m)]
+                      for alpha in range(n) for i in range(m)]
 
     @staticmethod
     def identity(n_components, m):
@@ -133,18 +136,11 @@ class SystemCoefficients:
         )
 
     def entry(self, alpha, beta, i, j):
-        return self.A[alpha][beta][i][j]
-
-    def _form_rows(self):
-        """The exact (mN) x (mN) form on xi, rows and columns in the slots
-        (alpha, i)."""
-        n, m = self.n_components, self.m
-        return [[self.A[alpha][beta][i][j] for beta in range(n) for j in range(m)]
-                for alpha in range(n) for i in range(m)]
+        return self._rows[alpha * self.m + i][beta * self.m + j]
 
     def quadratic_form_matrix(self):
         """The (mN) x (mN) matrix of the form on xi with slots (alpha, i)."""
-        return np.array(self._form_rows(), dtype=float)
+        return np.array(self._rows, dtype=float)
 
     def coercivity_margin(self):
         """Smallest eigenvalue of the symmetric part of the form, in floats;
@@ -157,8 +153,8 @@ class SystemCoefficients:
         """The Legendre condition, decided exactly: the symmetric part of the
         form is positive definite, so every pivot of its LDL^T
         factorisation over the rationals, taken in order, is positive."""
-        rows = self._form_rows()
-        sym = [[(a + b) / 2 for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))]
+        sym = [[(a + b) / 2 for a, b in zip(row, col)]
+               for row, col in zip(self._rows, zip(*self._rows))]
         for k, pivot_row in enumerate(sym):
             if pivot_row[k] <= 0:
                 return False

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import AlgebraSpec, combination_bracket
-from .poly import PolyFunction, compile_polys, run_arrays, run_exact, run_float
+from .poly import PolyFunction, compile_polys, run_arrays, run_exact
 
 
 class Point:
@@ -159,7 +159,7 @@ def bch_product(p: Point, q: Point) -> Point:
     exact, floating = _law_program(spec)
     values = p.sequence() + q.sequence()
     if any(isinstance(v, float) for v in values):
-        out = run_float(floating, [float(v) for v in values])
+        out = [float(v) for v in run_arrays(floating, values)]
     else:
         out = run_exact(exact, values)
     return Point(spec, dict(zip(spec.basis, out)))

@@ -296,13 +296,19 @@ def gauge_distance_arrays(grid: Grid, center=None):
     return gauge_norm_arrays(spec, dict(zip(spec.basis, coords)))
 
 
+def ball_radius(r):
+    """``r``, refused unless it is finite and positive."""
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"a ball radius must be finite and positive, got {r}")
+    return r
+
+
 def gauge_balls(grid: Grid, center, radii):
     """Masks of the gauge balls about ``center`` of the given radii, from
-    one distance pass; raises ``ValueError`` on a radius that is not
-    finite and positive, and when the smallest ball holds no node."""
+    one distance pass; raises ``ValueError`` on a radius refused by
+    :func:`ball_radius`, and when the smallest ball holds no node."""
     for r in radii:
-        if not (math.isfinite(r) and r > 0):
-            raise ValueError(f"a ball radius must be finite and positive, got {r}")
+        ball_radius(r)
     dist = gauge_distance_arrays(grid, center)
     balls = [dist < r for r in radii]
     if not balls[int(np.argmin(radii))].any():
@@ -338,16 +344,14 @@ def sobolev_norm(u: GridField, order, region):
     Raises :class:`MarginTooSmall` when the derivative stencils do not
     cover the region.
     """
-    spec = u.grid.spec
     total = math.sqrt(l2_norm_sq(u, region))
     level = {(): u}
     for _ in range(order):
         nxt = {}
         for word, fld in level.items():
-            for i in range(1, spec.m + 1):
-                d = centered_derivative(fld, (1, i))
-                require_stencil_cover(region, [d])
-                nxt[word + ((1, i),)] = d
+            grads = horizontal_gradient(fld)
+            require_stencil_cover(region, grads)
+            nxt.update({word + ((1, i),): d for i, d in enumerate(grads, 1)})
         for fld in nxt.values():
             total += math.sqrt(l2_norm_sq(fld, region))
         level = nxt

@@ -333,13 +333,21 @@ def run_exact(program, values):
     return out
 
 
-def run_float(program, values, power=pow, skip=()):
-    # floats, or numpy arrays of one shape with power=np.float_power (the C
-    # pow of the scalar x ** e; numpy's ** and np.power, even x*x for
-    # e == 2, are an ulp off it at some points).  A term with an input in
-    # ``skip`` is left out: for scalar zeros and finite inputs no bit
-    # changes (sums start at +0.0), but a 0*inf term is dropped.  x**1
-    # would copy an array.
+def run_arrays(program, values):
+    """The float program on numbers or numpy arrays broadcast together;
+    every output has the broadcast shape."""
+    shape = np.broadcast_shapes(*map(np.shape, values))
+    # full-shape arrays, so the running products and sums work in place
+    values = [np.broadcast_to(v, shape) if isinstance(v, np.ndarray) else float(v)
+              for v in values]
+    # np.float_power is the C pow of the scalar x ** e (numpy's ** and
+    # np.power, even x*x for e == 2, are an ulp off it at some points).  A
+    # term with a zero number input is left out while every number input is
+    # finite: for finite array entries no bit changes (sums start at +0.0),
+    # and a number 0*inf still makes its nan.  x**1 would copy an array.
+    skip = {i for i, v in enumerate(values) if isinstance(v, float) and v == 0}
+    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+        skip = ()
     out = []
     for terms in program:
         total = 0.0
@@ -348,19 +356,7 @@ def run_float(program, values, power=pow, skip=()):
                 continue
             term = c
             for i, e in factors:
-                term *= values[i] if e == 1 else power(values[i], e)
+                term *= values[i] if e == 1 else np.float_power(values[i], e)
             total += term
-        out.append(total)
+        out.append(total if np.shape(total) == shape else np.full(shape, total))
     return out
-
-
-def run_arrays(program, values):
-    """:func:`run_float` on numbers or numpy arrays broadcast together;
-    every output is an array of the broadcast shape."""
-    shape = np.broadcast_shapes(*map(np.shape, values))
-    # full-shape arrays, so the running products and sums work in place
-    values = [np.broadcast_to(v, shape) if isinstance(v, np.ndarray) else float(v)
-              for v in values]
-    skip = {i for i, v in enumerate(values) if isinstance(v, float) and v == 0}
-    out = run_float(program, values, np.float_power, skip)
-    return [v if np.shape(v) == shape else np.full(shape, v) for v in out]

@@ -456,40 +456,6 @@ def _expansion_successors(profile):
     return succ
 
 
-def t2_step(profile):
-    """Successors of one step on a profile populated only at the lowest and
-    top layers.
-
-    Raises :class:`ClassificationFailure` unless every successor lost at
-    least one lowest-layer letter without losing mass anywhere else and
-    without increasing the total.
-    """
-    r = profile.r
-    low = profile.lowest_layer()
-    if low is None:
-        return []
-    if not profile.middle_is_empty():
-        raise ValueError("t2 step needs an empty middle range")
-    if low == r:
-        raise ValueError("top-layer-only profiles reduce by the top-layer iteration")
-    succ = _expansion_successors(profile)
-    for s in succ:
-        ok = (
-            s.profile.total() <= profile.total()
-            and s.profile.count(low) <= profile.count(low) - 1
-            and all(
-                s.profile.count(k) >= profile.count(k)
-                for k in range(1, r + 1)
-                if k != low
-            )
-        )
-        if not ok:
-            raise ClassificationFailure(
-                profile, s, "successor violates the two-layer certificate"
-            )
-    return succ
-
-
 @dataclass(frozen=True)
 class TraceStep:
     rule: str
@@ -510,15 +476,27 @@ class TraceStep:
 
 def _step(profile):
     """One reduction step on a nonzero profile: rule ``A`` drops a top-layer
-    letter, ``T2`` is :func:`t2_step`, and otherwise the rule is that of the
-    chosen successor.  The distinct successor profiles come largest
-    ``(W, counts)`` first; the chain continues through ``out_profiles[0]``.
+    letter; ``T2``, on a profile populated only at the lowest and top layers,
+    raises :class:`ClassificationFailure` unless every successor lost a
+    lowest-layer letter, lost no other letter and did not grow in total; and
+    otherwise the rule is that of the chosen successor.  The distinct
+    successor profiles come largest ``(W, counts)`` first; the chain
+    continues through ``out_profiles[0]``.
     """
     r = profile.r
     if profile.only_top_layer():
         succ, rule = [Successor(profile.with_count(r, profile.count(r) - 1), "A")], "A"
     elif profile.middle_is_empty():
-        succ, rule = t2_step(profile), "T2"
+        succ, rule = _expansion_successors(profile), "T2"
+        low = profile.lowest_layer()
+        for s in succ:
+            if not (s.profile.total() <= profile.total()
+                    and s.profile.count(low) < profile.count(low)
+                    and all(s.profile.count(k) >= profile.count(k)
+                            for k in range(1, r + 1) if k != low)):
+                raise ClassificationFailure(
+                    profile, s, "successor violates the two-layer certificate"
+                )
     else:
         succ, rule = _expansion_successors(profile), None
     out = sorted({s.profile for s in succ}, key=lambda p: (p.w_measure(), p.counts))[::-1]

@@ -682,6 +682,12 @@ def test_an_output_path_is_refused_before_the_work(runner, monkeypatch, tmp_path
     (["rewrite", "trace", "--step", "3", "--profile", "1,"], "carnot.rewrite.reduce_to_base"),
     (["verify", "decay", "--n", "48", "--tau", "2"], "carnot.numerics.assemble_and_solve"),
     (["verify", "decay", "--n", "48", "--radii", "1"], "carnot.numerics.assemble_and_solve"),
+    (["verify", "caccioppoli", "--n", "48", "--radius", "-1"],
+     "carnot.numerics.assemble_and_solve"),
+    (["verify", "supbound", "--n", "48", "--radius", "nan"], "carnot.numerics.assemble_and_solve"),
+    (["verify", "estimate", "--n", "48", "--radius", "inf"], "carnot.numerics.assemble_and_solve"),
+    (["verify", "decay", "--n", "48", "--radii", "0.25,nan,1"],
+     "carnot.numerics.assemble_and_solve"),
 ])
 def test_an_option_value_is_read_before_the_work(runner, monkeypatch, args, work):
     monkeypatch.setattr(work, _work_not_expected)

@@ -29,7 +29,6 @@ from carnot.rewrite import (
     naive_order_obstruction,
     normalize_word,
     reduce_to_base,
-    t2_step,
     termination_sweep,
     verify_rewrite_identity,
     _recursive_f,
@@ -290,29 +289,46 @@ def test_classify_absorbs_one_leading_horizontal():
 # steps and the reduction driver
 # ---------------------------------------------------------------------------
 
-def test_t2_step_reduces_lowest_layer():
+def test_two_layer_step_reduces_lowest_layer():
     profile = LayerProfile(3, (0, 1, 2))
-    successors = t2_step(profile)
-    assert successors
-    for s in successors:
-        assert s.profile.count(2) == 0
-        assert s.profile.total() <= profile.total()
+    step = rewrite._step(profile)
+    assert step.rule == "T2" and step.out_profiles
+    for p in step.out_profiles:
+        assert p.count(2) == 0
+        assert p.total() <= profile.total()
 
 
-def test_t2_step_certificate_on_step3():
+def test_two_layer_step_certificate_on_step3():
     # every successor lost a layer-2 letter and kept its layer-3 mass
     profile = LayerProfile(3, (0, 2, 1))
-    successors = t2_step(profile)
-    for s in successors:
-        assert s.profile.count(2) <= 1 and s.profile.count(3) >= 1
-        assert s.profile.total() <= profile.total()
-    ws = {s.profile.w_measure() for s in successors}
-    assert max(ws) < profile.w_measure()
+    step = rewrite._step(profile)
+    assert step.rule == "T2"
+    for p in step.out_profiles:
+        assert p.count(2) <= 1 and p.count(3) >= 1
+        assert p.total() <= profile.total()
+    assert step.w_out == max(p.w_measure() for p in step.out_profiles) < profile.w_measure()
 
 
-def test_t2_step_rejects_middle_mass():
-    with pytest.raises(ValueError):
-        t2_step(LayerProfile(4, (0, 1, 1, 1)))
+@pytest.mark.parametrize("counts,rule", [
+    ((0, 1, 1, 1), "T1-P2"),    # middle mass: the rule of the chosen expansion
+    ((0, 2, 1), "T2"),
+    ((0, 0, 2, 0), "T2"),
+])
+def test_only_two_layer_profiles_take_t2(counts, rule):
+    assert rewrite._step(LayerProfile(len(counts), counts)).rule == rule
+
+
+@pytest.mark.parametrize("counts", [
+    (0, 2, 1),    # keeps every lowest-layer letter
+    (0, 1, 0),    # loses a top-layer letter
+    (0, 1, 3),    # grows in total
+])
+def test_two_layer_step_refuses_a_successor_outside_the_certificate(monkeypatch, counts):
+    profile = LayerProfile(3, (0, 2, 1))
+    bad = rewrite.Successor(LayerProfile(3, counts), "energy")
+    monkeypatch.setattr(rewrite, "_expansion_successors", lambda p: [bad])
+    with pytest.raises(ClassificationFailure, match="two-layer certificate"):
+        rewrite._step(profile)
 
 
 def test_reduce_zero_profile_empty_trace():
@@ -612,8 +628,9 @@ def test_step3_trace_matches_hand_computation():
 def test_lowest_at_top_minus_one_routes_through_two_layer_step():
     # mass only in the next-to-top layer: still the two-layer machinery
     profile = LayerProfile(4, (0, 0, 2, 0))
-    successors = t2_step(profile)
-    out = {s.profile.counts for s in successors}
+    step = rewrite._step(profile)
+    assert step.rule == "T2"
+    out = {p.counts for p in step.out_profiles}
     assert (0, 0, 1, 0) in out           # peeled word
     assert all(p[2] <= 1 for p in out)   # lowest-layer count dropped
 
