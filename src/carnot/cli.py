@@ -84,7 +84,7 @@ def _comma_list(convert, count=None):
 
 _LABEL = _option(_comma_list(int, count=2), "a basis label k,i")
 _POINT = _option(_comma_list(parse_rational), "comma-separated coordinates")
-_RADIUS = _option(numerics.ball_radius, "a ball radius")
+_RADIUS = _option(group.ball_radius, "a ball radius")
 
 
 def _sig6(value):
@@ -274,7 +274,7 @@ def group_dist(spec, p, q):
 
 @group_group.command("ballvol")
 @group_option
-@click.option("--radius", type=float, default=1.0, show_default=True)
+@click.option("--radius", type=float, default=1.0, show_default=True, callback=_RADIUS)
 @click.option("--samples", type=int, default=200_000, show_default=True)
 @click.option("--seed", type=int, default=12345, show_default=True)
 def group_ballvol(spec, radius, samples, seed):
@@ -392,8 +392,7 @@ def _write_csv(field, path):
     import numpy as np
 
     grid = field.grid
-    nodes = grid.node_arrays()
-    cols = [nodes[lab].ravel() for lab in grid.axes]
+    cols = [np.broadcast_to(arr, grid.shape).ravel() for arr in grid.node_arrays().values()]
     cols += [field.values[..., a].ravel() for a in range(field.n_components)]
     header = ",".join(
         [f"p_{lab[1]}_{lab[0]}" for lab in grid.axes]
@@ -480,7 +479,7 @@ def _bump_field(spec, n, support=0.8):
               callback=_option(regularity.shrink_factor, "a shrink factor"))
 @click.option("--radii", default="0.25,0.5,1", show_default=True,
               callback=_option(lambda text: regularity.fit_radii(map(
-                  numerics.ball_radius, _comma_list(float)(text))), "comma-separated radii"))
+                  group.ball_radius, _comma_list(float)(text))), "comma-separated radii"))
 def verify_decay(spec, n, bc, tau, radii):
     sol = _solve(spec, n, bc)
     center = [0.0] * len(spec.basis)

@@ -283,14 +283,20 @@ def gauge_norm_arrays(spec, coords):
     return norm
 
 
+def ball_radius(r):
+    """``r``, refused unless it is finite and positive."""
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"a ball radius must be finite and positive, got {r}")
+    return r
+
+
 def ball_volume_estimate(spec, radius, samples, seed=0, shard=1 << 16):
     """Monte-Carlo Lebesgue volume of the gauge ball with a 95% interval.
 
     Sampling is sharded with per-shard generators seeded by (seed, shard
     index), so a partition across workers would reproduce the same estimate.
     """
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"the radius must be finite and positive, got {radius}")
+    ball_radius(radius)
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     # a half width or a box volume that overflows, underflows or is

@@ -2,9 +2,11 @@
 seminorms, horizontal Sobolev norms, a weak-form solver and the energy
 inequality check.
 
-Fields live on a lattice in exponential coordinates.  A left-invariant
-derivative is discretised once, by the one-sided stencils of
-:func:`_stencil` (a coefficient array per axis displacement): the solver
+Fields live on a lattice in exponential coordinates, whose node arrays
+are the open mesh, so the group-law arrays built from them take the
+broadcast shape of the axes they read.  A left-invariant derivative is
+discretised once, by the one-sided stencils of :func:`_stencil` (a
+coefficient array per axis displacement): the solver
 accumulates the weak form from them diagonal by diagonal, and
 :func:`centered_derivative` averages the two sides applied by
 :func:`_apply_stencil`, neither through a sparse matrix;
@@ -37,7 +39,7 @@ import numpy as np
 
 from .algebra import AlgebraSpec
 from .fields import SystemCoefficients, left_invariant_field, system_residual
-from .group import gauge_norm_arrays, product_arrays
+from .group import ball_radius, gauge_norm_arrays, product_arrays
 
 
 class NumericsError(Exception):
@@ -56,8 +58,8 @@ class ZeroExcess(NumericsError):
     pass
 
 
-# the node meshes of a grid (one float64 array per axis) may take at most
-# this many bytes; a grid that would exceed it is refused before allocating
+# d full-grid float64 arrays (a flow's outputs, the stencils, the field data)
+# may take at most this many bytes; a larger grid is refused before allocating
 GRID_BYTE_LIMIT = 4 << 30
 
 
@@ -97,17 +99,15 @@ class Grid:
         self.spacing = tuple(
             2.0 * w / (s - 1) for w, s in zip(self.half_widths, self.shape)
         )
-        self._nodes = None
+        self._nodes = dict(zip(self.axes, np.ix_(*self.coords1d)))
 
     @property
     def cell_volume(self):
         return float(np.prod(self.spacing))
 
     def node_arrays(self):
-        """Dict label -> full mesh of that coordinate (computed once)."""
-        if self._nodes is None:
-            mesh = np.meshgrid(*self.coords1d, indexing="ij")
-            self._nodes = dict(zip(self.axes, mesh))
+        """Dict label -> that coordinate on the open mesh: its axis's nodes,
+        with extent 1 on every other axis."""
         return self._nodes
 
     def axis_of(self, label):
@@ -154,8 +154,8 @@ class GridField:
     def from_polys(grid, polys, name="the data"):
         if not polys:
             raise ValueError(f"{name} has no polynomial")
-        nodes = grid.node_arrays()
-        comps = [p.evaluate_arrays(nodes) for p in polys]
+        comps = [np.broadcast_to(p.evaluate_arrays(grid.node_arrays()), grid.shape)
+                 for p in polys]
         return GridField(grid, np.stack(comps, axis=-1))
 
 
@@ -164,7 +164,8 @@ class GridField:
 # ---------------------------------------------------------------------------
 
 def flow_coordinates(grid: Grid, direction, s):
-    """Coordinates of ``p * exp(s X_direction)`` for every node."""
+    """Coordinates of ``p * exp(s X_direction)`` for every node, each in
+    the shape of the node arrays it reads."""
     direction = tuple(direction)
     if direction not in grid.axes:
         raise ValueError(f"{direction} is not a coordinate axis of the grid")
@@ -190,48 +191,49 @@ def _fold(corners, fractions):
 def sample_at(field: GridField, coords, outside_zero=False):
     """Multilinear interpolation of the field at off-lattice points.
 
-    Returns ``(values, mask)``.  Points are clipped to the box; beyond it
-    by more than 1e-9 of a cell, or at a non-finite coordinate, the value
-    is 0 and the mask is cleared unless ``outside_zero`` marks the
-    extension as intended.  Where the field has invalid nodes a point is
-    valid only if their interpolated share is below 1e-9.  An axis whose
-    coordinates are the grid's node mesh is read at its node index, so
-    only the moved axes are interpolated.
+    The coordinates broadcast together to the points' shape, and each is
+    read in its own shape.  Returns ``(values, mask)``.  Points are
+    clipped to the box; beyond it by more than 1e-9 of a cell, or at a
+    non-finite coordinate, the value is 0 and the mask is cleared unless
+    ``outside_zero`` marks the extension as intended.  Where the field has
+    invalid nodes a point is valid only if their interpolated share is
+    below 1e-9.  An axis whose coordinates are its node array, broadcast,
+    is read at its node index, so only the moved axes are interpolated.
     """
     grid = field.grid
     nodes = grid.node_arrays()
-    shape = np.shape(coords[0])
-    inside = np.ones(shape, dtype=bool)
-    base = np.zeros(shape, dtype=np.intp)
+    shape = np.broadcast_shapes(*map(np.shape, coords))
+    inside = True
     # corner o of the point with lower corner ``base`` is entry base + o
-    offsets, fractions = [0], []
+    base, offsets, fractions = 0, [0], []
     for ax, (lab, arr) in enumerate(zip(grid.axes, coords)):
-        s = grid.shape[ax]
+        s, node = grid.shape[ax], nodes[lab]
         stride = math.prod(grid.shape[ax + 1:])
-        if np.shape(arr) == grid.shape and np.array_equal(arr, nodes[lab]):
-            node_index = np.arange(s).reshape((s,) + (1,) * (len(shape) - ax - 1))
-            base += node_index * stride
+        if (np.ndim(arr) >= node.ndim and np.shape(arr)[ax - node.ndim] == s
+                and np.array_equal(arr, np.broadcast_to(node, np.shape(arr)))):
+            base = base + np.arange(s).reshape(node.shape) * stride
             continue
         # the fractional index (arr + w) / h, the floor of its clipped value
         # (at most s - 2) and the fraction in [0, 1], each in place
         x = np.array(arr, dtype=float)
         x += grid.half_widths[ax]
         x /= grid.spacing[ax]
-        inside &= (x >= -1e-9) & (x <= s - 1 + 1e-9)
+        inside = inside & (x >= -1e-9) & (x <= s - 1 + 1e-9)
         # fmax and fmin drop NaN, so no non-finite value reaches the cast
         np.fmin(np.fmax(x, 0.0, out=x), s - 1.0, out=x)
         lower = x.astype(np.intp)
         np.minimum(lower, s - 2, out=lower)
         x -= lower
-        lower *= stride
-        base += lower
+        base = base + lower * stride
         offsets += [o + stride for o in offsets]
         fractions.append(x)
+    base = np.broadcast_to(base, shape)
     flat = field.values.reshape(-1, field.n_components)
     values = _fold([flat[o:].take(base, axis=0) for o in offsets],
                    [t[..., None] for t in fractions])
-    values[~inside] = 0.0
-    mask = np.ones(shape, dtype=bool) if outside_zero else inside
+    if not np.all(inside):
+        np.copyto(values, 0.0, where=~inside[..., None])
+    mask = np.full(shape, True if outside_zero else inside)
     if not np.all(field.mask):
         valid = field.mask.astype(float).ravel()
         valid = _fold([valid[o:].take(base) for o in offsets], fractions)
@@ -294,13 +296,6 @@ def gauge_distance_arrays(grid: Grid, center=None):
         spec, [-float(c) for c in center], [nodes[lab] for lab in spec.basis]
     )
     return gauge_norm_arrays(spec, dict(zip(spec.basis, coords)))
-
-
-def ball_radius(r):
-    """``r``, refused unless it is finite and positive."""
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError(f"a ball radius must be finite and positive, got {r}")
-    return r
 
 
 def gauge_balls(grid: Grid, center, radii):
@@ -419,7 +414,7 @@ def _stencil(grid: Grid, direction, sign):
     lattice, so no interpolation enters and the only invalid nodes are on
     the faces the differences step over, where every coefficient is zero.
     """
-    dim = len(grid.shape)
+    dim, nodes = len(grid.shape), grid.node_arrays()
     valid = np.ones(grid.shape, dtype=bool)
     main = np.zeros(grid.shape)
     stencil = {(0,) * dim: main}
@@ -428,7 +423,7 @@ def _stencil(grid: Grid, direction, sign):
         # the face the step would leave has no entry
         face = (slice(None),) * ax + (-1 if sign > 0 else 0,)
         valid[face] = False
-        c = coeff.evaluate_arrays(grid.node_arrays()) / (sign * grid.spacing[ax])
+        c = np.full(grid.shape, coeff.evaluate_arrays(nodes) / (sign * grid.spacing[ax]))
         c[face] = 0.0
         stencil[_unit_step(dim, ax, sign)] = c
         main += c

@@ -236,8 +236,9 @@ class PolyFunction:
         return Fraction(total) / self.den
 
     def evaluate_arrays(self, arrays):
-        """Float evaluation on numpy arrays (or numbers) per variable, as
-        a full-shape array; ``arrays`` must name every variable."""
+        """Float evaluation on numpy arrays (or numbers) per variable, in
+        the broadcast shape of the variables its terms read, as
+        :func:`run_arrays` gives it; ``arrays`` must name every variable."""
         program = compile_polys([self], list(arrays))[1]
         return run_arrays(program, list(arrays.values()))[0]
 
@@ -334,12 +335,10 @@ def run_exact(program, values):
 
 
 def run_arrays(program, values):
-    """The float program on numbers or numpy arrays broadcast together;
-    every output has the broadcast shape."""
-    shape = np.broadcast_shapes(*map(np.shape, values))
-    # full-shape arrays, so the running products and sums work in place
-    values = [np.broadcast_to(v, shape) if isinstance(v, np.ndarray) else float(v)
-              for v in values]
+    """The float program on numbers or numpy arrays that broadcast
+    together.  Each term takes the broadcast shape of its own factors and
+    each output that of its terms (a number where no array enters)."""
+    values = [v if isinstance(v, np.ndarray) else float(v) for v in values]
     # np.float_power is the C pow of the scalar x ** e (numpy's ** and
     # np.power, even x*x for e == 2, are an ulp off it at some points).  A
     # term with a zero number input is left out while every number input is
@@ -356,7 +355,7 @@ def run_arrays(program, values):
                 continue
             term = c
             for i, e in factors:
-                term *= values[i] if e == 1 else np.float_power(values[i], e)
-            total += term
-        out.append(total if np.shape(total) == shape else np.full(shape, total))
+                term = term * (values[i] if e == 1 else np.float_power(values[i], e))
+            total = total + term
+        out.append(total)
     return out

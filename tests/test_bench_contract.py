@@ -1,10 +1,11 @@
 """The benchmark's span tracer still finds every name it wraps, and its
-``exact`` passes keep their bits.
+``exact`` and ``estimates`` passes keep their bits.
 
 ``perfbench/spans.py`` re-binds named ``carnot`` functions and methods; a
 rename or deletion in the package would otherwise only show up in a traced
-benchmark run.  ``perfbench/workloads.py`` digests everything an ``exact``
-pass computes; the digests below pin the exact layers' results.
+benchmark run.  ``perfbench/workloads.py`` digests everything a pass
+computes; the digests below pin the exact layers' results and the floats
+of the estimate checks.
 """
 
 import importlib
@@ -68,4 +69,23 @@ def test_exact_passes_keep_their_digests():
     for index, want in enumerate(EXACT_PASS_DIGESTS):
         result = workloads.exact_pass(state, 1, index)
         assert (result.attempted, result.failed) == (1405, 0)
+        assert result.digest() == want, index
+
+
+# the PassResult digests of estimates passes 0-2 at seed 1: they hash the
+# floats every estimate check reports on one solved Heisenberg field, so a
+# numpy or BLAS build may move them without any change to the package
+ESTIMATE_PASS_DIGESTS = [
+    "06dcf8e8b73e6236c8527f42efa5af09bde0bbf90b30d71218afab2395900966",
+    "705f119995f6caa88e5dfa41f761264bdc884cd85c1f9afaa143b15c4bd5389c",
+    "db56b733b5ffee884bc814b98c721c9022e1a6d5f9e3723bbf5ac46e7731da59",
+]
+
+
+def test_estimates_passes_keep_their_digests():
+    workloads = _load("workloads")
+    state = workloads.estimates_setup(1)
+    for index, want in enumerate(ESTIMATE_PASS_DIGESTS):
+        result = workloads.estimates_pass(state, 1, index)
+        assert (result.attempted, result.failed) == (8, 0)
         assert result.digest() == want, index

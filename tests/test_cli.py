@@ -361,8 +361,8 @@ def test_verify_constant_not_positive_exits_1(runner):
     (["rewrite", "trace", "--step", "3", "--profile", "1,0", "--json", "/missing/dir/t.json"],
      "No such file or directory: '/missing/dir/t.json'"),
     # radii that are not finite and positive, named as given
-    (["group", "ballvol", "--radius", "nan"], "the radius must be finite and positive, got nan"),
-    (["group", "ballvol", "--radius", "inf"], "the radius must be finite and positive, got inf"),
+    (["group", "ballvol", "--radius", "nan"], "a ball radius must be finite and positive, got nan"),
+    (["group", "ballvol", "--radius", "inf"], "a ball radius must be finite and positive, got inf"),
     (["verify", "caccioppoli", "--n", "12", "--radius", "-1"],
      "a ball radius must be finite and positive, got -1.0"),
     (["verify", "decay", "--n", "12", "--radii", "0.25,nan,1"],
@@ -688,6 +688,7 @@ def test_an_output_path_is_refused_before_the_work(runner, monkeypatch, tmp_path
     (["verify", "estimate", "--n", "48", "--radius", "inf"], "carnot.numerics.assemble_and_solve"),
     (["verify", "decay", "--n", "48", "--radii", "0.25,nan,1"],
      "carnot.numerics.assemble_and_solve"),
+    (["group", "ballvol", "--radius", "nan"], "carnot.group.ball_volume_estimate"),
 ])
 def test_an_option_value_is_read_before_the_work(runner, monkeypatch, args, work):
     monkeypatch.setattr(work, _work_not_expected)

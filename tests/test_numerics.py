@@ -156,7 +156,7 @@ def test_derivative_word_masks_every_stencil_that_reads_an_invalid_node(heis):
         nodes = grid.node_arrays()
         for label, coeff in left_invariant_field(heis, lab).coeffs.items():
             ax = grid.axis_of(label)
-            reads = coeff.evaluate_arrays(nodes) != 0.0
+            reads = np.broadcast_to(coeff.evaluate_arrays(nodes), grid.shape) != 0.0
             face = np.zeros(grid.shape, dtype=bool)
             face[(slice(None),) * ax + (0,)] = face[(slice(None),) * ax + (-1,)] = True
             out &= ~face
@@ -255,8 +255,8 @@ def map_coordinates_oracle(field, coords, outside_zero=False):
     # the box, nodes outside it read as the nearest face, and the validity
     # interpolated with zero beyond the box
     grid = field.grid
-    idx = [(np.asarray(c) + w) / h
-           for c, w, h in zip(coords, grid.half_widths, grid.spacing)]
+    idx = [(c + w) / h
+           for c, w, h in zip(np.broadcast_arrays(*coords), grid.half_widths, grid.spacing)]
     inside = np.ones(np.shape(idx[0]), dtype=bool)
     for x, s in zip(idx, grid.shape):
         inside &= (x >= -1e-9) & (x <= s - 1 + 1e-9)
@@ -309,7 +309,7 @@ def test_sample_at_matches_map_coordinates_on_a_blowup_grid(heis, monkeypatch):
     seen = []
 
     def recording(u, coords, outside_zero=False):
-        seen.append(coords)
+        seen.append(np.broadcast_arrays(*coords))
         return sample_at(u, coords, outside_zero)
 
     monkeypatch.setattr(regularity, "sample_at", recording)
@@ -374,7 +374,7 @@ def test_sample_at_nonfinite_coordinates_are_outside_without_warning(heis, bad):
     u = GridField.from_polys(grid, [P11 + 2])
     coords = flow_coordinates(grid, (1, 1), 0.01)
     for ax in range(3):
-        bent = [c.copy() for c in coords]
+        bent = [np.broadcast_to(c, grid.shape).copy() for c in coords]
         bent[ax][1, 2, 3] = bad
         bent[(ax + 1) % 3][4, 4, 4] = bad
         with warnings.catch_warnings():
@@ -415,6 +415,111 @@ def test_flow_sampling_leaves_no_reference_cycles(heis):
     finally:
         if was_enabled:
             gc.enable()
+
+
+
+# -- the open mesh against dense node meshes
+
+OPEN_MESH_GROUPS = ["heisenberg", "engel", "free:2,3", "free:3,2"]
+
+
+def _open_and_dense_grids(spec, monkeypatch):
+    # two equal grids; the second hands out its node arrays as dense copies
+    widths = [0.8 + 0.1 * k for k in range(len(spec.basis))]
+    grid, dense = Grid(spec, 7, widths), Grid(spec, 7, widths)
+    nodes = {lab: np.broadcast_to(arr, grid.shape).copy()
+             for lab, arr in grid.node_arrays().items()}
+    monkeypatch.setattr(dense, "node_arrays", lambda: nodes)
+    return grid, dense
+
+
+def _full_bytes(grid, arrays):
+    return [np.broadcast_to(a, grid.shape).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("name", OPEN_MESH_GROUPS)
+def test_open_mesh_keeps_the_bits_of_dense_meshes(name, monkeypatch):
+    spec = resolve_group(name)
+    grid, dense = _open_and_dense_grids(spec, monkeypatch)
+    assert all(np.shape(a) != grid.shape for a in grid.node_arrays().values())
+    for lab in spec.basis:
+        for s in (0.1, -0.0625):
+            assert (_full_bytes(grid, flow_coordinates(grid, lab, s))
+                    == _full_bytes(grid, flow_coordinates(dense, lab, s)))
+        for sign in (1, -1):
+            (got, got_valid), (want, want_valid) = (
+                numerics._stencil(g, lab, sign) for g in (grid, dense))
+            assert list(got) == list(want)
+            assert [c.tobytes() for c in got.values()] == [c.tobytes() for c in want.values()]
+            assert np.array_equal(got_valid, want_valid)
+    rng = np.random.default_rng(11)
+    for centre in (None, list(rng.uniform(-0.3, 0.3, len(spec.basis)))):
+        assert (gauge_distance_arrays(grid, centre).tobytes()
+                == gauge_distance_arrays(dense, centre).tobytes())
+    first, top = PolyFunction.variable(spec.basis[0]), PolyFunction.variable(spec.basis[-1])
+    polys = [first ** 3 * top - top.scale(Fraction(2, 3)) + 1, PolyFunction.constant(2), top]
+    assert (GridField.from_polys(grid, polys).values.tobytes()
+            == GridField.from_polys(dense, polys).values.tobytes())
+    # the blow-up coordinates: p = centre * dilate(radius, q), q on a unit grid
+    seen = []
+
+    def recording(u, coords, outside_zero=False):
+        seen.append(coords)
+        return sample_at(u, coords, outside_zero)
+
+    monkeypatch.setattr(regularity, "sample_at", recording)
+    field = GridField.from_polys(grid, [first * top + top.scale(3) + first])
+    centre = list(rng.uniform(-0.1, 0.1, len(spec.basis)))
+    regularity.blowup_rescale(field, centre, 0.6, n=6)
+    unit = Grid(spec, 6, 1.0)
+    want = product_arrays(spec, centre, [np.broadcast_to(arr, unit.shape) * 0.6 ** lab[0]
+                                         for lab, arr in unit.node_arrays().items()])
+    (coords,) = seen
+    assert _full_bytes(unit, coords) == [w.tobytes() for w in want]
+
+
+def _dense_coords(coords):
+    return [a.copy() for a in np.broadcast_arrays(*coords)]
+
+
+def _assert_sampled_alike(u, coords):
+    for outside_zero in (False, True):
+        got, got_mask = sample_at(u, coords, outside_zero)
+        want, want_mask = sample_at(u, _dense_coords(coords), outside_zero)
+        assert got.tobytes() == want.tobytes()
+        assert got_mask.dtype == want_mask.dtype and got_mask.tobytes() == want_mask.tobytes()
+
+
+@pytest.mark.parametrize("name,shape", SAMPLED_GROUPS)
+def test_sample_at_on_broadcast_coordinates_has_the_bits_of_dense_ones(name, shape):
+    spec = resolve_group(name)
+    grid = Grid(spec, shape, [0.9 + 0.1 * ax for ax in range(len(shape))])
+    rng = np.random.default_rng(12)
+    values = rng.uniform(-4.0, 4.0, grid.shape + (2,))
+    holes = rng.random(grid.shape) < 0.05
+    for mask in (None, ~holes):
+        u = GridField(grid, values, mask)
+        for lab in spec.basis:
+            # the larger steps carry points out of the box
+            for h in (0.37, -0.037, 0.0007):
+                coords = flow_coordinates(grid, lab, h)
+                _assert_sampled_alike(u, coords)
+                # a non-finite entry in the flow's own axis and in the next
+                # one, which may be a node array
+                ax = spec.basis.index(lab)
+                for bad in (math.nan, math.inf, -math.inf):
+                    bent = [np.array(c, dtype=float) for c in coords]
+                    bent[ax].flat[1] = bad
+                    bent[(ax + 1) % len(bent)].flat[2] = bad
+                    _assert_sampled_alike(u, bent)
+
+
+def test_flows_take_the_shape_of_the_axes_they_read(heis):
+    grid = Grid(heis, 8, 1.0)
+    shapes = [np.shape(a) for a in flow_coordinates(grid, (1, 1), 0.1)]
+    assert shapes == [(8, 1, 1), (1, 8, 1), (1, 8, 8)]
+    shapes = [np.shape(a) for a in flow_coordinates(grid, (2, 1), 0.1)]
+    assert shapes == [(8, 1, 1), (1, 8, 1), (1, 1, 8)]
 
 
 # -------------------------------------------------------------- norms
@@ -650,11 +755,12 @@ def test_array_law_paths_match_the_scalar_product(name, n, monkeypatch):
     # Heisenberg, elsewhere numpy's powers within 1e-15
     spec = resolve_group(name)
     grid = Grid(spec, n, 1.0)
-    nodes = [grid.node_arrays()[lab] for lab in spec.basis]
+    nodes = [np.broadcast_to(grid.node_arrays()[lab], grid.shape) for lab in spec.basis]
     rng = np.random.default_rng(5)
     sample = rng.choice(nodes[0].size, 60, replace=False)
 
     def at_sample(arrays):
+        arrays = [np.broadcast_to(a, grid.shape) for a in arrays]
         return [[float(a.flat[j]) for a in arrays] for j in sample]
 
     for lab in spec.basis:
@@ -694,7 +800,7 @@ def test_grid_data_has_the_bits_of_the_scalar_evaluation(heis):
     # it at some nodes of linspace(-1, 1, 32)
     poly = P11 ** 4 - P21 ** 3 * P12.scale(Fraction(2, 3)) + P11 * P21 + 1
     grid = Grid(heis, 32, 1.0)
-    nodes = grid.node_arrays()
+    nodes = {lab: np.broadcast_to(arr, grid.shape) for lab, arr in grid.node_arrays().items()}
     want = np.empty(grid.shape)
     for idx in np.ndindex(grid.shape):
         total = 0.0
@@ -754,7 +860,7 @@ def test_gated_grids_far_below_the_byte_limit(heis, engel_spec):
     for spec, n in ((heis, 64), (engel_spec, 24)):
         grid = Grid(spec, n)
         meshes = sum(arr.nbytes for arr in grid.node_arrays().values())
-        assert meshes == n ** len(spec.basis) * len(spec.basis) * 8
+        assert meshes == sum(grid.shape) * 8
         assert meshes < GRID_BYTE_LIMIT / 100
 
 
@@ -801,7 +907,8 @@ def _replica_derivative(grid, direction, sign):
              (np.concatenate([rows, rows]), np.concatenate([rows + step, rows]))),
             shape=(size, size),
         ).tocsr()
-        total = total + sparse.diags(coeff.evaluate_arrays(nodes).ravel()) @ diff
+        coeffs = np.broadcast_to(coeff.evaluate_arrays(nodes), grid.shape)
+        total = total + sparse.diags(coeffs.ravel()) @ diff
         valid &= ok.reshape(grid.shape)
     return total, valid
 
@@ -815,7 +922,8 @@ def _replica_system(spec, A, n, boundary, f, f_i):
     nodes = grid.node_arrays()
 
     def values(polys):
-        return np.stack([p.evaluate_arrays(nodes) for p in polys], -1).reshape(size, ncomp)
+        return np.stack([np.broadcast_to(p.evaluate_arrays(nodes), grid.shape)
+                         for p in polys], -1).reshape(size, ncomp)
 
     k_mat = sparse.csr_matrix((size * ncomp, size * ncomp))
     b = np.zeros(size * ncomp)
@@ -943,6 +1051,7 @@ def _product_derivative(grid, direction, sign):
         face = (slice(None),) * ax + (-1 if sign > 0 else 0,)
         valid[face] = False
         c = coeff.evaluate_arrays(grid.node_arrays()) / (sign * grid.spacing[ax])
+        c = np.broadcast_to(c, grid.shape).copy()
         c[face] = 0.0
         c = c.ravel()
         stride = math.prod(grid.shape[ax + 1:])

@@ -140,7 +140,7 @@ def test_blowup_affine_shape_reproduced(heis):
     radius = 0.5
     seq = blowup_rescale(u, [0.0, 0.0, 0.0], radius, n=33)
     out = seq.rescaled
-    nodes = out.grid.node_arrays()[(1, 1)]
+    nodes = np.broadcast_to(out.grid.node_arrays()[(1, 1)], out.grid.shape)
     inside = gauge_balls(out.grid, None, [1.0])[0] & out.mask
     expected = radius * nodes / seq.epsilon
     assert np.allclose(out.values[..., 0][inside], expected[inside], atol=1e-8)
