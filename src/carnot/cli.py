@@ -85,6 +85,7 @@ def _comma_list(convert, count=None):
 _LABEL = _option(_comma_list(int, count=2), "a basis label k,i")
 _POINT = _option(_comma_list(parse_rational), "comma-separated coordinates")
 _RADIUS = _option(group.ball_radius, "a ball radius")
+_ORDER = _option(numerics.fractional_order, "a fractional order")
 
 
 def _sig6(value):
@@ -430,9 +431,12 @@ def verify_caccioppoli(spec, n, bc, radius):
 @group_option
 @click.option("--n", type=int, default=17, show_default=True)
 @click.option("--direction", default="1,1", show_default=True, callback=_LABEL)
-@click.option("--alpha", type=float, default=1.0, show_default=True)
-@click.option("--beta", type=float, default=0.5, show_default=True)
+@click.option("--alpha", type=float, default=1.0, show_default=True, callback=_ORDER)
+@click.option("--beta", type=float, default=0.5, show_default=True, callback=_ORDER)
 def verify_peetre(spec, n, direction, alpha, beta):
+    if beta > alpha:
+        raise ValueError(f"--beta {beta} exceeds --alpha {alpha}: the sandwich needs "
+                         "--beta at most --alpha")
     u = _bump_field(spec, n)
     high = numerics.peetre_seminorm(u, direction, alpha)
     low = numerics.peetre_seminorm(u, direction, beta)

@@ -361,6 +361,13 @@ def sobolev_norm(u: GridField, order, region):
 OFFSET_SAMPLES = 16
 
 
+def fractional_order(alpha):
+    """``alpha`` as a float, refused unless it lies in (0, 1]."""
+    if not (0 < alpha <= 1):
+        raise ValueError(f"a fractional order must lie in (0, 1], got {alpha}")
+    return float(alpha)
+
+
 def peetre_seminorm(u: GridField, direction, alpha, epsilon0=None) -> float:
     """Sup over sampled offsets in ``(0, epsilon0]`` of the squared flow
     quotient of fractional order ``alpha`` in (0, 1] along ``direction``.
@@ -368,8 +375,7 @@ def peetre_seminorm(u: GridField, direction, alpha, epsilon0=None) -> float:
     The field is treated as compactly supported: flows that leave the box
     read zero.
     """
-    if not (0 < alpha <= 1):
-        raise ValueError("order must lie in (0, 1]")
+    alpha = fractional_order(alpha)
     grid = u.grid
     eps0 = 4.0 * grid.horizontal_spacing() if epsilon0 is None else float(epsilon0)
     if not (math.isfinite(eps0) and eps0 > 0):
@@ -380,7 +386,7 @@ def peetre_seminorm(u: GridField, direction, alpha, epsilon0=None) -> float:
         coords = flow_coordinates(grid, direction, float(h))
         moved, _ = sample_at(u, coords, outside_zero=True)
         diff = ((moved - u.values) ** 2).sum(axis=-1)
-        val = integrate(diff, grid) / float(h) ** (2 * float(alpha))
+        val = integrate(diff, grid) / float(h) ** (2 * alpha)
         worst = max(worst, val)
     return float(worst)
 

@@ -33,12 +33,6 @@ def ball_oscillation(u: GridField, ball):
     return float(((vals - mean) ** 2).sum()), mean, len(vals)
 
 
-def excess(u: GridField, center, radius) -> float:
-    """Mean-square oscillation of the field over a gauge ball."""
-    total, _, count = ball_oscillation(u, gauge_balls(u.grid, center, [radius])[0])
-    return total / count
-
-
 def shrink_factor(tau):
     """``tau``, refused unless it lies in (0, 1)."""
     if not (0 < tau < 1):

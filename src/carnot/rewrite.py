@@ -19,7 +19,8 @@ generators' words, and a word against its normalized form, as operator
 identities on polynomials.  So the certified words are the verified words.
 
 One reduction step, largest-W successor first, serves the reduction, the
-sweep (once per profile, in ascending W) and the replay of a trace.
+stream of certified steps (once per profile, in ascending W) that the sweep
+folds, and the replay of a trace.
 """
 
 from __future__ import annotations
@@ -38,12 +39,13 @@ class RewriteError(Exception):
 
 
 class ClassificationFailure(RewriteError):
-    """A produced term fits none of the admissible bookkeeping cases."""
+    """A refused successor: the ``profile`` stepped, the ``successor``'s
+    profile, the term of its ``word`` (or ``None``) and the ``detail`` why."""
 
-    def __init__(self, profile, term, detail=""):
-        super().__init__(f"unclassifiable term {term} from {profile}: {detail}")
-        self.profile = profile
-        self.term = term
+    def __init__(self, profile, successor, word=None, detail=""):
+        by = f" by {word}" if word is not None else ""
+        super().__init__(f"unclassifiable successor {successor}{by} from {profile}: {detail}")
+        self.profile, self.successor, self.word, self.detail = profile, successor, word, detail
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +399,8 @@ def classify_successor(profile, term):
                     beta + 1
                 ) > profile.count(beta + 1):
                     return succ, "case-ii"
-        raise ClassificationFailure(profile, term, "equal total, no admissible case")
-    raise ClassificationFailure(profile, term, "total letter count grew")
+        raise ClassificationFailure(profile, succ, term, "equal total, no admissible case")
+    raise ClassificationFailure(profile, succ, term, "total letter count grew")
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +423,7 @@ _RULE_OF_FAMILY = {
 class Successor:
     profile: LayerProfile
     rule: str
+    word: SymbolicTerm | None = None  # the term it was read from, if any
 
 
 def _expansion_successors(profile):
@@ -448,11 +451,11 @@ def _expansion_successors(profile):
             if principal is not None:
                 p_term = SymbolicTerm(principal, "u", term.family)
                 prof, _ = classify_successor(profile, p_term)
-                succ.append(Successor(prof, _RULE_OF_FAMILY[term.family]))
+                succ.append(Successor(prof, _RULE_OF_FAMILY[term.family], p_term))
             for rem in remainders:
                 r_term = SymbolicTerm(rem, "u", "L4-shift")
                 prof, _ = classify_successor(profile, r_term)
-                succ.append(Successor(prof, "L4-shift"))
+                succ.append(Successor(prof, "L4-shift", r_term))
     return succ
 
 
@@ -495,7 +498,7 @@ def _step(profile):
                     and all(s.profile.count(k) >= profile.count(k)
                             for k in range(1, r + 1) if k != low)):
                 raise ClassificationFailure(
-                    profile, s, "successor violates the two-layer certificate"
+                    profile, s.profile, s.word, "successor violates the two-layer certificate"
                 )
     else:
         succ, rule = _expansion_successors(profile), None
@@ -556,26 +559,25 @@ def reduce_to_base(initial: LayerProfile) -> ReductionTrace:
     while not profile.is_zero():
         step = _step(profile)
         if step.w_out >= step.w_in:
-            worst = step.out_profiles[0]
-            raise ClassificationFailure(profile, worst, f"W did not decrease: {worst}")
+            raise ClassificationFailure(profile, step.out_profiles[0], detail=(
+                f"W did not decrease: {step.w_in} to {step.w_out}"))
         steps.append(step)
         profile = step.out_profiles[0]
     return ReductionTrace(initial, steps)
 
 
 # a sweep holds about SWEEP_BYTES_PER_PROFILE bytes for each profile of its
-# domain (the profile, its places in the domain list and in the W order and
-# its chain length: 272 measured by tracemalloc at step 12, total 6), and a
-# domain that would hold more than SWEEP_BYTE_LIMIT is refused before it is
-# enumerated
+# domain (the profile, its place in the W order and its chain's entry: 272
+# measured by tracemalloc at step 12, total 6), and a domain that would hold
+# more than SWEEP_BYTE_LIMIT is refused before it is enumerated
 SWEEP_BYTES_PER_PROFILE = 272
 SWEEP_BYTE_LIMIT = 256 << 20
 
 
-def termination_sweep(r, max_total):
-    """Reduce every profile of step ``r`` with 1..``max_total`` letters in
-    layers 2..r; a profile whose chain meets an unclassifiable term or a
-    step on which W does not drop counts once in the report."""
+def certified_steps(r, max_total):
+    """Every profile of step ``r`` with 1..``max_total`` letters in layers
+    2..r, in ascending W, with its :class:`TraceStep` or the failure its step
+    raised; the step, the total and the byte limit are checked at the call."""
     if r < 2:
         raise ValueError(f"the step must be at least 2, got {r}")
     if max_total < 1:
@@ -590,36 +592,43 @@ def termination_sweep(r, max_total):
             f"{profiles:,} profiles, about {profiles * SWEEP_BYTES_PER_PROFILE:.3e} "
             f"bytes, over the {SWEEP_BYTE_LIMIT:.3e}-byte limit"
         )
-    domain = [
-        word_profile([Letter(k) for k in layers], r)
-        for t in range(1, max_total + 1)
-        for layers in itertools.combinations_with_replacement(range(2, r + 1), t)
-    ]
-    report = {
-        "r": r,
-        "max_total": max_total,
-        "profiles": len(domain),
-        "max_trace": 0,
-        "classification_failures": 0,
-        "w_violations": 0,
-    }
+
+    def stream():
+        domain = (word_profile([Letter(k) for k in layers], r) for t in range(1, max_total + 1)
+                  for layers in itertools.combinations_with_replacement(range(2, r + 1), t))
+        for profile in sorted(domain, key=LayerProfile.w_measure):
+            try:
+                yield profile, _step(profile)
+            except ClassificationFailure as failure:
+                # the record outlives the step; the step's frames need not
+                yield profile, failure.with_traceback(None)
+
+    return stream()
+
+
+def termination_sweep(r, max_total):
+    """Reduce every profile of :func:`certified_steps`; a profile whose
+    chain meets an unclassifiable term or a step on which W does not drop
+    counts once in the report."""
+    steps = certified_steps(r, max_total)
+    report = dict(r=r, max_total=max_total, profiles=0, max_trace=0,
+                  classification_failures=0, w_violations=0)
     # ascending W, so each chain continues through a profile already swept;
-    # a broken chain's entry is the report counter naming its first break
-    length = {LayerProfile(r, (0,) * r): 0}
-    for profile in sorted(domain, key=LayerProfile.w_measure):
-        try:
-            step = _step(profile)
-            outcome = "w_violations"
-            if step.w_out < step.w_in:
-                outcome = length[step.out_profiles[0]]
-        except ClassificationFailure:
-            outcome = "classification_failures"
-        if isinstance(outcome, int):
-            outcome += 1
-            report["max_trace"] = max(report["max_trace"], outcome)
+    # a broken chain keeps the report counter naming its first break
+    length, broken = {LayerProfile(r, (0,) * r): 0}, {}
+    for profile, step in steps:
+        report["profiles"] += 1
+        if isinstance(step, ClassificationFailure):
+            broken[profile] = "classification_failures"
+        elif step.w_out >= step.w_in:
+            broken[profile] = "w_violations"
+        elif step.out_profiles[0] in broken:
+            broken[profile] = broken[step.out_profiles[0]]
         else:
-            report[outcome] += 1
-        length[profile] = outcome
+            length[profile] = length[step.out_profiles[0]] + 1
+            report["max_trace"] = max(report["max_trace"], length[profile])
+            continue
+        report[broken[profile]] += 1
     return report
 
 

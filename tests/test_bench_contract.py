@@ -1,11 +1,11 @@
 """The benchmark's span tracer still finds every name it wraps, and its
-``exact`` and ``estimates`` passes keep their bits.
+``exact``, ``solve`` and ``estimates`` passes keep their bits.
 
 ``perfbench/spans.py`` re-binds named ``carnot`` functions and methods; a
 rename or deletion in the package would otherwise only show up in a traced
 benchmark run.  ``perfbench/workloads.py`` digests everything a pass
-computes; the digests below pin the exact layers' results and the floats
-of the estimate checks.
+computes; the digests below pin the exact layers' results, the floats of
+the first solve pass and those of the estimate checks.
 """
 
 import importlib
@@ -70,6 +70,19 @@ def test_exact_passes_keep_their_digests():
         result = workloads.exact_pass(state, 1, index)
         assert (result.attempted, result.failed) == (1405, 0)
         assert result.digest() == want, index
+
+
+# the PassResult digest of solve pass 0 at seed 1 (Heisenberg n = 64 and
+# Engel n = 24, a few seconds): it hashes each solve's weak residual, unknown
+# count and values, so, as below, a numpy or BLAS build may move it
+SOLVE_PASS_DIGEST = "dff6ce0d477cf4bea0fe346c1c1cd0eadedd9f9a86d1a53c0a8b820169a3a523"
+
+
+def test_solve_pass_keeps_its_digest():
+    workloads = _load("workloads")
+    result = workloads.solve_pass(workloads.solve_setup(1), 1, 0)
+    assert (result.attempted, result.failed) == (4, 0)
+    assert result.digest() == SOLVE_PASS_DIGEST
 
 
 # the PassResult digests of estimates passes 0-2 at seed 1: they hash the

@@ -424,6 +424,15 @@ def test_verify_constant_not_positive_exits_1(runner):
     (["solve", "--bc", ""], "--bc takes polynomials, got '': the text is empty"),
     (["fields", "residual", "--u", "poly:"], "got 'poly:': the text is empty"),
     (["fields", "residual", "--u", "p11; ;p21"], "component 2 is empty"),
+    # fractional orders outside (0, 1], named by their option, and a --beta
+    # above --alpha, outside the premise of the sandwich
+    (["verify", "peetre", "--alpha", "0"],
+     "--alpha takes a fractional order, got 0.0: a fractional order must lie in (0, 1]"),
+    (["verify", "peetre", "--beta", "1.5"],
+     "--beta takes a fractional order, got 1.5: a fractional order must lie in (0, 1]"),
+    (["verify", "peetre", "--beta", "nan"], "--beta takes a fractional order, got nan"),
+    (["verify", "peetre", "--alpha", "0.5", "--beta", "0.9"],
+     "--beta 0.9 exceeds --alpha 0.5: the sandwich needs --beta at most --alpha"),
 ])
 def test_domain_errors_exit_2_with_one_line(runner, args, message):
     result = runner.invoke(main, args)
@@ -689,6 +698,9 @@ def test_an_output_path_is_refused_before_the_work(runner, monkeypatch, tmp_path
     (["verify", "decay", "--n", "48", "--radii", "0.25,nan,1"],
      "carnot.numerics.assemble_and_solve"),
     (["group", "ballvol", "--radius", "nan"], "carnot.group.ball_volume_estimate"),
+    (["verify", "peetre", "--n", "300", "--alpha", "0"], "carnot.cli._bump_field"),
+    (["verify", "peetre", "--n", "300", "--alpha", "0.5", "--beta", "0.9"],
+     "carnot.cli._bump_field"),
 ])
 def test_an_option_value_is_read_before_the_work(runner, monkeypatch, args, work):
     monkeypatch.setattr(work, _work_not_expected)

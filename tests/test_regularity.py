@@ -20,8 +20,8 @@ from carnot.numerics import (
 )
 from carnot.poly import PolyFunction
 from carnot.regularity import (
+    ball_oscillation,
     blowup_rescale,
-    excess,
     excess_decay_check,
     higher_order_estimate_check,
     sup_estimate_check,
@@ -36,6 +36,13 @@ P21 = PolyFunction.variable((2, 1))
 def harmonic32(heis):
     ident = SystemCoefficients.identity(1, 2)
     return assemble_and_solve(heis, ident, [P11], n=32)
+
+
+def excess(u, center, radius):
+    """Mean-square oscillation over a gauge ball: ``ball_oscillation``'s
+    total over its node count."""
+    total, _, count = ball_oscillation(u, gauge_balls(u.grid, center, [radius])[0])
+    return total / count
 
 
 def brute_force_excess(field, center, radius):

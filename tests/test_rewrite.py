@@ -492,6 +492,66 @@ def test_termination_sweep_counts_chains_through_a_w_violation(monkeypatch):
         reduce_to_base(stalled)
 
 
+@pytest.mark.parametrize("r, max_total, moves", [
+    (5, 6, {(3, 5): 70}),
+    (6, 5, {(3, 5): 56, (4, 6): 70}),
+    (7, 5, {(3, 5): 84, (4, 6): 112, (5, 7): 105}),
+])
+def test_certified_steps_give_the_move_of_each_failing_step(r, max_total, moves):
+    # each profile whose own step fails has one successor, at equal total,
+    # that moved one letter from a layer above the lowest two layers up
+    seen = Counter()
+    for profile, step in rewrite.certified_steps(r, max_total):
+        if isinstance(step, ClassificationFailure):
+            assert step.profile == profile
+            assert step.detail == "equal total, no admissible case"
+            delta = [b - a for a, b in zip(profile.counts, step.successor.counts)]
+            assert sorted(delta) == [-1] + [0] * (r - 2) + [1]
+            seen[delta.index(-1) + 1, delta.index(1) + 1] += 1
+    assert seen == moves
+
+
+def test_certified_steps_refuse_at_the_call_and_stream_in_ascending_w():
+    with pytest.raises(ValueError, match="the step must be at least 2, got 1"):
+        rewrite.certified_steps(1, 3)
+    with pytest.raises(ValueError, match="has over 18,446,744,073,709,551,616 profiles"):
+        rewrite.certified_steps(10 ** 9, 10 ** 9)
+    streamed = list(rewrite.certified_steps(4, 4))
+    assert len(streamed) == math.comb(4 + 3, 3) - 1
+    ws = [profile.w_measure() for profile, _ in streamed]
+    assert ws == sorted(ws)
+    assert all(step == rewrite._step(profile) for profile, step in streamed)
+
+
+def test_a_failure_names_the_profile_the_successor_its_word_and_the_reason():
+    with pytest.raises(ClassificationFailure) as failed:
+        reduce_to_base(LayerProfile(5, (0, 1, 1, 0, 0)))
+    failure = failed.value
+    assert failure.profile == LayerProfile(5, (0, 1, 1, 0, 0))
+    assert failure.successor == LayerProfile(5, (0, 1, 0, 0, 1))
+    assert failure.word == SymbolicTerm((Letter(2), Letter(5)), "u", "L4-shift")
+    assert str(failure) == (
+        "unclassifiable successor P[0, 1, 0, 0, 1] by <L4-shift: X^2·X^5 u> from "
+        "P[0, 1, 1, 0, 0]: equal total, no admissible case")
+
+
+def test_two_layer_and_w_failures_keep_the_successor_and_its_word(monkeypatch):
+    profile = LayerProfile(3, (0, 2, 1))
+    term = SymbolicTerm((Letter(2, 1),), "u", "P4")  # lost the top-layer letter
+    bad = rewrite.Successor(LayerProfile(3, (0, 1, 0)), "T1-P4", term)
+    monkeypatch.setattr(rewrite, "_expansion_successors", lambda p: [bad])
+    with pytest.raises(ClassificationFailure, match="two-layer certificate") as failed:
+        rewrite._step(profile)
+    assert (failed.value.successor, failed.value.word) == (bad.profile, term)
+    monkeypatch.undo()
+    step = rewrite._step
+    monkeypatch.setattr(rewrite, "_step", lambda p: dataclasses.replace(step(p), w_out=7))
+    with pytest.raises(ClassificationFailure) as failed:
+        reduce_to_base(profile)
+    assert (failed.value.successor, failed.value.word) == (step(profile).out_profiles[0], None)
+    assert str(failed.value).endswith("from P[0, 2, 1]: W did not decrease: 5 to 7")
+
+
 # sha256 of the JSON traces of every profile swept at r = 2, 3, 4 and
 # total <= 6 (116 profiles), rule labels included
 SWEEP_TRACES_SHA256 = "59860b361a7eb38dd8d31024d091bf295781eb9666c03aeee9f84e2c4721d21d"
