@@ -427,7 +427,8 @@ class Successor:
 
 
 def _expansion_successors(profile):
-    """All successor profiles of one differentiation step on ``profile``.
+    """Every successor profile of one differentiation step on ``profile``,
+    yielded as it is classified.
 
     The step peels one lowest-layer derivative: the remaining word is one
     such successor, and the inhomogeneous data of its system (expanded in
@@ -438,7 +439,7 @@ def _expansion_successors(profile):
     low = profile.lowest_layer()
     c = profile.count(low)
     data_profile = profile.with_count(low, c - 1)
-    succ = [Successor(data_profile, "energy")]
+    yield Successor(data_profile, "energy")
     l = low + 1
     raw = expand_f(l, data_profile) + expand_fi(l, data_profile)
     prefixes = [None] + [Letter(j) for j in range(low, r + 1)]
@@ -451,12 +452,11 @@ def _expansion_successors(profile):
             if principal is not None:
                 p_term = SymbolicTerm(principal, "u", term.family)
                 prof, _ = classify_successor(profile, p_term)
-                succ.append(Successor(prof, _RULE_OF_FAMILY[term.family], p_term))
+                yield Successor(prof, _RULE_OF_FAMILY[term.family], p_term)
             for rem in remainders:
                 r_term = SymbolicTerm(rem, "u", "L4-shift")
                 prof, _ = classify_successor(profile, r_term)
-                succ.append(Successor(prof, "L4-shift", r_term))
-    return succ
+                yield Successor(prof, "L4-shift", r_term)
 
 
 @dataclass(frozen=True)
@@ -484,26 +484,30 @@ def _step(profile):
     lowest-layer letter, lost no other letter and did not grow in total; and
     otherwise the rule is that of the chosen successor.  The distinct
     successor profiles come largest ``(W, counts)`` first; the chain
-    continues through ``out_profiles[0]``.
+    continues through ``out_profiles[0]``.  The first two-layer misfit is
+    raised after the successor stream ends, so a classification failure in
+    the stream wins.
     """
-    r = profile.r
+    r, low = profile.r, profile.lowest_layer()
     if profile.only_top_layer():
-        succ, rule = [Successor(profile.with_count(r, profile.count(r) - 1), "A")], "A"
-    elif profile.middle_is_empty():
-        succ, rule = _expansion_successors(profile), "T2"
-        low = profile.lowest_layer()
-        for s in succ:
-            if not (s.profile.total() <= profile.total()
-                    and s.profile.count(low) < profile.count(low)
-                    and all(s.profile.count(k) >= profile.count(k)
-                            for k in range(1, r + 1) if k != low)):
-                raise ClassificationFailure(
-                    profile, s.profile, s.word, "successor violates the two-layer certificate"
-                )
+        succ, two_layer = [Successor(profile.with_count(r, profile.count(r) - 1), "A")], False
     else:
-        succ, rule = _expansion_successors(profile), None
-    out = sorted({s.profile for s in succ}, key=lambda p: (p.w_measure(), p.counts))[::-1]
-    rule = rule or next(s.rule for s in succ if s.profile == out[0])
+        succ, two_layer = _expansion_successors(profile), profile.middle_is_empty()
+    rules, misfit = {}, None    # the first rule of each distinct profile
+    for s in succ:
+        rules.setdefault(s.profile, s.rule)
+        if two_layer and misfit is None and not (
+                s.profile.total() <= profile.total()
+                and s.profile.count(low) < profile.count(low)
+                and all(s.profile.count(k) >= profile.count(k)
+                        for k in range(1, r + 1) if k != low)):
+            misfit = s
+    if misfit is not None:
+        raise ClassificationFailure(
+            profile, misfit.profile, misfit.word, "successor violates the two-layer certificate"
+        )
+    out = sorted(rules, key=lambda p: (p.w_measure(), p.counts))[::-1]
+    rule = "T2" if two_layer else rules[out[0]]
     return TraceStep(rule, profile, tuple(out), profile.w_measure(), out[0].w_measure())
 
 

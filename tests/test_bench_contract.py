@@ -13,8 +13,11 @@ import importlib.util
 from pathlib import Path
 
 import carnot.cli  # noqa: F401  (imports every carnot module)
+from carnot import numerics
 from carnot.algebra import AlgebraElement
 from carnot.catalog import heisenberg
+from carnot.fields import SystemCoefficients
+from carnot.poly import PolyFunction
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -51,6 +54,24 @@ def test_tracer_installs_and_restores_every_target():
         tracer.uninstall()
     for key, original in before.items():
         assert _target(*key) is original, key
+
+
+def test_traced_solve_counts_one_cg_call_and_its_iterations():
+    # the CG hook reads K as the first positional argument and passes its
+    # own iteration callback
+    spans = _load("spans")
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        report = numerics.assemble_and_solve(
+            heisenberg(), SystemCoefficients.identity(1, 2),
+            [PolyFunction.variable((1, 1))], n=9,
+        ).solve_report
+        stats = tracer.span_stats()[0]
+    finally:
+        tracer.uninstall()
+    assert stats["numerics.cg"][0] == 1
+    assert tracer.counters[(0, "numerics.cg.iters")] == report["iterations"] > 0
 
 
 # the PassResult digests (SHA-256) of exact passes 0-2 at seed 1: they hash

@@ -331,6 +331,20 @@ def test_two_layer_step_refuses_a_successor_outside_the_certificate(monkeypatch,
         rewrite._step(profile)
 
 
+def test_a_classification_failure_in_the_stream_wins_over_a_two_layer_misfit(monkeypatch):
+    profile = LayerProfile(3, (0, 2, 1))
+    failure = ClassificationFailure(profile, LayerProfile(3, (0, 3, 1)), None, "grew")
+
+    def successors(p):
+        yield rewrite.Successor(LayerProfile(3, (0, 2, 1)), "energy")   # a misfit
+        raise failure
+
+    monkeypatch.setattr(rewrite, "_expansion_successors", successors)
+    with pytest.raises(ClassificationFailure) as failed:
+        rewrite._step(profile)
+    assert failed.value is failure
+
+
 def test_reduce_zero_profile_empty_trace():
     trace = reduce_to_base(LayerProfile(3, (0, 0, 0)))
     assert len(trace.steps) == 0
