@@ -85,6 +85,9 @@ def _comma_list(convert, count=None):
 _LABEL = _option(_comma_list(int, count=2), "a basis label k,i")
 _POINT = _option(_comma_list(parse_rational), "comma-separated coordinates")
 _RADIUS = _option(group.ball_radius, "a ball radius")
+# radii whose square or fourth power scales a check's derivative terms
+_RADIUS_SQUARED = _option(lambda r: numerics.scaling_radius(r, 2), "a ball radius")
+_RADIUS_FOURTH = _option(lambda r: numerics.scaling_radius(r, 4), "a ball radius")
 _ORDER = _option(numerics.fractional_order, "a fractional order")
 
 
@@ -420,7 +423,8 @@ def _report_stable(rep, constant):
 @group_option
 @click.option("--n", type=int, default=32, show_default=True)
 @click.option("--bc", default="poly:p11*p21", show_default=True, callback=_POLYS)
-@click.option("--radius", type=float, default=0.45, show_default=True, callback=_RADIUS)
+@click.option("--radius", type=float, default=0.45, show_default=True,
+              callback=_RADIUS_SQUARED)
 def verify_caccioppoli(spec, n, bc, radius):
     sol = _solve(spec, n, bc)
     rep = numerics.caccioppoli_check(sol, radius=radius)
@@ -486,8 +490,7 @@ def _bump_field(spec, n, support=0.8):
                   group.ball_radius, _comma_list(float)(text))), "comma-separated radii"))
 def verify_decay(spec, n, bc, tau, radii):
     sol = _solve(spec, n, bc)
-    center = [0.0] * len(spec.basis)
-    rep = regularity.excess_decay_check(sol, center, tau, max(radii), radii=radii)
+    rep = regularity.excess_decay_check(sol, None, tau, max(radii), radii=radii)
     rep["resolutions"] = [n]
     rep["threshold"] = decay_threshold(rep["Q"])
     rep["stable"] = rep["fitted_exponent"] >= rep["threshold"]
@@ -498,11 +501,11 @@ def verify_decay(spec, n, bc, tau, radii):
 @group_option
 @click.option("--n", type=int, default=32, show_default=True)
 @click.option("--bc", default="poly:p11*p21", show_default=True, callback=_POLYS)
-@click.option("--radius", type=float, default=0.4, show_default=True, callback=_RADIUS)
+@click.option("--radius", type=float, default=0.4, show_default=True,
+              callback=_RADIUS_FOURTH)
 def verify_supbound(spec, n, bc, radius):
     sol = _solve(spec, n, bc)
-    center = [0.0] * len(spec.basis)
-    rep = regularity.sup_estimate_check(sol, center, radius)
+    rep = regularity.sup_estimate_check(sol, None, radius)
     _report_stable(rep, rep["ratio"])
 
 

@@ -168,7 +168,11 @@ def bch_product(p: Point, q: Point) -> Point:
 def product_arrays(spec, p_values, q_values):
     """Float coordinates of ``p * q`` in basis order, from coordinates in
     basis order that are numbers or numpy arrays (broadcast together)."""
-    return run_arrays(_law_program(spec)[1], list(p_values) + list(q_values))
+    p_values, q_values = list(p_values), list(q_values)
+    if len(p_values) != len(spec.basis) or len(q_values) != len(spec.basis):
+        raise ValueError(f"need {len(spec.basis)} coordinates per factor, one per basis "
+                         f"element, got {len(p_values)} and {len(q_values)}")
+    return run_arrays(_law_program(spec)[1], p_values + q_values)
 
 
 def left_invariant_coefficients(spec, label):

@@ -12,14 +12,16 @@ accumulates the weak form from them diagonal by diagonal, and
 :func:`_apply_stencil`, neither through a sparse matrix;
 :func:`coordinate_derivative_matrix` is the same stencils as a sparse
 matrix, kept as the reference form.  The estimate checks take each ball
-from :func:`gauge_balls`, one gauge distance pass per centre for all of a
-check's radii, and refuse a ball their derivatives do not cover by
-:func:`require_stencil_cover`.  Group flows ``p -> p * exp(s Z)`` land
+from :func:`gauge_balls`, one gauge distance pass per centre (the origin
+too) through the group law for all of a check's radii, and their
+horizontal derivatives from :func:`horizontal_jet`, which refuses a ball
+the stencils do not cover.  Group flows ``p -> p * exp(s Z)`` land
 off-lattice and serve only where they are the definition (the fractional
 seminorms and the blow-ups).  They are sampled by a multilinear gather
 over the axes they move: a flow along a layer-k direction leaves the lower
 layers and the other layer-k axes on their nodes, and those axes are read
-at their node index.
+at their node index; a point off the box reads zero and is masked
+invalid.
 
 scipy is imported only inside the functions that build sparse matrices,
 so importing the package, and every exact computation, leaves it
@@ -32,6 +34,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -93,12 +96,16 @@ class Grid:
         self.half_widths = tuple(widths)
         if any(s < 2 for s in self.shape):
             raise ValueError("need at least two nodes per axis")
-        self.coords1d = [
-            np.linspace(-w, w, s) for w, s in zip(self.half_widths, self.shape)
-        ]
         self.spacing = tuple(
             2.0 * w / (s - 1) for w, s in zip(self.half_widths, self.shape)
         )
+        volume = math.prod(self.spacing)
+        if not sys.float_info.min <= volume < math.inf:
+            raise ValueError(f"half widths {widths} give the cell volume {volume:.3e} "
+                             f"on the {'x'.join(map(str, self.shape))} grid, not a normal float")
+        self.coords1d = [
+            np.linspace(-w, w, s) for w, s in zip(self.half_widths, self.shape)
+        ]
         self._nodes = dict(zip(self.axes, np.ix_(*self.coords1d)))
 
     @property
@@ -115,16 +122,6 @@ class Grid:
 
     def horizontal_spacing(self):
         return self.spacing[self.axis_of((1, 1))]
-
-    def boundary_mask(self):
-        mask = np.zeros(self.shape, dtype=bool)
-        for ax in range(len(self.shape)):
-            sl = [slice(None)] * len(self.shape)
-            sl[ax] = 0
-            mask[tuple(sl)] = True
-            sl[ax] = -1
-            mask[tuple(sl)] = True
-        return mask
 
 
 class GridField:
@@ -188,19 +185,22 @@ def _fold(corners, fractions):
     return corners[0]
 
 
-def sample_at(field: GridField, coords, outside_zero=False):
+def sample_at(field: GridField, coords):
     """Multilinear interpolation of the field at off-lattice points.
 
-    The coordinates broadcast together to the points' shape, and each is
-    read in its own shape.  Returns ``(values, mask)``.  Points are
-    clipped to the box; beyond it by more than 1e-9 of a cell, or at a
-    non-finite coordinate, the value is 0 and the mask is cleared unless
-    ``outside_zero`` marks the extension as intended.  Where the field has
-    invalid nodes a point is valid only if their interpolated share is
-    below 1e-9.  An axis whose coordinates are its node array, broadcast,
-    is read at its node index, so only the moved axes are interpolated.
+    ``coords`` holds one array per axis; they broadcast together to the
+    points' shape, and each is read in its own shape.  Returns ``(values,
+    mask)``.  Points are clipped to the box; beyond it by more than 1e-9
+    of a cell, or at a non-finite coordinate, the value is 0 and the mask
+    is cleared.  Where the field has invalid nodes a point is valid only
+    if their interpolated share is below 1e-9.  An axis whose coordinates
+    are its node array, broadcast, is read at its node index, so only the
+    moved axes are interpolated.
     """
     grid = field.grid
+    if len(coords) != len(grid.axes):
+        raise ValueError(f"need {len(grid.axes)} coordinate arrays, one per axis, "
+                         f"got {len(coords)}")
     nodes = grid.node_arrays()
     shape = np.broadcast_shapes(*map(np.shape, coords))
     inside = True
@@ -233,7 +233,7 @@ def sample_at(field: GridField, coords, outside_zero=False):
                    [t[..., None] for t in fractions])
     if not np.all(inside):
         np.copyto(values, 0.0, where=~inside[..., None])
-    mask = np.full(shape, True if outside_zero else inside)
+    mask = np.full(shape, inside)
     if not np.all(field.mask):
         valid = field.mask.astype(float).ravel()
         valid = _fold([valid[o:].take(base) for o in offsets], fractions)
@@ -277,9 +277,17 @@ def derivative_word(u: GridField, word) -> GridField:
     return out
 
 
-def horizontal_gradient(u: GridField):
-    spec = u.grid.spec
-    return [centered_derivative(u, (1, i)) for i in range(1, spec.m + 1)]
+def horizontal_jet(u: GridField, order, region):
+    """``[[u], [X_i u], [X_i X_j u], ...]`` to the given order, each level
+    X_1, ..., X_m of every field below it in turn; raises
+    :class:`MarginTooSmall` when a level's stencils do not cover the region."""
+    jet = [[u]]
+    for _ in range(order):
+        level = [centered_derivative(fld, (1, i))
+                 for fld in jet[-1] for i in range(1, u.grid.spec.m + 1)]
+        require_stencil_cover(region, level)
+        jet.append(level)
+    return jet
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +295,12 @@ def horizontal_gradient(u: GridField):
 # ---------------------------------------------------------------------------
 
 def gauge_distance_arrays(grid: Grid, center=None):
-    """Gauge distance from every node to ``center`` (a coordinate sequence)."""
+    """Gauge distance from every node to ``center``, a coordinate sequence
+    or ``None`` for the origin."""
     spec = grid.spec
     nodes = grid.node_arrays()
-    if center is None or not any(center):
-        return gauge_norm_arrays(spec, nodes)
-    coords = product_arrays(
-        spec, [-float(c) for c in center], [nodes[lab] for lab in spec.basis]
-    )
+    inverse = np.zeros(len(spec.basis)) if center is None else [-float(c) for c in center]
+    coords = product_arrays(spec, inverse, [nodes[lab] for lab in spec.basis])
     return gauge_norm_arrays(spec, dict(zip(spec.basis, coords)))
 
 
@@ -309,6 +315,20 @@ def gauge_balls(grid: Grid, center, radii):
     if not balls[int(np.argmin(radii))].any():
         raise ValueError(f"no grid nodes inside the ball of radius {min(radii)}")
     return balls
+
+
+def scaling_radius(r, power):
+    """``r``, refused by :func:`ball_radius` and unless ``r ** power``, the
+    scale a check puts on its derivative terms, is a normal float."""
+    ball_radius(r)
+    try:
+        scale = r ** power
+    except OverflowError:
+        scale = math.inf
+    if not sys.float_info.min <= scale < math.inf:
+        raise ValueError(f"the radius {r} makes r**{power} = {scale:.3e}, "
+                         "not a normal float")
+    return r
 
 
 def require_stencil_cover(region, fields):
@@ -339,18 +359,8 @@ def sobolev_norm(u: GridField, order, region):
     Raises :class:`MarginTooSmall` when the derivative stencils do not
     cover the region.
     """
-    total = math.sqrt(l2_norm_sq(u, region))
-    level = {(): u}
-    for _ in range(order):
-        nxt = {}
-        for word, fld in level.items():
-            grads = horizontal_gradient(fld)
-            require_stencil_cover(region, grads)
-            nxt.update({word + ((1, i),): d for i, d in enumerate(grads, 1)})
-        for fld in nxt.values():
-            total += math.sqrt(l2_norm_sq(fld, region))
-        level = nxt
-    return total
+    return sum(math.sqrt(l2_norm_sq(fld, region))
+               for level in horizontal_jet(u, order, region) for fld in level)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +393,7 @@ def peetre_seminorm(u: GridField, direction, alpha) -> float:
     worst = 0.0
     for h in offsets:
         coords = flow_coordinates(grid, direction, float(h))
-        moved, _ = sample_at(u, coords, outside_zero=True)
+        moved, _ = sample_at(u, coords)
         diff = ((moved - u.values) ** 2).sum(axis=-1)
         val = integrate(diff, grid) / float(h) ** (2 * alpha)
         worst = max(worst, val)
@@ -525,11 +535,12 @@ def _weak_form(grid: Grid, form, steps, g: GridField, flux, f: GridField):
     # (q + steps[k], beta), q running over the interior nodes
     acc = np.zeros((len(steps), ncomp) + inner + (ncomp,))
     rhs = np.zeros(inner + (ncomp,))
-    fixed = np.where(grid.boundary_mask()[..., None], g.values, 0.0)
+    interior = tuple(slice(1, -1) for _ in inner)
+    fixed = g.values.copy()
+    fixed[interior] = 0.0
     w_total = 0.0
     for sign in (1, -1):
         w_total = w_total + _add_side(grid, form, sign, steps, fixed, flux, acc, rhs)
-    interior = tuple(slice(1, -1) for _ in inner)
     np.negative(rhs, out=rhs)
     rhs -= w_total[interior][..., None] * f.values[interior]
     return _diagonals_to_csr(acc, steps), rhs.ravel()
@@ -629,17 +640,17 @@ def _cg(A, b, *, M, callback=None):
     ``cg`` with every inner product taken by :func:`_dot`.
 
     ``M`` is a callable applied once per iteration and ``callback(x)`` runs
-    after each one.  Returns ``(x, info)``: info is 0 once the residual
-    norm is below ``CG_RTOL * |b|``, else ``CG_MAXITER``.
+    after each one.  Returns ``(x, iterations)``: the iterations run until
+    the residual norm is at most ``CG_RTOL * |b|``, at most ``CG_MAXITER``.
     """
     x = np.zeros_like(b)
     work = np.empty_like(x)     # every product and scaled vector of the loop
     tol = CG_RTOL * math.sqrt(_dot(b, b, work))
     r = b.copy()
     p, rho_prev = None, None
-    for _ in range(CG_MAXITER):
+    for iteration in range(CG_MAXITER):
         if math.sqrt(_dot(r, r, work)) <= tol:
-            return x, 0
+            return x, iteration
         z = M(r)
         rho = _dot(r, z, work)
         if p is None:
@@ -761,8 +772,7 @@ class VCycle:
     no level holds the whole product K P; each level smooths with one
     damped Jacobi sweep before and one after, weighted by
     :func:`_jacobi_weights`.
-    Calling the cycle on a residual returns the correction; ``applications``
-    counts the calls.
+    Calling the cycle on a residual returns the correction.
     """
 
     def __init__(self, k, grid: Grid, ncomp):
@@ -785,10 +795,8 @@ class VCycle:
             k = _galerkin_product(k, prolong, restrict, shape[0])
             _release_freed_memory()
         self.coarsest = np.linalg.inv(k.toarray())     # ncomp x ncomp
-        self.applications = 0
 
     def __call__(self, r):
-        self.applications += 1
         down = []
         for k, weights, _, restrict in self.levels:
             x = weights * r
@@ -862,7 +870,13 @@ def assemble_and_solve(
         raise ValueError(f"f_i has {len(f_i)} entries; the group has {m} X_i")
     flux = np.stack([as_field(fi, f"f_{i}").values for i, fi in enumerate(f_i, 1)], -1)
 
-    k_ff, rhs = _weak_form(grid, form, steps, g, flux, f_field)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_ff, rhs = _weak_form(grid, form, steps, g, flux, f_field)
+    if not (np.all(np.isfinite(k_ff.data)) and np.all(np.isfinite(rhs))):
+        raise NumericsError(
+            f"the stiffness matrix or the loads leave the float range at half widths "
+            f"{list(grid.half_widths)}"
+        )
     # the loads are spent: neither the V-cycle build nor CG holds them
     del flux, f_field
 
@@ -883,9 +897,9 @@ def assemble_and_solve(
         grid, ncomp,
     )
 
-    sol, info = _cg(k_ff, rhs, M=precond)
+    sol, iterations = _cg(k_ff, rhs, M=precond)
     if not np.all(np.isfinite(sol)):
-        raise SolverDiverged(f"conjugate gradient failed (info={info})")
+        raise SolverDiverged(f"conjugate gradient failed after {iterations} iterations")
     # largest row residual, relative to the backward-error scale
     scale = k_inf * float(np.max(np.abs(sol))) + float(np.max(np.abs(rhs)))
     rel_residual = float(np.max(np.abs(k_ff @ sol - rhs))) / max(scale, 1e-300)
@@ -898,7 +912,7 @@ def assemble_and_solve(
         "unknowns": sol.size,
         "nnz": int(k_ff.nnz),
         "levels": len(precond.levels) + 1,
-        "iterations": precond.applications,
+        "iterations": iterations,
         "relative_weak_residual": rel_residual,
         "diag_ratio": diag_ratio,
         "coercivity_margin": A.coercivity_margin(),
@@ -940,12 +954,13 @@ def caccioppoli_check(u: GridField, radius=0.5):
     centred at the origin, for a solution without data.
 
     LHS integrates the squared horizontal gradient over the ball; the RHS
-    is the L2 mass over the double ball, scaled by the squared radius.
+    is the L2 mass over the double ball, scaled by the squared radius,
+    which must be a normal float.
     """
     grid = u.grid
+    scaling_radius(radius, 2)
     inner, outer = gauge_balls(grid, None, (radius, 2.0 * radius))
-    grads = horizontal_gradient(u)
-    require_stencil_cover(inner, grads)
+    _, grads = horizontal_jet(u, 1, inner)
     lhs = sum(l2_norm_sq(g, inner) for g in grads)
     rhs = l2_norm_sq(u, outer) / radius ** 2
     return {

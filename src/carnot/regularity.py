@@ -17,10 +17,10 @@ from .numerics import (
     ZeroExcess,
     derivative_word,
     gauge_balls,
-    gauge_distance_arrays,
-    horizontal_gradient,
+    horizontal_jet,
     require_stencil_cover,
     sample_at,
+    scaling_radius,
     sobolev_norm,
 )
 
@@ -125,7 +125,7 @@ def blowup_rescale(u: GridField, center, radius, n=None) -> BlowupSequence:
     vals = (moved - mean) / eps
     vals = np.where(mask[..., None], vals, 0.0)
     rescaled = GridField(out_grid, vals, mask)
-    unit = (gauge_distance_arrays(out_grid) < 1.0) & mask
+    unit = gauge_balls(out_grid, None, [1.0])[0] & mask
     count = int(unit.sum())
     norm = float((rescaled.values[unit] ** 2).sum() / count) if count else 0.0
     return BlowupSequence(
@@ -135,11 +135,12 @@ def blowup_rescale(u: GridField, center, radius, n=None) -> BlowupSequence:
 
 def sup_estimate_check(u: GridField, center, radius):
     """Sup of the scaled jet over the ball against the mean mass over the
-    double ball, for homogeneous constant-coefficient solutions."""
+    double ball, for homogeneous constant-coefficient solutions; refuses a
+    radius whose fourth power, the scale of the second-order terms, is not
+    a normal float."""
+    scaling_radius(radius, 4)
     inner, outer = gauge_balls(u.grid, center, (radius, 2.0 * radius))
-    grads = horizontal_gradient(u)
-    second = [d for gi in grads for d in horizontal_gradient(gi)]
-    require_stencil_cover(inner, grads + second)
+    _, grads, second = horizontal_jet(u, 2, inner)
     jet = (u.values ** 2).sum(axis=-1)
     jet = jet + radius ** 2 * sum((g.values ** 2).sum(axis=-1) for g in grads)
     jet = jet + radius ** 4 * sum((s.values ** 2).sum(axis=-1) for s in second)

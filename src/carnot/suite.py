@@ -272,8 +272,7 @@ def check_excess_decay(config: RunConfig):
     # the smallest fitted ball needs a few lattice planes
     n = max(config.n, 24)
     sol = numerics.assemble_and_solve(spec, ident, [PolyFunction.variable((1, 1))], n=n)
-    center = [0.0] * len(spec.basis)
-    rep = regularity.excess_decay_check(sol, center, 0.5, 1.0, radii=[0.25, 0.5, 1.0])
+    rep = regularity.excess_decay_check(sol, None, 0.5, 1.0, radii=[0.25, 0.5, 1.0])
     threshold = decay_threshold(rep["Q"])
     return {
         "pass": rep["fitted_exponent"] >= threshold,

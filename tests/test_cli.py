@@ -433,6 +433,32 @@ def test_verify_constant_not_positive_exits_1(runner):
     (["verify", "peetre", "--beta", "nan"], "--beta takes a fractional order, got nan"),
     (["verify", "peetre", "--alpha", "0.5", "--beta", "0.9"],
      "--beta 0.9 exceeds --alpha 0.5: the sandwich needs --beta at most --alpha"),
+    # radii whose square or fourth power, the scale of a check's derivative
+    # terms, underflows or overflows
+    (["verify", "caccioppoli", "--n", "9", "--radius", "1e-300"],
+     "--radius takes a ball radius, got 1e-300: the radius 1e-300 makes r**2 = 0.000e+00, "
+     "not a normal float"),
+    (["verify", "caccioppoli", "--n", "9", "--radius", "1e-160"],
+     "the radius 1e-160 makes r**2 = 1.000e-320, not a normal float"),
+    (["verify", "caccioppoli", "--n", "9", "--radius", "1e200"],
+     "the radius 1e+200 makes r**2 = inf, not a normal float"),
+    (["verify", "supbound", "--n", "9", "--radius", "1e-300"],
+     "the radius 1e-300 makes r**4 = 0.000e+00, not a normal float"),
+    (["verify", "supbound", "--n", "9", "--radius", "1e-80"],
+     "the radius 1e-80 makes r**4 = 1.000e-320, not a normal float"),
+    # half widths whose cell volume or weak form leaves the float range
+    (["solve", "--group", "engel", "--n", "5", "--half-width", "1e60"],
+     "the stiffness matrix or the loads leave the float range at half widths "
+     "[1e+60, 1e+60, 1e+60, 1e+60]"),
+    (["solve", "--group", "heisenberg", "--n", "9", "--half-width", "1e100"],
+     "the stiffness matrix or the loads leave the float range at half widths [1e+100"),
+    (["solve", "--group", "heisenberg", "--half-width", "1e160"],
+     "half widths [1e+160, 1e+160, 1e+160] give the cell volume inf on the 32x32x32 grid"),
+    (["solve", "--group", "engel", "--n", "5", "--half-width", "1e200"],
+     "half widths [1e+200, 1e+200, 1e+200, 1e+200] give the cell volume inf"),
+    (["solve", "--half-width", "1e-200"],
+     "half widths [1e-200, 1e-200, 1e-200] give the cell volume 0.000e+00 on the 32x32x32 "
+     "grid, not a normal float"),
 ])
 def test_domain_errors_exit_2_with_one_line(runner, args, message):
     result = runner.invoke(main, args)
@@ -701,6 +727,12 @@ def test_an_output_path_is_refused_before_the_work(runner, monkeypatch, tmp_path
     (["verify", "peetre", "--n", "300", "--alpha", "0"], "carnot.cli._bump_field"),
     (["verify", "peetre", "--n", "300", "--alpha", "0.5", "--beta", "0.9"],
      "carnot.cli._bump_field"),
+    (["verify", "caccioppoli", "--n", "48", "--radius", "1e-300"],
+     "carnot.numerics.assemble_and_solve"),
+    (["verify", "supbound", "--n", "48", "--radius", "1e-80"],
+     "carnot.numerics.assemble_and_solve"),
+    (["solve", "--group", "engel", "--n", "5", "--half-width", "1e60"], "carnot.numerics.VCycle"),
+    (["solve", "--n", "48", "--half-width", "1e-200"], "carnot.numerics._weak_form"),
 ])
 def test_an_option_value_is_read_before_the_work(runner, monkeypatch, args, work):
     monkeypatch.setattr(work, _work_not_expected)

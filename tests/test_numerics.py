@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -32,6 +33,7 @@ from carnot.numerics import (
     flow_coordinates,
     gauge_balls,
     gauge_distance_arrays,
+    horizontal_jet,
     hormander_ratio,
     integrate,
     l2_norm_sq,
@@ -241,7 +243,7 @@ def test_hormander_layer1_direction_reduces_to_full_order(heis):
 
 # -------------------------------------------------------------- flow sampling
 
-def map_coordinates_oracle(field, coords, outside_zero=False):
+def map_coordinates_oracle(field, coords):
     # the sampler as scipy's order-1 spline: fractional indices clipped to
     # the box, nodes outside it read as the nearest face, and the validity
     # interpolated with zero beyond the box
@@ -257,7 +259,7 @@ def map_coordinates_oracle(field, coords, outside_zero=False):
         for a in range(field.n_components)
     ], axis=-1)
     values = np.where(inside[..., None], values, 0.0)
-    mask = np.ones(inside.shape, dtype=bool) if outside_zero else inside
+    mask = inside
     if not np.all(field.mask):
         valid = map_coordinates(field.mask.astype(float), stacked, order=1,
                                 mode="constant", cval=0.0)
@@ -265,9 +267,9 @@ def map_coordinates_oracle(field, coords, outside_zero=False):
     return values, mask
 
 
-def assert_matches_oracle(field, coords, outside_zero):
-    got, got_mask = sample_at(field, coords, outside_zero)
-    want, want_mask = map_coordinates_oracle(field, coords, outside_zero)
+def assert_matches_oracle(field, coords):
+    got, got_mask = sample_at(field, coords)
+    want, want_mask = map_coordinates_oracle(field, coords)
     assert np.array_equal(got_mask, want_mask)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-14 * np.abs(field.values).max()
@@ -291,17 +293,15 @@ def test_sample_at_matches_map_coordinates_on_every_flow(name, shape):
         u = GridField(grid, values, mask)
         for lab in spec.basis:
             for h in (0.037, -0.037, 0.0007, -0.0007):
-                coords = flow_coordinates(grid, lab, h)
-                for outside_zero in (False, True):
-                    assert_matches_oracle(u, coords, outside_zero)
+                assert_matches_oracle(u, flow_coordinates(grid, lab, h))
 
 
 def test_sample_at_matches_map_coordinates_on_a_blowup_grid(heis, monkeypatch):
     seen = []
 
-    def recording(u, coords, outside_zero=False):
+    def recording(u, coords):
         seen.append(np.broadcast_arrays(*coords))
-        return sample_at(u, coords, outside_zero)
+        return sample_at(u, coords)
 
     monkeypatch.setattr(regularity, "sample_at", recording)
     grid = Grid(heis, 17, 1.0)
@@ -313,8 +313,7 @@ def test_sample_at_matches_map_coordinates_on_a_blowup_grid(heis, monkeypatch):
     assert seq.rescaled.grid.shape == (40, 44, 52)
     assert np.shape(coords[0]) == (40, 44, 52)
     for field in (u, GridField(grid, u.values)):
-        for outside_zero in (False, True):
-            assert_matches_oracle(field, coords, outside_zero)
+        assert_matches_oracle(field, coords)
 
 
 def test_sample_at_reproduces_multilinear_polynomials(heis):
@@ -371,11 +370,9 @@ def test_sample_at_nonfinite_coordinates_are_outside_without_warning(heis, bad):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values, mask = sample_at(u, bent)
-            _, kept = sample_at(u, bent, outside_zero=True)
         for point in ((1, 2, 3), (4, 4, 4)):
             assert not values[point].any()
             assert not mask[point]
-            assert kept[point]
 
 
 @pytest.mark.parametrize("name", [name for name, _ in SAMPLED_GROUPS])
@@ -454,9 +451,9 @@ def test_open_mesh_keeps_the_bits_of_dense_meshes(name, monkeypatch):
     # the blow-up coordinates: p = centre * dilate(radius, q), q on a unit grid
     seen = []
 
-    def recording(u, coords, outside_zero=False):
+    def recording(u, coords):
         seen.append(coords)
-        return sample_at(u, coords, outside_zero)
+        return sample_at(u, coords)
 
     monkeypatch.setattr(regularity, "sample_at", recording)
     field = GridField.from_polys(grid, [first * top + top.scale(3) + first])
@@ -474,11 +471,10 @@ def _dense_coords(coords):
 
 
 def _assert_sampled_alike(u, coords):
-    for outside_zero in (False, True):
-        got, got_mask = sample_at(u, coords, outside_zero)
-        want, want_mask = sample_at(u, _dense_coords(coords), outside_zero)
-        assert got.tobytes() == want.tobytes()
-        assert got_mask.dtype == want_mask.dtype and got_mask.tobytes() == want_mask.tobytes()
+    got, got_mask = sample_at(u, coords)
+    want, want_mask = sample_at(u, _dense_coords(coords))
+    assert got.tobytes() == want.tobytes()
+    assert got_mask.dtype == want_mask.dtype and got_mask.tobytes() == want_mask.tobytes()
 
 
 @pytest.mark.parametrize("name,shape", SAMPLED_GROUPS)
@@ -503,6 +499,30 @@ def test_sample_at_on_broadcast_coordinates_has_the_bits_of_dense_ones(name, sha
                     bent[ax].flat[1] = bad
                     bent[(ax + 1) % len(bent)].flat[2] = bad
                     _assert_sampled_alike(u, bent)
+
+
+def _heis_field(n=9):
+    heis = resolve_group("heisenberg")
+    return GridField.from_polys(Grid(heis, n, 1.0), [P11 * P12 + P21])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda u: product_arrays(u.grid.spec, [1, 2, 3, 4], [5, 6]), "got 4 and 2"),
+    (lambda u: gauge_distance_arrays(u.grid, [0.1, 0.2, 0.3, 0.4]), "got 4 and 3"),
+    (lambda u: gauge_distance_arrays(u.grid, [0.1, 0.2]), "got 2 and 3"),
+    (lambda u: sample_at(u, list(u.grid.node_arrays().values())[:2]),
+     "need 3 coordinate arrays, one per axis, got 2"),
+    (lambda u: sample_at(u, list(u.grid.node_arrays().values()) + [0.0]),
+     "need 3 coordinate arrays, one per axis, got 4"),
+    (lambda u: regularity.sup_estimate_check(u, [0.0] * 4, 0.4), "got 4 and 3"),
+    (lambda u: regularity.blowup_rescale(u, [0.05] * 4, 0.5), "got 4 and 3"),
+    (lambda u: regularity.excess_decay_check(u, [0.0] * 2, 0.5, 0.8, [0.4, 0.8]),
+     "got 2 and 3"),
+], ids=["product", "distance-4", "distance-2", "sample-2", "sample-4", "sup", "blowup",
+        "decay"])
+def test_coordinate_lists_of_the_wrong_length_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(_heis_field())
 
 
 def test_flows_take_the_shape_of_the_axes_they_read(heis):
@@ -540,12 +560,39 @@ def test_sobolev_norm_monotone_in_order(heis):
     assert n2 >= n1
 
 
+def test_horizontal_jet_takes_each_level_from_the_last_and_checks_its_cover(heis):
+    u = bump_field(heis)
+    region, = gauge_balls(u.grid, None, [0.5])
+    jet = horizontal_jet(u, 2, region)
+    assert [len(level) for level in jet] == [1, 2, 4]
+    assert jet[0][0] is u
+    words = [[], [(1, 1)], [(1, 2)],
+             [(1, 1), (1, 1)], [(1, 2), (1, 1)], [(1, 1), (1, 2)], [(1, 2), (1, 2)]]
+    for fld, word in zip([f for level in jet for f in level], words):
+        assert fld.values.tobytes() == derivative_word(u, word).values.tobytes()
+    with pytest.raises(MarginTooSmall):
+        horizontal_jet(u, 1, np.ones(u.grid.shape, dtype=bool))
+    assert horizontal_jet(u, 0, np.ones(u.grid.shape, dtype=bool)) == [[u]]
+
+
 def test_sobolev_margin_too_small(heis):
     grid = Grid(heis, 9, 1.0)
     u = GridField.from_polys(grid, [P11])
     full = np.ones(grid.shape, dtype=bool)
     with pytest.raises(MarginTooSmall):
         sobolev_norm(u, 1, full)
+
+
+@pytest.mark.parametrize("check,radius,power", [
+    ("caccioppoli", 1e-300, 2), ("caccioppoli", 1e-160, 2), ("caccioppoli", 1e200, 2),
+    ("sup", 1e-300, 4), ("sup", 1e-80, 4), ("sup", 1e100, 4),
+])
+def test_a_radius_whose_scale_is_not_a_normal_float_is_refused(check, radius, power):
+    u = _heis_field()
+    run = {"caccioppoli": lambda: caccioppoli_check(u, radius),
+           "sup": lambda: regularity.sup_estimate_check(u, None, radius)}[check]
+    with pytest.raises(ValueError, match=re.escape(f"the radius {radius} makes r**{power} = ")):
+        run()
 
 
 # -------------------------------------------------------------- solver
@@ -772,9 +819,9 @@ def test_array_law_paths_match_the_scalar_product(name, n, monkeypatch):
 
     seen = []
 
-    def sample_at(u, coords, outside_zero=False):
+    def sample_at(u, coords):
         seen.append(coords)
-        return sample_original(u, coords, outside_zero)
+        return sample_original(u, coords)
 
     sample_original = regularity.sample_at
     monkeypatch.setattr(regularity, "sample_at", sample_at)
@@ -905,6 +952,12 @@ def _replica_derivative(grid, direction, sign):
     return total, valid
 
 
+def _boundary_mask(shape):
+    # the nodes on a face of the box: first or last along some axis
+    idx = np.indices(shape)
+    return np.any([(i == 0) | (i == s - 1) for i, s in zip(idx, shape)], axis=0)
+
+
 def _replica_system(spec, A, n, boundary, f, f_i):
     # sum of kron(D_i^T W D_j, A_ij) over both sides and all (i, j), the
     # loads -D_i^T W f_i and -w f, then the Dirichlet elimination
@@ -938,7 +991,7 @@ def _replica_system(spec, A, n, boundary, f, f_i):
                                                 format="csr")
             b -= (di_w @ values(f_i[i])).reshape(-1)
     b -= (w_total[:, None] * values(f)).reshape(-1)
-    fixed = np.repeat(grid.boundary_mask().ravel(), ncomp)
+    fixed = np.repeat(_boundary_mask(grid.shape).ravel(), ncomp)
     free = ~fixed
     x = values(boundary).reshape(-1)
     return k_mat[free][:, free], b[free] - k_mat[free][:, fixed] @ x[fixed]
@@ -1071,7 +1124,7 @@ def _product_system(spec, A, boundary, f, f_i, n, half_widths=1.0):
         weights.append(np.where(valid.ravel(), 0.5 * grid.cell_volume, 0.0))
     g_mat, w = sparse.vstack(sides, "csr"), np.stack(weights)
     form = A.quadratic_form_matrix()
-    fixed = np.repeat(grid.boundary_mask().ravel(), ncomp)
+    fixed = np.repeat(_boundary_mask(grid.shape).ravel(), ncomp)
     free = ~fixed
     x = GridField.from_polys(grid, boundary).values.reshape(-1)
     flux = np.stack([GridField.from_polys(grid, fi).values for fi in f_i], -1)
@@ -1158,6 +1211,24 @@ def test_convergence_study_needs_two_distinct_sizes(heis, sizes):
         convergence_study(heis, ident, [P11 ** 3], sizes=sizes)
 
 
+@pytest.mark.parametrize("name,n,width,message", [
+    ("heisenberg", 9, 1e-200, "give the cell volume 0.000e+00 on the 9x9x9 grid"),
+    ("heisenberg", 9, 1e160, "give the cell volume inf on the 9x9x9 grid"),
+    ("heisenberg", 9, 1e308, "give the cell volume inf on the 9x9x9 grid"),
+    ("engel", 5, 1e60, "the stiffness matrix or the loads leave the float range"),
+    ("heisenberg", 9, 1e100, "the stiffness matrix or the loads leave the float range"),
+], ids=["volume-underflow", "volume-overflow", "spacing-overflow", "engel-stiffness",
+        "heisenberg-stiffness"])
+def test_a_half_width_out_of_the_float_range_is_refused_before_the_vcycle(
+        name, n, width, message, monkeypatch):
+    spec = resolve_group(name)
+    monkeypatch.setattr(numerics, "VCycle", None)
+    with pytest.raises((ValueError, NumericsError), match=re.escape(message)) as refusal:
+        assemble_and_solve(spec, SystemCoefficients.identity(1, spec.m), [P11], n=n,
+                           half_widths=width)
+    assert f"{width:g}" in str(refusal.value)
+
+
 # -------------------------------------------------------------- CG and multigrid
 
 def test_cg_matches_scipy_and_counts_its_iterations(monkeypatch):
@@ -1166,18 +1237,20 @@ def test_cg_matches_scipy_and_counts_its_iterations(monkeypatch):
     mat = sparse.csr_matrix(root @ root.T + 40 * np.eye(40))
     rhs = rng.standard_normal(40)
     calls = []
-    x, info = numerics._cg(mat, rhs, M=lambda r: r / mat.diagonal(), callback=calls.append)
+    x, iterations = numerics._cg(mat, rhs, M=lambda r: r / mat.diagonal(),
+                                 callback=calls.append)
     want, want_info = cg(mat, rhs, rtol=numerics.CG_RTOL, atol=0.0, maxiter=200,
                          M=sparse.diags(1 / mat.diagonal()))
-    assert info == want_info == 0
+    assert want_info == 0
     assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
-    assert 0 < len(calls) < 200
+    assert 0 < iterations == len(calls) < 200
     monkeypatch.setattr(numerics, "CG_MAXITER", 2)
-    _, info = numerics._cg(mat, rhs, M=lambda r: r)
-    assert info == 2
+    calls.clear()
+    _, iterations = numerics._cg(mat, rhs, M=lambda r: r, callback=calls.append)
+    assert iterations == len(calls) == 2
     monkeypatch.setattr(numerics, "CG_MAXITER", 5)
-    x, info = numerics._cg(mat, np.zeros(40), M=lambda r: r)
-    assert info == 0 and not x.any()
+    x, iterations = numerics._cg(mat, np.zeros(40), M=lambda r: r)
+    assert iterations == 0 and not x.any()
 
 
 def test_a_failing_nonsymmetric_solve_runs_one_cg_pass(heis, monkeypatch):

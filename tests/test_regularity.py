@@ -280,6 +280,5 @@ def test_one_gauge_pass_per_ball_centre(pinned_field, name, passes, monkeypatch)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(numerics, "gauge_distance_arrays", counted)
-    monkeypatch.setattr(regularity, "gauge_distance_arrays", counted)
     _estimate_reports(pinned_field)[name]()
     assert len(calls) == passes
