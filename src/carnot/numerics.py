@@ -17,11 +17,13 @@ too) through the group law for all of a check's radii, and their
 horizontal derivatives from :func:`horizontal_jet`, which refuses a ball
 the stencils do not cover.  Group flows ``p -> p * exp(s Z)`` land
 off-lattice and serve only where they are the definition (the fractional
-seminorms and the blow-ups).  They are sampled by a multilinear gather
-over the axes they move: a flow along a layer-k direction leaves the lower
-layers and the other layer-k axes on their nodes, and those axes are read
-at their node index; a point off the box reads zero and is masked
-invalid.
+seminorms and the blow-ups).  They are sampled by multilinear
+interpolation over the axes they move, one axis at a time where it can: a
+flow along a layer-k direction leaves the lower layers and the other
+layer-k axes on their nodes, and those axes are read at their node index;
+a last moved axis whose corners do not vary along the earlier moved axes
+is interpolated on their lattice, and the moved axes left are gathered
+jointly; a point off the box reads zero and is masked invalid.
 
 scipy is imported only inside the functions that build sparse matrices,
 so importing the package, and every exact computation, leaves it
@@ -151,9 +153,12 @@ class GridField:
     def from_polys(grid, polys, name="the data"):
         if not polys:
             raise ValueError(f"{name} has no polynomial")
-        comps = [np.broadcast_to(p.evaluate_arrays(grid.node_arrays()), grid.shape)
-                 for p in polys]
-        return GridField(grid, np.stack(comps, axis=-1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            comps = [p.evaluate_arrays(grid.node_arrays()) for p in polys]
+        if not all(np.all(np.isfinite(c)) for c in comps):
+            raise ValueError(f"{name} leaves the float range on the grid at half widths "
+                             f"{list(grid.half_widths)}")
+        return GridField(grid, np.stack([np.broadcast_to(c, grid.shape) for c in comps], -1))
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +198,14 @@ def sample_at(field: GridField, coords):
     mask)``.  Points are clipped to the box; beyond it by more than 1e-9
     of a cell, or at a non-finite coordinate, the value is 0 and the mask
     is cleared.  Where the field has invalid nodes a point is valid only
-    if their interpolated share is below 1e-9.  An axis whose coordinates
+    if their interpolated share is below 1e-9: the validity goes through
+    the interpolation as one more component.  An axis whose coordinates
     are its node array, broadcast, is read at its node index, so only the
-    moved axes are interpolated.
+    moved axes are interpolated, the last first.  When the points are a
+    mesh of the grid's axes (their shape is the grid's), a last moved
+    axis whose lower corners do not vary along the earlier moved axes is
+    interpolated on their lattice from two gathers; the moved axes left
+    gather their ``2**j`` corners jointly.
     """
     grid = field.grid
     if len(coords) != len(grid.axes):
@@ -204,18 +214,15 @@ def sample_at(field: GridField, coords):
     nodes = grid.node_arrays()
     shape = np.broadcast_shapes(*map(np.shape, coords))
     inside = True
-    # corner o of the point with lower corner ``base`` is entry base + o
-    base, offsets, fractions = 0, [0], []
+    moved = []      # (axis, lower corner, fraction), each in the points' ndim
     for ax, (lab, arr) in enumerate(zip(grid.axes, coords)):
         s, node = grid.shape[ax], nodes[lab]
-        stride = math.prod(grid.shape[ax + 1:])
         if (np.ndim(arr) >= node.ndim and np.shape(arr)[ax - node.ndim] == s
                 and np.array_equal(arr, np.broadcast_to(node, np.shape(arr)))):
-            base = base + np.arange(s).reshape(node.shape) * stride
             continue
         # the fractional index (arr + w) / h, the floor of its clipped value
         # (at most s - 2) and the fraction in [0, 1], each in place
-        x = np.array(arr, dtype=float)
+        x = np.array(arr, dtype=float, ndmin=len(shape))
         x += grid.half_widths[ax]
         x /= grid.spacing[ax]
         inside = inside & (x >= -1e-9) & (x <= s - 1 + 1e-9)
@@ -224,20 +231,51 @@ def sample_at(field: GridField, coords):
         lower = x.astype(np.intp)
         np.minimum(lower, s - 2, out=lower)
         x -= lower
-        base = base + lower * stride
-        offsets += [o + stride for o in offsets]
-        fractions.append(x)
-    base = np.broadcast_to(base, shape)
-    flat = field.values.reshape(-1, field.n_components)
-    values = _fold([flat[o:].take(base, axis=0) for o in offsets],
-                   [t[..., None] for t in fractions])
+        moved.append((ax, lower, x[..., None]))
+    values = field.values
+    partial = not np.all(field.mask)
+    if partial:
+        values = np.concatenate([values, field.mask[..., None].astype(float)], axis=-1)
+    dim = len(grid.shape)
+    while moved:
+        ax, lower, _ = moved[-1]
+        if shape == grid.shape and all(lower.shape[k] == 1 for k, _, _ in moved[:-1]):
+            # the last moved axis alone, on the lattice of the earlier ones:
+            # a block of the axes its corners vary along
+            stage = [moved.pop()]
+            reach = [k for k, e in enumerate(lower.shape) if e > 1 or k == ax]
+            lo, hi = reach[0], reach[-1] + 1
+        else:
+            stage, moved, lo, hi = moved, [], 0, dim
+        # one flat index into the block of axes lo..hi-1: the stage's axes at
+        # their lower corners, every other axis at its position; corner o of
+        # a point is entry index + o
+        lattice, lowers = values.shape[:-1], {k: low for k, low, _ in stage}
+        index, offsets = 0, [0]
+        for k in range(lo, hi):
+            stride = math.prod(lattice[k + 1:hi])
+            if k in lowers:
+                index = index + lowers[k] * stride
+                offsets += [o + stride for o in offsets]
+            else:
+                position = np.arange(lattice[k]).reshape((-1,) + (1,) * (dim - 1 - k))
+                index = index + position * stride
+        index = index.reshape(index.shape[lo:index.ndim - dim + hi])
+        flat = values.reshape(lattice[:lo] + (-1,) + values.shape[hi:])
+        corners, at = [], 0
+        for o in offsets:
+            index += o - at
+            at = o
+            corners.append(flat.take(index, axis=lo))
+        values = _fold(corners, [t for _, _, t in stage])
+    if values is field.values or values.shape[:-1] != shape:
+        values = np.array(np.broadcast_to(values, shape + values.shape[-1:]))
     if not np.all(inside):
         np.copyto(values, 0.0, where=~inside[..., None])
     mask = np.full(shape, inside)
-    if not np.all(field.mask):
-        valid = field.mask.astype(float).ravel()
-        valid = _fold([valid[o:].take(base) for o in offsets], fractions)
-        mask = mask & (valid > 1.0 - 1e-9)
+    if partial:
+        mask = mask & (values[..., -1] > 1.0 - 1e-9)
+        values = values[..., :-1]
     return values, mask
 
 
@@ -251,7 +289,8 @@ def centered_derivative(u: GridField, direction) -> GridField:
     left-invariant derivative.
 
     A node is valid where both one-sided stencils stay on the grid and
-    every node they read is valid in ``u``.
+    no nonzero coefficient of either reads a node invalid in ``u``, a
+    cover decided on boolean slices of the masks.
     """
     grid = u.grid
     (plus, valid_plus), (minus, valid_minus) = (
@@ -259,10 +298,9 @@ def centered_derivative(u: GridField, direction) -> GridField:
     )
     mask = u.mask & valid_plus & valid_minus
     if not np.all(u.mask):
-        invalid = (~u.mask).astype(float)[..., None]
-        for stencil in (plus, minus):
-            reads = _apply_stencil({step: abs(c) for step, c in stencil.items()}, invalid)
-            mask &= reads[..., 0] == 0.0
+        for step, c in (*plus.items(), *minus.items()):
+            here, there = _step_slices(step, grid.shape)
+            mask[here] &= (c[here] == 0.0) | u.mask[there]
     vals = 0.5 * (_apply_stencil(plus, u.values) + _apply_stencil(minus, u.values))
     vals = np.where(mask[..., None], vals, 0.0)
     return GridField(grid, vals, mask)
@@ -590,6 +628,13 @@ def _add_side(grid: Grid, form, sign, steps, fixed, flux, acc, rhs):
     return w
 
 
+def _step_slices(step, shape):
+    """The slices ``(here, there)`` of the nodes of a box of ``shape`` whose
+    displacement by ``step`` stays in it, and of the nodes they reach."""
+    return (tuple(slice(max(0, -t), s - max(0, t)) for t, s in zip(step, shape)),
+            tuple(slice(max(0, t), s - max(0, -t)) for t, s in zip(step, shape)))
+
+
 def _apply_stencil(stencil, x):
     """The stencil applied to nodal values ``x[..., component]``: at each
     node, the sum from 0.0 over ascending displacement of the coefficient
@@ -597,8 +642,7 @@ def _apply_stencil(stencil, x):
     its row."""
     out = np.zeros(x.shape)
     for step in sorted(stencil):
-        here = tuple(slice(max(0, -t), s - max(0, t)) for t, s in zip(step, x.shape))
-        there = tuple(slice(max(0, t), s - max(0, -t)) for t, s in zip(step, x.shape))
+        here, there = _step_slices(step, x.shape)
         reached = out[here]
         reached += stencil[step][here][..., None] * x[there]
     return out
@@ -642,15 +686,22 @@ def _cg(A, b, *, M, callback=None):
     ``M`` is a callable applied once per iteration and ``callback(x)`` runs
     after each one.  Returns ``(x, iterations)``: the iterations run until
     the residual norm is at most ``CG_RTOL * |b|``, at most ``CG_MAXITER``.
+    The loop solves for ``x 2**-e`` from ``b 2**-e``, e the exponent of
+    max |b|, so that |b|^2 neither underflows nor overflows: a power of
+    two scales every product, sum and quotient of the loop and of ``M``
+    exactly, so the iterations and the bits of ``x`` are those of the
+    unscaled loop wherever that one stays in the normal range.  ``callback``
+    sees the scaled iterate.
     """
+    e = math.frexp(float(np.max(np.abs(b))))[1]
     x = np.zeros_like(b)
     work = np.empty_like(x)     # every product and scaled vector of the loop
-    tol = CG_RTOL * math.sqrt(_dot(b, b, work))
-    r = b.copy()
+    r = np.ldexp(b, -e)
+    tol = CG_RTOL * math.sqrt(_dot(r, r, work))
     p, rho_prev = None, None
     for iteration in range(CG_MAXITER):
         if math.sqrt(_dot(r, r, work)) <= tol:
-            return x, iteration
+            return np.ldexp(x, e), iteration
         z = M(r)
         rho = _dot(r, z, work)
         if p is None:
@@ -665,7 +716,7 @@ def _cg(A, b, *, M, callback=None):
         rho_prev = rho
         if callback is not None:
             callback(x)
-    return x, CG_MAXITER
+    return np.ldexp(x, e), CG_MAXITER
 
 
 def _interpolation(size):

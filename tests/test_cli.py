@@ -459,6 +459,11 @@ def test_verify_constant_not_positive_exits_1(runner):
     (["solve", "--half-width", "1e-200"],
      "half widths [1e-200, 1e-200, 1e-200] give the cell volume 0.000e+00 on the 32x32x32 "
      "grid, not a normal float"),
+    (["solve", "--n", "5", "--bc", "p11^4", "--half-width", "1e90"],
+     "the boundary data leaves the float range on the grid at half widths "
+     "[1e+90, 1e+90, 1e+90]"),
+    (["solve", "--n", "5", "--f", "p11^4", "--half-width", "1e90"],
+     "f leaves the float range on the grid at half widths [1e+90, 1e+90, 1e+90]"),
 ])
 def test_domain_errors_exit_2_with_one_line(runner, args, message):
     result = runner.invoke(main, args)

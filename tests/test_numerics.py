@@ -98,6 +98,27 @@ def test_centered_derivative_is_the_mean_of_the_solver_stencils(name, n, monkeyp
         assert not d.values[~d.mask].any()
 
 
+@pytest.mark.parametrize("name", ["heisenberg", "engel", "free:2,3"])
+def test_centered_derivative_cover_is_the_float_reads_of_the_invalid_nodes(name):
+    # the boolean cover against the stencils applied in absolute value to
+    # an indicator of the invalid nodes
+    # an odd node count puts nodes on the planes where coefficients vanish
+    spec = resolve_group(name)
+    grid = Grid(spec, 7, 1.0)
+    rng = np.random.default_rng(14)
+    invalid = rng.random(grid.shape) < 0.1
+    u = GridField(grid, rng.standard_normal(grid.shape), ~invalid)
+    for lab in spec.basis:
+        want = ~invalid
+        for sign in (1, -1):
+            stencil, valid = numerics._stencil(grid, lab, sign)
+            reads = numerics._apply_stencil({step: abs(c) for step, c in stencil.items()},
+                                            invalid.astype(float)[..., None])
+            want = want & valid & (reads[..., 0] == 0.0)
+        got = centered_derivative(u, lab).mask
+        assert want.any() and np.array_equal(got, want), lab
+
+
 def test_centered_derivative_builds_no_sparse_matrix(engel_spec, monkeypatch):
     # the stencils are applied as arrays, with the bits of the matrices and
     # the same reads of a masked input
@@ -375,6 +396,23 @@ def test_sample_at_nonfinite_coordinates_are_outside_without_warning(heis, bad):
             assert not mask[point]
 
 
+@pytest.mark.parametrize("direction,fields", [((1, 1), 5), ((2, 1), 3)])
+def test_sample_at_peaks_at_a_few_field_sizes(heis, direction, fields):
+    # the staged flows gather a pair of arrays per moved axis, not 2**k
+    # full-size corners through a full-size index
+    grid = Grid(heis, 24, 1.0)
+    u = GridField(grid, np.random.default_rng(15).standard_normal(grid.shape))
+    coords = flow_coordinates(grid, direction, 0.01)
+    sample_at(u, coords)
+    tracemalloc.start()
+    try:
+        sample_at(u, coords)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= fields * u.values.nbytes
+
+
 @pytest.mark.parametrize("name", [name for name, _ in SAMPLED_GROUPS])
 def test_flows_keep_the_lower_layers_and_the_other_same_layer_axes_on_nodes(name):
     # what lets the sampler read those axes at their node index
@@ -479,13 +517,29 @@ def _assert_sampled_alike(u, coords):
 
 @pytest.mark.parametrize("name,shape", SAMPLED_GROUPS)
 def test_sample_at_on_broadcast_coordinates_has_the_bits_of_dense_ones(name, shape):
+    # open-mesh flows take the staged path where dense coordinates gather
+    # jointly; blow-up coordinates and point sets that are not a mesh of
+    # the grid's axes, with and without an axis read at its node index,
+    # gather jointly either way
     spec = resolve_group(name)
-    grid = Grid(spec, shape, [0.9 + 0.1 * ax for ax in range(len(shape))])
+    widths = [0.9 + 0.1 * ax for ax in range(len(shape))]
+    grid = Grid(spec, shape, widths)
     rng = np.random.default_rng(12)
     values = rng.uniform(-4.0, 4.0, grid.shape + (2,))
     holes = rng.random(grid.shape) < 0.05
+    nodes = grid.node_arrays()
+    centre = list(rng.uniform(-0.1, 0.1, len(spec.basis)))
+    blowup = product_arrays(spec, centre, [nodes[lab] * 0.6 ** lab[0] for lab in spec.basis])
+    listed = [rng.uniform(-1.1 * w, 1.1 * w, (9, 1) if ax % 2 else (1, 4))
+              for ax, w in enumerate(widths)]
+    listed[-1] = rng.uniform(-1.1 * widths[-1], 1.1 * widths[-1], (9, 4))
+    on_nodes = [nodes[spec.basis[0]]] + [rng.uniform(-1.1 * w, 1.1 * w, (2, 1) + grid.shape[1:])
+                                         for w in widths[1:]]
     for mask in (None, ~holes):
         u = GridField(grid, values, mask)
+        for coords in (blowup, listed, on_nodes):
+            _assert_sampled_alike(u, coords)
+        assert sample_at(u, on_nodes)[0].shape == (2,) + grid.shape + (2,)
         for lab in spec.basis:
             # the larger steps carry points out of the box
             for h in (0.37, -0.037, 0.0007):
@@ -1251,6 +1305,31 @@ def test_cg_matches_scipy_and_counts_its_iterations(monkeypatch):
     monkeypatch.setattr(numerics, "CG_MAXITER", 5)
     x, iterations = numerics._cg(mat, np.zeros(40), M=lambda r: r)
     assert iterations == 0 and not x.any()
+
+
+def test_cg_scales_the_right_hand_side_by_a_power_of_two():
+    # |b|^2 of the second system underflows; scaled by a power of two it
+    # takes the first system's iterations, and x comes back with its bits
+    rng = np.random.default_rng(5)
+    root = rng.standard_normal((30, 30))
+    mat = sparse.csr_matrix(root @ root.T + 30 * np.eye(30))
+    rhs = rng.standard_normal(30)
+    x, iterations = numerics._cg(mat, rhs, M=lambda r: r / mat.diagonal())
+    for e in (-700, 600):
+        scaled, scaled_iterations = numerics._cg(mat, np.ldexp(rhs, e),
+                                                 M=lambda r: r / mat.diagonal())
+        assert scaled_iterations == iterations > 0
+        assert np.ldexp(scaled, -e).tobytes() == x.tobytes()
+
+
+def test_solve_at_a_tiny_half_width_meets_the_residual_gate(heis):
+    # cell volume about 1e-300, stiffness entries about 1e-100 and loads
+    # about 4e-201, whose squares underflow
+    ident = SystemCoefficients.identity(1, 2)
+    sol = assemble_and_solve(heis, ident, [P11], n=9, half_widths=1e-100)
+    report = sol.solve_report
+    assert report["iterations"] > 0
+    assert report["relative_weak_residual"] <= numerics.WEAK_RESIDUAL_TOL
 
 
 def test_a_failing_nonsymmetric_solve_runs_one_cg_pass(heis, monkeypatch):
