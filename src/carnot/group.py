@@ -3,9 +3,11 @@
 The product is the truncated Baker-Campbell-Hausdorff series evaluated
 through the structure constants.  For each spec the coordinate polynomials
 of the product ``z(p, q)`` are computed once (Dynkin's formula, exact
-rational coefficients) and compiled by :func:`carnot.poly.compile_polys`,
-whose program each product runs: in integers over common denominators for
-exact points, in floating point when any coordinate is a float.
+rational coefficients) and compiled by :func:`carnot.poly.compile_polys`.
+An exact product runs the law as one generated straight-line function of
+integers (:func:`carnot.poly.exact_function`, built on the spec's first
+:func:`bch_product`); a product with a float coordinate runs the float
+program.
 """
 
 from __future__ import annotations
@@ -15,21 +17,26 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
 from .algebra import AlgebraSpec, combination_bracket
-from .poly import PolyFunction, compile_polys, run_arrays, run_exact
+from .poly import PolyFunction, compile_polys, exact_function, run_arrays
 
 
 class Point:
-    """Group element in exponential coordinates; ``Point(spec)`` is the identity."""
+    """Group element in exponential coordinates, every basis label in basis
+    order (another label is a ``ValueError``); ``Point(spec)`` is the identity."""
 
     __slots__ = ("spec", "coords")
 
     def __init__(self, spec, coords=None):
         self.spec = spec
         coords = coords or {}
+        if not coords.keys() <= spec.index.keys():
+            stray = ", ".join(sorted(map(repr, coords.keys() - spec.index.keys())))
+            raise ValueError(f"labels {stray} are not in the basis {list(spec.basis)}")
         self.coords = {lab: coords.get(lab, 0) for lab in spec.basis}
 
     @staticmethod
@@ -42,18 +49,26 @@ class Point:
         return Point(spec, dict(zip(spec.basis, values)))
 
     def sequence(self):
-        return [self.coords[lab] for lab in self.spec.basis]
+        return list(self.coords.values())
 
     def __eq__(self, other):
-        return isinstance(other, Point) and all(
-            self.coords[lab] == other.coords[lab] for lab in self.spec.basis
-        )
+        return isinstance(other, Point) and (
+            self.spec is other.spec or self.spec.basis == other.spec.basis
+        ) and self.coords == other.coords
 
     def __hash__(self):
-        return hash(tuple(self.coords[lab] for lab in self.spec.basis))
+        return hash(tuple(self.coords.values()))
 
     def __repr__(self):
         return f"Point({self.sequence()})"
+
+
+def _point(spec, coords):
+    # no checks: ``coords`` already maps the basis, in basis order
+    out = object.__new__(Point)
+    out.spec = spec
+    out.coords = coords
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -152,17 +167,23 @@ def _law_program(spec):
 
 
 def bch_product(p: Point, q: Point) -> Point:
-    """Group product; exact when the coordinates are exact."""
+    """Group product; exact when the coordinates are exact, in floats when
+    one is a float; a coordinate that is not a real number is a ``ValueError``."""
     spec = p.spec
     if q.spec is not spec and q.spec.basis != spec.basis:
         raise ValueError("points live over different specs")
-    exact, floating = _law_program(spec)
-    values = p.sequence() + q.sequence()
-    if any(isinstance(v, float) for v in values):
-        out = [float(v) for v in run_arrays(floating, values)]
-    else:
-        out = run_exact(exact, values)
-    return Point(spec, dict(zip(spec.basis, out)))
+    law = spec._cache.get("law_function")
+    if law is None:
+        law = spec._cache["law_function"] = exact_function(
+            _law_program(spec)[0], 2 * len(spec.basis))
+    try:
+        out = law(*p.coords.values(), *q.coords.values())
+    except AttributeError:          # a coordinate with no numerator
+        for lab, v in (*p.coords.items(), *q.coords.items()):
+            if not isinstance(v, Real):
+                raise ValueError(f"coordinate {lab} is {v!r}, not a real number") from None
+        out = [float(v) for v in run_arrays(_law_program(spec)[1], p.sequence() + q.sequence())]
+    return _point(spec, dict(zip(spec.basis, out)))
 
 
 def product_arrays(spec, p_values, q_values):
@@ -189,14 +210,15 @@ def left_invariant_coefficients(spec, label):
 
 
 def inverse(p: Point) -> Point:
-    return Point(p.spec, {lab: -v for lab, v in p.coords.items()})
+    return _point(p.spec, {lab: -v for lab, v in p.coords.items()})
 
 
 def dilate(s, p: Point) -> Point:
     """Anisotropic dilation: layer-k coordinates scale by ``s**k``."""
     if s <= 0:
         raise ValueError("dilation parameter must be positive")
-    return Point(p.spec, {lab: v * s ** lab[0] for lab, v in p.coords.items()})
+    powers = [s ** k for k in range(p.spec.r + 1)]
+    return _point(p.spec, {lab: v * powers[lab[0]] for lab, v in p.coords.items()})
 
 
 def gauge_norm_power(p: Point):

@@ -20,6 +20,7 @@ back), because the float program sums the terms in that order.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from numbers import Rational
 
@@ -313,25 +314,56 @@ def compile_polys(polys, variables):
     return exact, floating
 
 
-def run_exact(program, values):
-    # inputs as integer numerators over their common denominator D; the
-    # degree groups are summed by Horner's rule in D, so each output is
-    # one integer over L * D**(top degree) and one Fraction normalisation
-    scale = math.lcm(*(v.denominator for v in values))
-    nums = [v.numerator * (scale // v.denominator) for v in values]
-    out = []
+def exact_function(program, count):
+    """The exact program of :func:`compile_polys` over ``count`` inputs as
+    one generated straight-line function with one exact argument per input
+    (``law(*values)``) that returns one ``Fraction`` per polynomial.  It
+    reads each numerator and denominator once through ``operator.index``
+    (numpy integers become Python ints), scales the inputs by the lcm
+    ``s1`` of the denominators, forms each distinct product once from its
+    sorted prefix, and folds the summed degree groups by Horner's rule in
+    ``s1``.  Only ``int`` literals enter the source; any other
+    coefficient, degree or index is a ``TypeError``."""
+    def literal(x):
+        if type(x) is not int:
+            raise TypeError(f"not an int in an exact program: {x!r}")
+        return x
+
+    def term(c, inputs):
+        if not all(0 <= literal(i) < count for i in inputs):
+            raise ValueError(f"input indices {inputs} not all below {count}")
+        inputs = tuple(sorted(inputs))
+        for k in range(2, len(inputs) + 1):
+            if inputs[:k] not in names:
+                names[inputs[:k]] = f"t{len(names)}"
+                lines.append(f"    {names[inputs[:k]]} = {names[inputs[:k - 1]]} * x{inputs[k - 1]}")
+        return f"{literal(c)} * {names[inputs]}" if inputs else f"{literal(c)}"
+
+    vs = range(count)
+    names = {(j,): f"x{j}" for j in vs}
+    lines = [f"def law({', '.join(f'v{j}' for j in vs)}):",
+             *(f"    d{j} = index(v{j}.denominator)" for j in vs),
+             f"    s1 = lcm({', '.join(f'd{j}' for j in vs)})",
+             *(f"    x{j} = index(v{j}.numerator) * (s1 // d{j})" for j in vs)]
+    outputs, top_power = [], 1
     for common, groups in program:
-        acc = top = 0
-        for degree, terms in groups:
-            part = 0
-            for c, inputs in terms:
-                for i in inputs:
-                    c *= nums[i]
-                part += c
-            acc = acc * scale ** (degree - top) + part
-            top = degree
-        out.append(Fraction(acc, common * scale ** top))
-    return out
+        acc, top = "0", 0
+        for n, (degree, terms) in enumerate(groups):
+            if literal(degree) < 0 or n and degree <= top:
+                raise ValueError(f"degree groups must rise from 0, got {degree} after {top}")
+            # sums of at most 256 terms in parentheses: the compiler recurses
+            # once per operator of a chain, and fails past a few thousand
+            parts = [term(c, inputs) for c, inputs in terms]
+            part = " + ".join(f"({' + '.join(parts[k:k + 256])})"
+                              for k in range(0, len(parts), 256)) or "0"
+            acc, top = (f"({acc}) * s{degree - top} + {part}" if n else part), degree
+        top_power = max(top_power, top)
+        outputs.append(f"Fraction({acc}, {literal(common)}{f' * s{top}' if top else ''})")
+    lines += [f"    s{k} = s{k - 1} * s1" for k in range(2, top_power + 1)]
+    lines.append(f"    return [{', '.join(outputs)}]")
+    namespace = {"Fraction": Fraction, "index": operator.index, "lcm": math.lcm}
+    exec(compile("\n".join(lines), "<exact program>", "exec"), namespace)
+    return namespace["law"]
 
 
 def run_arrays(program, values):

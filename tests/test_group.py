@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 
@@ -345,6 +346,55 @@ def test_float_product_keeps_zero_times_inf_as_nan(heis):
     got = bch_product(p, q).coords
     assert math.isnan(got[(2, 1)])
     assert math.isnan(_replica_float_product(p, q)[(2, 1)])
+
+
+def test_numpy_integer_coordinates_multiply_exactly(free24):
+    # 3**20 cubed and beyond overflows int64: the numerators are read as
+    # Python ints, so no numpy arithmetic (and no overflow warning) is left
+    y = Point(free24, {lab: Fraction(j + 1, 7) for j, lab in enumerate(free24.basis)})
+    big = {lab: 3 ** 20 for lab in free24.basis}
+    x = Point(free24, {lab: np.int64(v) for lab, v in big.items()})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = bch_product(x, y)
+        assert bch_product(y, x) == bch_product(y, Point(free24, big))
+    assert got == bch_product(Point(free24, big), y)
+    assert got.coords[free24.basis[-1]] == Fraction(12157665872822011165, 98)
+    assert all(type(v) is Fraction for v in got.sequence())
+
+
+def test_numpy_float_coordinates_take_the_float_path(heis):
+    p = Point(heis, {(1, 1): np.float32(0.5), (2, 1): np.int64(2)})
+    q = Point(heis, {(1, 2): Fraction(1, 3)})
+    got = bch_product(p, q).sequence()
+    want = bch_product(Point(heis, {(1, 1): 0.5, (2, 1): 2.0}), q).sequence()
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("value", ["x", None, 1 + 0j])
+def test_a_coordinate_that_is_not_a_real_number_is_named(heis, value):
+    p = Point(heis, {(1, 1): Fraction(1, 2), (2, 1): value})
+    for a, b in ((p, Point(heis)), (Point(heis, {(1, 2): 1.5}), p)):
+        with pytest.raises(ValueError, match=r"coordinate \(2, 1\) is .* not a real number"):
+            bch_product(a, b)
+
+
+def test_a_point_refuses_labels_outside_the_basis(heis):
+    with pytest.raises(ValueError, match=r"labels \(1, 3\), \(3, 1\) are not in the basis"):
+        Point(heis, {(1, 3): 1, (1, 1): 2, (3, 1): 5})
+    assert Point(heis, {(1, 1): 2}).sequence() == [2, 0, 0]
+
+
+def test_points_over_different_bases_are_unequal_in_both_orders(heis, engel_spec, free23):
+    pairs = [(Point(heis), Point(engel_spec)),
+             (Point(free23), Point(engel_spec)),
+             (Point(heis, {(1, 1): 1}), Point(build_free_nilpotent(2, 2), {(1, 1): 1}))]
+    for a, b in pairs[:2]:
+        assert a != b and b != a
+        assert not a == b and not b == a
+    a, b = pairs[2]         # the same basis over two spec objects
+    assert a == b and b == a and hash(a) == hash(b)
+    assert Point(heis) != (0, 0, 0) and Point(heis) != Point(heis, {(2, 1): 1})
 
 
 @pytest.mark.parametrize("name", ["heisenburg", "free:2,", "abelian:"])

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from carnot import group
 from carnot.algebra import build_free_nilpotent
 from carnot.catalog import engel, heisenberg
-from carnot.poly import PolyFunction, _mono_key, _mul_mono, compile_polys
+from carnot.poly import PolyFunction, _mono_key, _mul_mono, compile_polys, exact_function
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +290,119 @@ def test_group_laws_and_field_coefficients_match_the_oracle(name, monkeypatch):
                 for mono, c in oracle_law[lab].terms.items()
                 if [f for f in mono if f[0][0] == "q"] == qfactor
             }))
+
+
+# ---------------------------------------------------------------------------
+# the generated exact function against the interpreter it replaced
+# ---------------------------------------------------------------------------
+
+def run_exact(program, values):
+    # inputs as integer numerators over their common denominator D; the
+    # degree groups are summed by Horner's rule in D, so each output is
+    # one integer over L * D**(top degree) and one Fraction normalisation
+    scale = math.lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (scale // v.denominator) for v in values]
+    out = []
+    for common, groups in program:
+        acc = top = 0
+        for degree, terms in groups:
+            part = 0
+            for c, inputs in terms:
+                for i in inputs:
+                    c *= nums[i]
+                part += c
+            acc = acc * scale ** (degree - top) + part
+            top = degree
+        out.append(Fraction(acc, common * scale ** top))
+    return out
+
+
+EXACT_LAW_SPECS = {**LAW_SPECS, "free:2,5": lambda: build_free_nilpotent(2, 5)}
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_law(name):
+    spec = EXACT_LAW_SPECS[name]()
+    group.group_law(spec)
+    program, count = spec._cache["law_program"][0], 2 * len(spec.basis)
+    return program, count, exact_function(program, count)
+
+
+exact_values = st.one_of(
+    st.just(0),
+    st.integers(-10 ** 6, 10 ** 6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+    st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 12)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(EXACT_LAW_SPECS)), st.data())
+def test_exact_law_function_matches_the_interpreter(name, data):
+    program, count, law = _exact_law(name)
+    values = data.draw(st.lists(exact_values, min_size=count, max_size=count))
+    got = law(*values)
+    assert got == run_exact(program, values)
+    assert all(type(v) is Fraction for v in got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(term_lists, min_size=1, max_size=3),
+       st.lists(exact_values, min_size=3, max_size=3))
+def test_exact_function_matches_the_interpreter_on_any_program(lists, values):
+    # constants, zero polynomials and unsorted input tuples
+    program = compile_polys([both(t)[0] for t in lists], VARIABLES)[0]
+    assert exact_function(program, 3)(*values) == run_exact(program, values)
+
+
+def test_exact_function_compiles_long_degree_groups():
+    # a chain of 5,000 additions exceeds the compiler's recursion limit
+    program = [(3, [(0, [(j, ()) for j in range(5000)]),
+                    (2, [(j - 2500, (j % 3, (j * 7) % 3)) for j in range(5000)])])]
+    values = [Fraction(1, 3), -2, Fraction(5, 7)]
+    assert exact_function(program, 3)(*values) == run_exact(program, values)
+
+
+@pytest.mark.parametrize("program", [
+    [(1, [(1, [(0.5, (0,))])])],              # coefficients
+    [(1, [(1, [(Fraction(1), (0,))])])],
+    [(1, [(1, [(1, (1.0,))])])],              # input indices
+    [(1, [(1, [(1, ("x0",))])])],
+    [(1, [(1, [(1, (True,))])])],
+    [(1, [("1", [(1, (0,))])])],              # degrees
+    [(2.0, [(1, [(1, (0,))])])],              # common denominators
+    [("2); import os; (1", [])],
+])
+def test_exact_function_takes_only_int_literals(program):
+    with pytest.raises(TypeError, match="not an int in an exact program"):
+        exact_function(program, 2)
+
+
+@pytest.mark.parametrize("program", [
+    [(1, [(1, [(1, (2,))])])],                # an index past the inputs
+    [(1, [(2, [(1, (0, 1))]), (1, [(1, (0,))])])],   # falling degrees
+    [(1, [(-1, [(1, ())])])],
+])
+def test_exact_function_refuses_indices_and_degrees_out_of_range(program):
+    with pytest.raises(ValueError):
+        exact_function(program, 2)
+
+
+def test_a_spec_builds_its_exact_law_once_and_only_for_bch_product(monkeypatch):
+    builds = []
+
+    def counted(program, count):
+        builds.append(count)
+        return exact_function(program, count)
+
+    monkeypatch.setattr(group, "exact_function", counted)
+    spec = heisenberg()
+    group.product_arrays(spec, [0.5, 1.0, 2.0], [1.0, -1.0, 0.25])
+    assert builds == [] and "law_function" not in spec._cache
+    p = group.Point(spec, {(1, 1): 1, (2, 1): Fraction(1, 2)})
+    for _ in range(3):
+        group.bch_product(p, p)
+    assert builds == [6]
 
 
 # ---------------------------------------------------------------------------
