@@ -49,4 +49,4 @@ from .rewrite import (
     verify_rewrite_identity,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

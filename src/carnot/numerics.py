@@ -680,8 +680,10 @@ def _dot(u, v, out=None):
 
 
 def _cg(A, b, *, M, callback=None):
-    """Preconditioned conjugate gradients from zero, the loop of scipy's
-    ``cg`` with every inner product taken by :func:`_dot`.
+    """Flexible conjugate gradients from zero, FCG(1) (Notay, SIAM J. Sci.
+    Comput. 22, 2000): beta = -(z, q_prev) / (p_prev, q_prev), q = A p, and
+    alpha = (p, r) / (p, q), every inner product taken by :func:`_dot`.
+    Unlike CG it needs no symmetric ``M``, which float32 rounding breaks.
 
     ``M`` is a callable applied once per iteration and ``callback(x)`` runs
     after each one.  Returns ``(x, iterations)``: the iterations run until
@@ -698,22 +700,21 @@ def _cg(A, b, *, M, callback=None):
     work = np.empty_like(x)     # every product and scaled vector of the loop
     r = np.ldexp(b, -e)
     tol = CG_RTOL * math.sqrt(_dot(r, r, work))
-    p, rho_prev = None, None
+    p = q = pq = None
     for iteration in range(CG_MAXITER):
         if math.sqrt(_dot(r, r, work)) <= tol:
             return np.ldexp(x, e), iteration
         z = M(r)
-        rho = _dot(r, z, work)
         if p is None:
             p = z.copy()
         else:
-            p *= rho / rho_prev
+            p *= -_dot(z, q, work) / pq
             p += z
         q = A @ p
-        alpha = rho / _dot(p, q, work)
+        pq = _dot(p, q, work)
+        alpha = _dot(p, r, work) / pq
         x += np.multiply(p, alpha, out=work)
         r -= np.multiply(q, alpha, out=work)
-        rho_prev = rho
         if callback is not None:
             callback(x)
     return np.ldexp(x, e), CG_MAXITER
@@ -733,7 +734,7 @@ def _interpolation(size):
     rows = np.concatenate([fine, fine[right]])
     cols = np.concatenate([left, left[right] + 1])
     vals = np.concatenate([np.where(odd, 0.5, 1.0), np.full(int(right.sum()), 0.5)])
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(size, coarse))
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(size, coarse), dtype=np.float32)
 
 
 # Lanczos steps behind each level's estimate of the spectral radius of D^-1 K
@@ -784,12 +785,15 @@ def _galerkin_product(k, prolong, restrict, planes):
     return sparse.vstack(slabs, format="csr")
 
 
-def _jacobi_weights(k):
-    """omega / diag(K) with omega = 4 / (3 rho), rho the largest Ritz value
-    of LANCZOS_STEPS Lanczos steps on D^-1/2 K D^-1/2 (the spectrum of
-    D^-1 K) from a fixed start vector: a lower bound on rho."""
-    dinv = 1.0 / k.diagonal()
-    scale = np.sqrt(dinv)
+def _largest_ritz_value(k, scale):
+    """The largest Ritz value of LANCZOS_STEPS float64 Lanczos steps on S K S,
+    S = diag(``scale``) = D^-1/2, from a fixed start vector: a lower bound
+    on the spectral radius of D^-1 K.  A float32 K is read through one
+    float64 copy of its values."""
+    from scipy import sparse
+
+    k = sparse.csr_matrix((k.data.astype(np.float64, copy=False), k.indices, k.indptr),
+                          shape=k.shape)
     v = np.random.default_rng(0).standard_normal(k.shape[0])
     v /= math.sqrt(_dot(v, v))
     v_prev, beta, alphas, betas = 0.0, 0.0, [], []
@@ -803,12 +807,30 @@ def _jacobi_weights(k):
         betas.append(beta)
         v_prev, v = v, w / beta
     off = betas[:len(alphas) - 1]
-    rho = np.linalg.eigvalsh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))[-1]
-    return (4.0 / (3.0 * rho)) * dinv
+    return float(np.linalg.eigvalsh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))[-1])
+
+
+def _unit_diagonal(k, scale, planes):
+    """S K S in float32, S = diag(``scale``) = D^-1/2, sharing K's index
+    arrays: each entry is formed in float64, one x-plane (of ``planes``) of
+    rows at a time, and rounded once.  K being positive definite, its
+    entries are at most 1, however far K's diagonal spans."""
+    from scipy import sparse
+
+    data = np.empty(k.nnz, dtype=np.float32)
+    plane_rows = k.shape[0] // planes
+    for a in range(0, k.shape[0], plane_rows):
+        ka, kb = k.indptr[a], k.indptr[a + plane_rows]
+        entries = np.take(scale, k.indices[ka:kb])
+        entries *= k.data[ka:kb]
+        entries *= np.repeat(scale[a:a + plane_rows], np.diff(k.indptr[a:a + plane_rows + 1]))
+        data[ka:kb] = entries
+    return sparse.csr_matrix((data, k.indices, k.indptr), shape=k.shape)
 
 
 class VCycle:
-    """Symmetric multigrid V-cycle for the interior unknowns of a grid.
+    """Multigrid V-cycle in float32 for the interior unknowns of a grid,
+    built on S K S, S = D^-1/2 (:func:`_unit_diagonal`).
 
     The horizontal (layer-1) axes are coarsened first, by
     :func:`_interpolation`, while the upper layers keep every node: the
@@ -821,9 +843,13 @@ class VCycle:
     product of the axis interpolations and the identity on the components,
     formed by slabs of coarse x-planes (:func:`_galerkin_product`) so that
     no level holds the whole product K P; each level smooths with one
-    damped Jacobi sweep before and one after, weighted by
-    :func:`_jacobi_weights`.
-    Calling the cycle on a residual returns the correction.
+    damped Jacobi sweep before and one after, omega = 4 / (3 rho) with rho
+    from :func:`_largest_ritz_value`.  Every level's matrices, weights and
+    vectors are float32, so no product upcasts a matrix.
+    Called on a residual r, the cycle returns S c(S r), c the cycle on
+    S K S: S r is formed in float64 and shifted by the power of two of its
+    largest entry before it is rounded, and c's result is scaled and
+    shifted back in float64.
     """
 
     def __init__(self, k, grid: Grid, ncomp):
@@ -831,23 +857,33 @@ class VCycle:
 
         shape = [s - 2 for s in grid.shape]
         horizontal = [grid.axis_of((1, i)) for i in range(1, grid.spec.m + 1)]
+        self.scale = 1.0 / np.sqrt(k.diagonal())       # S = D^-1/2, float64
+        rho = _largest_ritz_value(k, self.scale)
+        k = _unit_diagonal(k, self.scale, shape[0])
+        diag = k.diagonal()
         self.levels = []        # (K, omega D^-1, P, P^T) per level above the bottom
         while any(s > 1 for s in shape):
             axes = ([ax for ax in horizontal if shape[ax] > 2]
                     or [ax for ax, s in enumerate(shape) if s > 2]
                     or [ax for ax, s in enumerate(shape) if s > 1])
-            factors = [sparse.identity(s, format="csr") for s in shape + [ncomp]]
+            factors = [sparse.identity(s, dtype=np.float32, format="csr")
+                       for s in shape + [ncomp]]
             for ax in axes:
                 factors[ax] = _interpolation(shape[ax])
                 shape[ax] = (shape[ax] + 1) // 2
             prolong = functools.reduce(lambda a, b: sparse.kron(a, b, "csr"), factors)
             restrict = prolong.T.tocsr()
-            self.levels.append((k, _jacobi_weights(k), prolong, restrict))
+            self.levels.append((k, (4.0 / (3.0 * rho)) / diag, prolong, restrict))
             k = _galerkin_product(k, prolong, restrict, shape[0])
             _release_freed_memory()
+            diag = k.diagonal()
+            rho = _largest_ritz_value(k, 1.0 / np.sqrt(diag.astype(np.float64)))
         self.coarsest = np.linalg.inv(k.toarray())     # ncomp x ncomp
 
     def __call__(self, r):
+        w = self.scale * r
+        e = math.frexp(max(float(w.max()), -float(w.min())))[1]
+        r = np.ldexp(w, -e, out=w).astype(np.float32)
         down = []
         for k, weights, _, restrict in self.levels:
             x = weights * r
@@ -861,7 +897,9 @@ class VCycle:
             kx = k @ x
             np.subtract(r, kx, out=kx)
             x += np.multiply(kx, weights, out=kx)
-        return x
+        np.ldexp(x, e, out=w, dtype=np.float64)
+        w *= self.scale
+        return w
 
 
 CG_RTOL = 1e-12
@@ -921,6 +959,9 @@ def assemble_and_solve(
         raise ValueError(f"f_i has {len(f_i)} entries; the group has {m} X_i")
     flux = np.stack([as_field(fi, f"f_{i}").values for i, fi in enumerate(f_i, 1)], -1)
 
+    # an earlier solve's freed pages would stay resident under the assembly,
+    # where they raised the peak
+    _release_freed_memory()
     with np.errstate(over="ignore", invalid="ignore"):
         k_ff, rhs = _weak_form(grid, form, steps, g, flux, f_field)
     if not (np.all(np.isfinite(k_ff.data)) and np.all(np.isfinite(rhs))):
@@ -941,8 +982,9 @@ def assemble_and_solve(
     # positive diagonal.  The copy is freed before the V-cycle build, which
     # holds the solve's peak
     k_inf = float(np.add.reduceat(np.abs(k_ff.data), k_ff.indptr[:-1]).max())
-    # CG needs a symmetric preconditioner: the cycle is built on the
-    # symmetric part of K, which is K itself when the form is symmetric
+    # the cycle's Lanczos estimate and Jacobi weights assume a symmetric
+    # matrix: it is built on the symmetric part of K, which is K itself when
+    # the form is symmetric; flexible CG needs no symmetry of the cycle
     precond = VCycle(
         k_ff if np.array_equal(form, form.T) else (0.5 * (k_ff + k_ff.T)).tocsr(),
         grid, ncomp,

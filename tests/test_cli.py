@@ -526,7 +526,7 @@ def test_default_suite_json_keeps_its_bytes(tmp_path):
                        OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     assert done.returncode == 0, done.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "efba5783b108654349e0923a1529d504f88dc45647c69adf3408bcdcdef6e859")
+        "a6b14760312b92716c25436e4986fd8ad9b1f6d5642aed118bf97d1fee413c7e")
 
 
 def test_package_runs_as_a_module():

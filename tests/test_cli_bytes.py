@@ -81,10 +81,10 @@ ROWS = [
      "b4673b51a1619f5211ffef80afabef8f2601d277bd2a4e920af13cb0c005be35",
      {}),
     ("solve --group heisenberg --n 16 --bc poly:p11 --out u.csv", 0,
-     "dfa0c6a7a7c5cf7f9253f21a813feb5268e67c1ff783ae521da7d99c60c74a22",
-     {"u.csv": "d1ffd59a1ba568365cf15863e343f084a7897c62475c78cf9a7be790f68b21c9"}),
+     "b08bbcb2c7db5beca8ab15c25a694a588554d081007d26b2602878483e8ab3bd",
+     {"u.csv": "f6e96e04385f45c2db2aae189adcb344c0f0d54a447b9501d925b48c198037ea"}),
     ("verify caccioppoli --n 12", 0,
-     "79b7c7c02e300a6618db79d952ec05cbfcd1303b91bb31dabc7550a1d8a1140a",
+     "ff758ac9ecf7e197a92b2bf4c24d0a62182f8763fb3411e619262bf3309d31c5",
      {}),
     ("verify peetre --n 9", 0,
      "493c60f4e7df952544dfddf33b1b599eec00f1a881dd6986a36d08897654b553",
@@ -93,13 +93,13 @@ ROWS = [
      "0475de558509e63f58ba31c241ee0046114b296afd4b9388f95530d3f50d32ee",
      {}),
     ("verify decay --n 24 --tau 0.5 --radii 0.25,0.5,1", 0,
-     "0270882fc1a39b8afd73524b67550587c892e5b480d9877c65d1315973ae5417",
+     "2ae8163f49529742dd1d2b1634b8b96dea329fd71c8a838a986490957fa4c9a5",
      {}),
     ("verify supbound --n 12", 0,
-     "2c0cbda833dcf6fffb137b746649e34cc1888859caa7d4ee551cbfc83f81f00e",
+     "303ab248120247f29ae38464f3d0d69f742bfc93c9d53cc2e689321aef965fed",
      {}),
     ("verify estimate --n 12", 0,
-     "24f036f07ef57aacc18a4b971c12367496a0dd0e45b8bc47c42b980d88080cc9",
+     "27ba0ee974aefb7618e6bf6200104bd92a8d067d35a69d9906891cc1f01632bf",
      {}),
 ]
 

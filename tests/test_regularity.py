@@ -249,12 +249,12 @@ def _report_digest(report):
 # values and mask bytes, then its epsilon and normalization); a numpy or
 # scipy upgrade may move these bits without any change to the package
 ESTIMATE_DIGESTS = {
-    "caccioppoli": "1f4bac7b8009bfa091eb2877234e73980bf13da6c3ac83e16a0a65df112e8317",
-    "excess_decay_origin": "b649901287179ca0e39c447ed0a9955dfc2cb835e24a9e057eb301c8b0333d2a",
-    "excess_decay_offset": "b61215d1ff7e7dd9f2c6d88f0a6f9e5c59d1849cfb8ad754a9add52a52527d8e",
-    "sup": "b72b1fb9bf9cb1f9c62a15a527fa03eb0310bf5dfa7c9d28da6802f6e0843f3c",
-    "higher_order": "b92cd85c5fae025345fdbe558efa5d8014b5598249d5ef48d5427ad3e407223d",
-    "blowup": "66e192a0cb48ad7fd9f1bea62b67d6d8de68315323dbe76f9a97ea42a21e29be",
+    "caccioppoli": "1dcaabe522d1100c8942e80b9558d40cc4d3c88db53133e7f1d5ef93f501c8da",
+    "excess_decay_origin": "8def23361d7dd138809887ba69fd6190e06d7f08eb249e5fb674d3b0d5383a72",
+    "excess_decay_offset": "4720654a2cf2eb4d57cc954f469fbbd9a66c1b2ff4e2b21eb06263c3b5ef0a74",
+    "sup": "fd17b000b2fcbd0ba107027ff772b2125cd73d053f9dc069795f6064e543d32d",
+    "higher_order": "c63ce76dc4f3b7dca1d49a9ce4467e8b130c5d050c397b910f7c18d1befde892",
+    "blowup": "040f5aac46efe7d73cee8e0f328f9bfedbecb4bb9e06b027b5bbf580bc813213",
     "hormander": "bbe79e17f44049576f87f0bfae7f93628c9b41be845d0daca4f76678c5219d88",
 }
 
