@@ -788,8 +788,8 @@ def _galerkin_product(k, prolong, restrict, planes):
 def _largest_ritz_value(k, scale):
     """The largest Ritz value of LANCZOS_STEPS float64 Lanczos steps on S K S,
     S = diag(``scale``) = D^-1/2, from a fixed start vector: a lower bound
-    on the spectral radius of D^-1 K.  A float32 K is read through one
-    float64 copy of its values."""
+    on the spectral radius of D^-1 K if K is symmetric, else an estimate.
+    A float32 K is read through one float64 copy of its values."""
     from scipy import sparse
 
     k = sparse.csr_matrix((k.data.astype(np.float64, copy=False), k.indices, k.indptr),
@@ -813,8 +813,8 @@ def _largest_ritz_value(k, scale):
 def _unit_diagonal(k, scale, planes):
     """S K S in float32, S = diag(``scale``) = D^-1/2, sharing K's index
     arrays: each entry is formed in float64, one x-plane (of ``planes``) of
-    rows at a time, and rounded once.  K being positive definite, its
-    entries are at most 1, however far K's diagonal spans."""
+    rows at a time, and rounded once.  Its symmetric part has entries at
+    most 1 (K's is positive definite), however far K's diagonal spans."""
     from scipy import sparse
 
     data = np.empty(k.nnz, dtype=np.float32)
@@ -922,6 +922,8 @@ def assemble_and_solve(
     component.  Returns the solution field with a ``solve_report``
     attribute carrying residual, conditioning and solver data.
     """
+    if A.m != spec.m:
+        raise ValueError(f"the coefficients have {A.m} slots; the group has {spec.m} X_i")
     if not A.is_coercive():
         raise SolverDiverged(
             "the coefficients fail the Legendre condition: the symmetric part of the "
@@ -982,13 +984,7 @@ def assemble_and_solve(
     # positive diagonal.  The copy is freed before the V-cycle build, which
     # holds the solve's peak
     k_inf = float(np.add.reduceat(np.abs(k_ff.data), k_ff.indptr[:-1]).max())
-    # the cycle's Lanczos estimate and Jacobi weights assume a symmetric
-    # matrix: it is built on the symmetric part of K, which is K itself when
-    # the form is symmetric; flexible CG needs no symmetry of the cycle
-    precond = VCycle(
-        k_ff if np.array_equal(form, form.T) else (0.5 * (k_ff + k_ff.T)).tocsr(),
-        grid, ncomp,
-    )
+    precond = VCycle(k_ff, grid, ncomp)
 
     sol, iterations = _cg(k_ff, rhs, M=precond)
     if not np.all(np.isfinite(sol)):
