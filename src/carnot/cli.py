@@ -85,6 +85,7 @@ def _comma_list(convert, count=None):
 _LABEL = _option(_comma_list(int, count=2), "a basis label k,i")
 _POINT = _option(_comma_list(parse_rational), "comma-separated coordinates")
 _RADIUS = _option(group.ball_radius, "a ball radius")
+_SEED = _option(group.sample_seed, "a sampling seed")
 # radii whose square or fourth power scales a check's derivative terms
 _RADIUS_SQUARED = _option(lambda r: numerics.scaling_radius(r, 2), "a ball radius")
 _RADIUS_FOURTH = _option(lambda r: numerics.scaling_radius(r, 4), "a ball radius")
@@ -280,7 +281,7 @@ def group_dist(spec, p, q):
 @group_option
 @click.option("--radius", type=float, default=1.0, show_default=True, callback=_RADIUS)
 @click.option("--samples", type=int, default=200_000, show_default=True)
-@click.option("--seed", type=int, default=12345, show_default=True)
+@click.option("--seed", type=int, default=12345, show_default=True, callback=_SEED)
 def group_ballvol(spec, radius, samples, seed):
     _report(group.ball_volume_estimate(spec, radius, samples, seed=seed))
 

@@ -316,6 +316,14 @@ def ball_radius(r):
     return r
 
 
+def sample_seed(seed):
+    """``seed``, refused unless it is non-negative, as numpy's generators
+    take it."""
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
+    return seed
+
+
 def ball_volume_estimate(spec, radius, samples, seed=0, shard=1 << 16):
     """Monte-Carlo Lebesgue volume of the gauge ball with a 95% interval.
 
@@ -323,8 +331,11 @@ def ball_volume_estimate(spec, radius, samples, seed=0, shard=1 << 16):
     index), so a partition across workers would reproduce the same estimate.
     """
     ball_radius(radius)
+    sample_seed(seed)
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
+    if shard < 1:
+        raise ValueError(f"need shard >= 1, got {shard}")
     # a half width or a box volume that overflows, underflows or is
     # subnormal would sample, or scale by, a box the floats do not hold
     try:

@@ -679,6 +679,7 @@ def _dot(u, v, out=None):
     return float(np.add.reduce(np.multiply(u, v, out=out)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cg(A, b, *, M, callback=None):
     """Flexible conjugate gradients from zero, FCG(1) (Notay, SIAM J. Sci.
     Comput. 22, 2000): beta = -(z, q_prev) / (p_prev, q_prev), q = A p, and
@@ -687,13 +688,13 @@ def _cg(A, b, *, M, callback=None):
 
     ``M`` is a callable applied once per iteration and ``callback(x)`` runs
     after each one.  Returns ``(x, iterations)``: the iterations run until
-    the residual norm is at most ``CG_RTOL * |b|``, at most ``CG_MAXITER``.
-    The loop solves for ``x 2**-e`` from ``b 2**-e``, e the exponent of
-    max |b|, so that |b|^2 neither underflows nor overflows: a power of
-    two scales every product, sum and quotient of the loop and of ``M``
-    exactly, so the iterations and the bits of ``x`` are those of the
-    unscaled loop wherever that one stays in the normal range.  ``callback``
-    sees the scaled iterate.
+    the residual norm is at most ``CG_RTOL * |b|`` or not finite (a loop
+    that diverges overflows, unwarned), at most ``CG_MAXITER``.  The loop
+    solves for ``x 2**-e`` from ``b 2**-e``, e the exponent of max |b|, so
+    that |b|^2 neither underflows nor overflows: a power of two scales every
+    product, sum and quotient of the loop and of ``M`` exactly, so the
+    iterations and the bits of ``x`` are those of the unscaled loop wherever
+    that one stays in the normal range.  ``callback`` sees the scaled iterate.
     """
     e = math.frexp(float(np.max(np.abs(b))))[1]
     x = np.zeros_like(b)
@@ -702,11 +703,12 @@ def _cg(A, b, *, M, callback=None):
     tol = CG_RTOL * math.sqrt(_dot(r, r, work))
     p = q = pq = None
     for iteration in range(CG_MAXITER):
-        if math.sqrt(_dot(r, r, work)) <= tol:
+        norm = math.sqrt(_dot(r, r, work))
+        if norm <= tol or not math.isfinite(norm):
             return np.ldexp(x, e), iteration
         z = M(r)
         if p is None:
-            p = z.copy()
+            p = z.astype(np.float64)
         else:
             p *= -_dot(z, q, work) / pq
             p += z
@@ -785,15 +787,16 @@ def _galerkin_product(k, prolong, restrict, planes):
     return sparse.vstack(slabs, format="csr")
 
 
-def _largest_ritz_value(k, scale):
+def _largest_ritz_value(k):
     """The largest Ritz value of LANCZOS_STEPS float64 Lanczos steps on S K S,
-    S = diag(``scale``) = D^-1/2, from a fixed start vector: a lower bound
-    on the spectral radius of D^-1 K if K is symmetric, else an estimate.
-    A float32 K is read through one float64 copy of its values."""
+    S = D^-1/2 read from K's diagonal, from a fixed start vector: a lower
+    bound on the spectral radius of D^-1 K if K is symmetric, else an
+    estimate.  A float32 K is read through one float64 copy of its values."""
     from scipy import sparse
 
     k = sparse.csr_matrix((k.data.astype(np.float64, copy=False), k.indices, k.indptr),
                           shape=k.shape)
+    scale = 1.0 / np.sqrt(k.diagonal())
     v = np.random.default_rng(0).standard_normal(k.shape[0])
     v /= math.sqrt(_dot(v, v))
     v_prev, beta, alphas, betas = 0.0, 0.0, [], []
@@ -810,27 +813,20 @@ def _largest_ritz_value(k, scale):
     return float(np.linalg.eigvalsh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))[-1])
 
 
-def _unit_diagonal(k, scale, planes):
-    """S K S in float32, S = diag(``scale``) = D^-1/2, sharing K's index
-    arrays: each entry is formed in float64, one x-plane (of ``planes``) of
-    rows at a time, and rounded once.  Its symmetric part has entries at
-    most 1 (K's is positive definite), however far K's diagonal spans."""
-    from scipy import sparse
-
-    data = np.empty(k.nnz, dtype=np.float32)
+def _scale_to_unit_diagonal(k, scale, planes):
+    """Scale K's values in place to S K S, S = diag(``scale``) = D^-1/2, one
+    x-plane (of ``planes``) of rows at a time: its symmetric part has entries
+    at most 1 (K's is positive definite), however far K's diagonal spans."""
     plane_rows = k.shape[0] // planes
     for a in range(0, k.shape[0], plane_rows):
         ka, kb = k.indptr[a], k.indptr[a + plane_rows]
-        entries = np.take(scale, k.indices[ka:kb])
-        entries *= k.data[ka:kb]
+        entries = k.data[ka:kb]
+        entries *= np.take(scale, k.indices[ka:kb])
         entries *= np.repeat(scale[a:a + plane_rows], np.diff(k.indptr[a:a + plane_rows + 1]))
-        data[ka:kb] = entries
-    return sparse.csr_matrix((data, k.indices, k.indptr), shape=k.shape)
 
 
 class VCycle:
-    """Multigrid V-cycle in float32 for the interior unknowns of a grid,
-    built on S K S, S = D^-1/2 (:func:`_unit_diagonal`).
+    """Multigrid V-cycle in float32 for the interior unknowns of a grid.
 
     The horizontal (layer-1) axes are coarsened first, by
     :func:`_interpolation`, while the upper layers keep every node: the
@@ -839,6 +835,8 @@ class VCycle:
     more than two interior nodes the upper-layer axes are coarsened too,
     and once no axis has more than two, every axis halves to one node: the
     bottom is an ncomp x ncomp block, applied as its dense inverse.
+    Level 0 is K in float32, sharing K's index arrays, so K must be in
+    float32's range: the solver builds the cycle on S K S, S = D^-1/2.
     Coarse operators are Galerkin products P^T K P, with P the Kronecker
     product of the axis interpolations and the identity on the components,
     formed by slabs of coarse x-planes (:func:`_galerkin_product`) so that
@@ -846,10 +844,6 @@ class VCycle:
     damped Jacobi sweep before and one after, omega = 4 / (3 rho) with rho
     from :func:`_largest_ritz_value`.  Every level's matrices, weights and
     vectors are float32, so no product upcasts a matrix.
-    Called on a residual r, the cycle returns S c(S r), c the cycle on
-    S K S: S r is formed in float64 and shifted by the power of two of its
-    largest entry before it is rounded, and c's result is scaled and
-    shifted back in float64.
     """
 
     def __init__(self, k, grid: Grid, ncomp):
@@ -857,10 +851,8 @@ class VCycle:
 
         shape = [s - 2 for s in grid.shape]
         horizontal = [grid.axis_of((1, i)) for i in range(1, grid.spec.m + 1)]
-        self.scale = 1.0 / np.sqrt(k.diagonal())       # S = D^-1/2, float64
-        rho = _largest_ritz_value(k, self.scale)
-        k = _unit_diagonal(k, self.scale, shape[0])
-        diag = k.diagonal()
+        rho = _largest_ritz_value(k)
+        k = sparse.csr_matrix((k.data.astype(np.float32), k.indices, k.indptr), shape=k.shape)
         self.levels = []        # (K, omega D^-1, P, P^T) per level above the bottom
         while any(s > 1 for s in shape):
             axes = ([ax for ax in horizontal if shape[ax] > 2]
@@ -873,17 +865,14 @@ class VCycle:
                 shape[ax] = (shape[ax] + 1) // 2
             prolong = functools.reduce(lambda a, b: sparse.kron(a, b, "csr"), factors)
             restrict = prolong.T.tocsr()
-            self.levels.append((k, (4.0 / (3.0 * rho)) / diag, prolong, restrict))
+            self.levels.append((k, (4.0 / (3.0 * rho)) / k.diagonal(), prolong, restrict))
             k = _galerkin_product(k, prolong, restrict, shape[0])
             _release_freed_memory()
-            diag = k.diagonal()
-            rho = _largest_ritz_value(k, 1.0 / np.sqrt(diag.astype(np.float64)))
+            rho = _largest_ritz_value(k)
         self.coarsest = np.linalg.inv(k.toarray())     # ncomp x ncomp
 
     def __call__(self, r):
-        w = self.scale * r
-        e = math.frexp(max(float(w.max()), -float(w.min())))[1]
-        r = np.ldexp(w, -e, out=w).astype(np.float32)
+        r = r.astype(np.float32)
         down = []
         for k, weights, _, restrict in self.levels:
             x = weights * r
@@ -897,9 +886,7 @@ class VCycle:
             kx = k @ x
             np.subtract(r, kx, out=kx)
             x += np.multiply(kx, weights, out=kx)
-        np.ldexp(x, e, out=w, dtype=np.float64)
-        w *= self.scale
-        return w
+        return x
 
 
 CG_RTOL = 1e-12
@@ -978,20 +965,23 @@ def assemble_and_solve(
     if np.any(diag <= 0):
         raise SolverDiverged("stiffness diagonal is not positive")
     diag_ratio = float(diag.max() / diag.min())
+    scale = 1.0 / np.sqrt(diag)         # S = D^-1/2
     del diag
     # the largest absolute row sum, summed as abs(K).sum(axis=1) sums it,
     # from a copy of K's values but not of its indices; every row holds its
-    # positive diagonal.  The copy is freed before the V-cycle build, which
-    # holds the solve's peak
+    # positive diagonal.  The copy is freed at once: the solve's peak is in
+    # the assembly, where _diagonals_to_csr builds K
     k_inf = float(np.add.reduceat(np.abs(k_ff.data), k_ff.indptr[:-1]).max())
+    # FCG on S K S y = S b, x = S y, is FCG on K over S c S, c the cycle
+    _scale_to_unit_diagonal(k_ff, scale, grid.shape[0] - 2)
     precond = VCycle(k_ff, grid, ncomp)
-
-    sol, iterations = _cg(k_ff, rhs, M=precond)
+    y, iterations = _cg(k_ff, scale * rhs, M=precond)
+    sol = scale * y
     if not np.all(np.isfinite(sol)):
         raise SolverDiverged(f"conjugate gradient failed after {iterations} iterations")
     # largest row residual, relative to the backward-error scale
-    scale = k_inf * float(np.max(np.abs(sol))) + float(np.max(np.abs(rhs)))
-    rel_residual = float(np.max(np.abs(k_ff @ sol - rhs))) / max(scale, 1e-300)
+    bound = k_inf * float(np.max(np.abs(sol))) + float(np.max(np.abs(rhs)))
+    rel_residual = float(np.max(np.abs(k_ff @ y / scale - rhs))) / max(bound, 1e-300)
     interior = tuple(slice(1, -1) for _ in grid.shape)
     values = g.values.copy()
     values[interior] = sol.reshape(values[interior].shape)
@@ -1006,7 +996,7 @@ def assemble_and_solve(
         "diag_ratio": diag_ratio,
         "coercivity_margin": A.coercivity_margin(),
     }
-    if rel_residual > WEAK_RESIDUAL_TOL:
+    if not rel_residual <= WEAK_RESIDUAL_TOL:
         raise SolverDiverged(
             f"weak-form residual {rel_residual:.2e} above tolerance {WEAK_RESIDUAL_TOL}"
         )

@@ -81,10 +81,10 @@ ROWS = [
      "b4673b51a1619f5211ffef80afabef8f2601d277bd2a4e920af13cb0c005be35",
      {}),
     ("solve --group heisenberg --n 16 --bc poly:p11 --out u.csv", 0,
-     "b08bbcb2c7db5beca8ab15c25a694a588554d081007d26b2602878483e8ab3bd",
-     {"u.csv": "f6e96e04385f45c2db2aae189adcb344c0f0d54a447b9501d925b48c198037ea"}),
+     "98ffcb5454dec5fd8510b192bfd4ba9497251e9fb64a4874f09c98cfd3b911bf",
+     {"u.csv": "65ca49a90fce502796a0238c8178cd74095c80fdba2612fd7229ced156269a35"}),
     ("verify caccioppoli --n 12", 0,
-     "ff758ac9ecf7e197a92b2bf4c24d0a62182f8763fb3411e619262bf3309d31c5",
+     "c3342e66709979371c2bf6a36797a8b9e6741a4fcfbb05b8269b4a2def953445",
      {}),
     ("verify peetre --n 9", 0,
      "493c60f4e7df952544dfddf33b1b599eec00f1a881dd6986a36d08897654b553",
@@ -93,13 +93,13 @@ ROWS = [
      "0475de558509e63f58ba31c241ee0046114b296afd4b9388f95530d3f50d32ee",
      {}),
     ("verify decay --n 24 --tau 0.5 --radii 0.25,0.5,1", 0,
-     "2ae8163f49529742dd1d2b1634b8b96dea329fd71c8a838a986490957fa4c9a5",
+     "ae9aee57af715b7885e35662f86dffe123f29caf26a5f61b9a0be8141059d796",
      {}),
     ("verify supbound --n 12", 0,
-     "303ab248120247f29ae38464f3d0d69f742bfc93c9d53cc2e689321aef965fed",
+     "700b95e2d472de348792c4ee16ccd9cd8122a87eba88fe0f8473e92d2beaa343",
      {}),
     ("verify estimate --n 12", 0,
-     "27ba0ee974aefb7618e6bf6200104bd92a8d067d35a69d9906891cc1f01632bf",
+     "adddc5d32b6dd2b4137d2f07ce4cb60840502f12f227ce3735a7cb959660a021",
      {}),
 ]
 

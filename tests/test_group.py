@@ -221,6 +221,15 @@ def test_ball_volume_refuses_a_radius_not_finite_and_positive(heis, radius):
         ball_volume_estimate(heis, radius, 100)
 
 
+@pytest.mark.parametrize("bad,message", [
+    ({"seed": -1}, "need seed >= 0, got -1"),      # reached numpy's generator
+    ({"shard": 0}, "need shard >= 1, got 0"),      # drew no sample a round, forever
+])
+def test_ball_volume_refuses_a_bad_seed_or_shard(heis, bad, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ball_volume_estimate(heis, 1.0, 100, **bad)
+
+
 def test_ball_volume_deterministic(heis):
     a = ball_volume_estimate(heis, 1.0, 30_000, seed=7)
     b = ball_volume_estimate(heis, 1.0, 30_000, seed=7)

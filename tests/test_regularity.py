@@ -249,12 +249,12 @@ def _report_digest(report):
 # values and mask bytes, then its epsilon and normalization); a numpy or
 # scipy upgrade may move these bits without any change to the package
 ESTIMATE_DIGESTS = {
-    "caccioppoli": "1dcaabe522d1100c8942e80b9558d40cc4d3c88db53133e7f1d5ef93f501c8da",
-    "excess_decay_origin": "8def23361d7dd138809887ba69fd6190e06d7f08eb249e5fb674d3b0d5383a72",
-    "excess_decay_offset": "4720654a2cf2eb4d57cc954f469fbbd9a66c1b2ff4e2b21eb06263c3b5ef0a74",
-    "sup": "fd17b000b2fcbd0ba107027ff772b2125cd73d053f9dc069795f6064e543d32d",
-    "higher_order": "c63ce76dc4f3b7dca1d49a9ce4467e8b130c5d050c397b910f7c18d1befde892",
-    "blowup": "040f5aac46efe7d73cee8e0f328f9bfedbecb4bb9e06b027b5bbf580bc813213",
+    "caccioppoli": "1539d84cc8c49783f08b841d6f573fd5dad17acedcb942da31d3eadaf0923da0",
+    "excess_decay_origin": "3f709d716ed10c0279369cb630cb15e78aa4aee635202d95721b6d10e1c665fb",
+    "excess_decay_offset": "0bcd11d782035370ab890139f417f090793a7fd59e2d35010cc7694d3a10cb3f",
+    "sup": "1ce0eec56497ebf84e9f15c51ae0526703245b05ea027158b6d61c10e7978b5e",
+    "higher_order": "1dd98d28c02be89164eab5e8ba47c3f0a91404790b6cd4fd92d6fd0975a3027b",
+    "blowup": "441f035df8b87bc262493c0afeb1e7a765309da4d888082f0899d8d492905976",
     "hormander": "bbe79e17f44049576f87f0bfae7f93628c9b41be845d0daca4f76678c5219d88",
 }
 
